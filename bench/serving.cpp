@@ -120,6 +120,7 @@ std::vector<MixEntry> parse_mix(const std::string& spec) {
     require(colon != std::string::npos,
             "--mix entries must look like kind:weight");
     const std::string name = item.substr(0, colon);
+    // bfc-analyze: eager-message-ok one check per --mix entry, at startup
     require(name == "tip" || name == "global" || name == "edge" ||
                 name == "top",
             "--mix kinds are tip|global|edge|top, got '" + name + "'");
@@ -180,12 +181,10 @@ std::pair<vidx_t, vidx_t> random_edge_at(const svc::SnapshotPtr& snap,
   return {u, static_cast<vidx_t>(rng.bounded(static_cast<std::uint64_t>(n2)))};
 }
 
-/// Sharded acceptance: the per-shard writers publish through independent
-/// stores, so their root "svc.shard.publish" spans must actually overlap in
-/// time — serialised publishes would mean the shard layer still funnels
-/// every write through one lock. Only enforced with >= 2 hardware threads;
-/// a single-core box can legitimately never overlap two CPU-bound sections.
-bool check_publish_overlap() {
+/// The first two "svc.shard.publish" spans of different shards that overlap
+/// in time, if any; `publishes` receives the number of publish spans.
+std::optional<std::pair<std::string, std::string>> overlapping_publishes(
+    std::size_t& publishes) {
   const std::vector<obs::SpanRecord> spans = obs::SpanLog::snapshot();
   struct Pub {
     std::string_view shard;
@@ -196,27 +195,74 @@ bool check_publish_overlap() {
     if (s.name == std::string_view("svc.shard.publish"))
       pubs.push_back({s.tag("shard"), s.ts_us,
                       s.ts_us + std::max<std::int64_t>(s.dur_us, 1)});
-  if (pubs.size() < 2) {
-    std::cerr << "FATAL: sharded run recorded " << pubs.size()
+  publishes = pubs.size();
+  // Sweep in start order; `open` holds the spans still running at p.begin.
+  std::sort(pubs.begin(), pubs.end(),
+            [](const Pub& a, const Pub& b) { return a.begin < b.begin; });
+  std::vector<Pub> open;
+  for (const Pub& p : pubs) {
+    std::erase_if(open, [&](const Pub& o) { return o.end <= p.begin; });
+    for (const Pub& o : open)
+      if (o.shard != p.shard)
+        return std::pair{std::string(o.shard), std::string(p.shard)};
+    open.push_back(p);
+  }
+  return std::nullopt;
+}
+
+/// Sharded acceptance: the per-shard writers publish through independent
+/// stores, so their root "svc.shard.publish" spans must overlap in time —
+/// serialised publishes would mean the shard layer still funnels every
+/// write through one lock. Whether two short publishes of the scripted
+/// rounds happened to overlap is up to the scheduler, so when none did,
+/// probe rounds follow: one writer per shard, released together by a
+/// spinning barrier, each publishes an empty batch (a new epoch with the
+/// same edges, so the drift checks above stay exact), until two probes
+/// overlap or kProbeRounds are spent. A serialised shard layer stays red
+/// however many rounds run. Only enforced with >= 2 hardware threads; a
+/// single-core box can legitimately never overlap two CPU-bound sections.
+bool check_publish_overlap(svc::ButterflyService& service, int shards) {
+  constexpr int kProbeRounds = 2000;
+  constexpr int kRoundsPerCheck = 50;
+  std::size_t publishes = 0;
+  auto overlap = overlapping_publishes(publishes);
+  if (publishes < 2) {
+    std::cerr << "FATAL: sharded run recorded " << publishes
               << " svc.shard.publish span(s); expected one per shard epoch\n";
     return false;
   }
-  for (std::size_t i = 0; i < pubs.size(); ++i)
-    for (std::size_t j = i + 1; j < pubs.size(); ++j)
-      if (pubs[i].shard != pubs[j].shard && pubs[i].begin < pubs[j].end &&
-          pubs[j].begin < pubs[i].end) {
-        std::cout << "publish overlap: shards " << pubs[i].shard << " and "
-                  << pubs[j].shard << " published concurrently ("
-                  << pubs.size() << " publish spans total)\n";
-        return true;
-      }
-  if (std::thread::hardware_concurrency() < 2) {
+  if (std::thread::hardware_concurrency() < 2 && !overlap) {
     std::cout << "publish overlap: skipped (single hardware thread)\n";
+    return true;
+  }
+  int probes = 0;
+  while (!overlap && probes < kProbeRounds) {
+    std::atomic<int> arrived{0};
+    {
+      std::vector<std::jthread> writers;
+      for (int k = 0; k < shards; ++k)
+        writers.emplace_back([&, k] {
+          for (int r = 1; r <= kRoundsPerCheck; ++r) {
+            arrived.fetch_add(1, std::memory_order_acq_rel);
+            while (arrived.load(std::memory_order_acquire) < shards * r)
+              std::this_thread::yield();
+            service.apply_updates_shard(k, {});
+          }
+        });
+    }
+    probes += kRoundsPerCheck;
+    overlap = overlapping_publishes(publishes);
+  }
+  if (overlap) {
+    std::cout << "publish overlap: shards " << overlap->first << " and "
+              << overlap->second << " published concurrently (" << publishes
+              << " publish spans total, " << probes << " probe rounds)\n";
     return true;
   }
   std::cerr << "FATAL: no two svc.shard.publish spans from different shards "
                "overlap across "
-            << pubs.size() << " publishes; shard writers appear serialised\n";
+            << publishes << " publishes (" << probes
+            << " probe rounds); shard writers appear serialised\n";
   return false;
 }
 
@@ -989,7 +1035,7 @@ int main(int argc, char** argv) {
   if (!spans_out.empty()) {
     if constexpr (obs::kMetricsEnabled) {
       if (!check_spans(spans_out, overload)) return 1;
-      if (sharded && !check_publish_overlap()) return 1;
+      if (sharded && !check_publish_overlap(service, shards)) return 1;
     } else {
       std::cout << "spans: collection compiled out (BFC_METRICS=OFF)\n";
     }

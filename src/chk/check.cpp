@@ -21,6 +21,15 @@ void check_fail(const char* expr, const char* file, int line,
   throw CheckError(out.str());
 }
 
+void enforce_fail(const char* msg) {
+  throw CheckError(std::string("validation failed: ") + msg);
+}
+
+void enforce_row_fail(const char* what, long long row) {
+  throw CheckError(std::string("validation failed: ") + what + " at row " +
+                   std::to_string(row));
+}
+
 void overflow_fail(const char* op, long long a, long long b) {
   BFC_COUNT_ADD("chk.overflows", 1);
   std::ostringstream out;

@@ -36,12 +36,28 @@ class CheckError : public std::invalid_argument {
 [[noreturn]] void check_fail(const char* expr, const char* file, int line,
                              const std::string& msg);
 
+/// Throws CheckError("validation failed: <msg>"), or with " at row <row>"
+/// appended for enforce_row. Out-of-line and cold, so the text of a check is
+/// only ever built on the path that throws.
+[[noreturn, gnu::cold]] void enforce_fail(const char* msg);
+[[noreturn, gnu::cold]] void enforce_row_fail(const char* what, long long row);
+
 /// Always-on building block for the validators: throws CheckError when the
 /// condition is false. Unlike BFC_CHECK this never compiles out — the
 /// validators themselves must fire in every lane; only their call sites on
-/// hot paths are gated.
+/// hot paths are gated. Inside a loop, pass a literal (or use enforce_row):
+/// a computed std::string message is built on every call, passing or not.
+inline void enforce(bool cond, const char* msg) {
+  if (!cond) [[unlikely]] enforce_fail(msg);
+}
 inline void enforce(bool cond, const std::string& msg) {
-  if (!cond) throw CheckError("validation failed: " + msg);
+  if (!cond) [[unlikely]] enforce_fail(msg.c_str());
+}
+
+/// enforce(cond, "<what> at row <row>") with the row number formatted only
+/// when the check fails: the per-entry form the structural validators use.
+inline void enforce_row(bool cond, const char* what, long long row) {
+  if (!cond) [[unlikely]] enforce_row_fail(what, row);
 }
 
 }  // namespace bfc::chk

@@ -14,10 +14,6 @@
 namespace bfc::chk {
 namespace {
 
-std::string at_row(const char* what, vidx_t r) {
-  return std::string(what) + " at row " + std::to_string(r);
-}
-
 /// One side's adjacency vectors: sorted, unique, in [0, limit); returns the
 /// total degree.
 offset_t validate_adjacency_side(const count::DynamicButterflyCounter& c,
@@ -27,11 +23,11 @@ offset_t validate_adjacency_side(const count::DynamicButterflyCounter& c,
     const std::span<const vidx_t> nbrs =
         v1_side ? c.neighbors_v1(x) : c.neighbors_v2(x);
     for (std::size_t k = 0; k < nbrs.size(); ++k) {
-      enforce(nbrs[k] >= 0 && nbrs[k] < limit,
-              at_row("dynamic counter: neighbour out of range", x));
+      enforce_row(nbrs[k] >= 0 && nbrs[k] < limit,
+                  "dynamic counter: neighbour out of range", x);
       if (k > 0)
-        enforce(nbrs[k - 1] < nbrs[k],
-                at_row("dynamic counter: adjacency not sorted/unique", x));
+        enforce_row(nbrs[k - 1] < nbrs[k],
+                    "dynamic counter: adjacency not sorted/unique", x);
     }
     degree_sum += static_cast<offset_t>(nbrs.size());
   }
@@ -53,13 +49,13 @@ void validate_csr_arrays(vidx_t rows, vidx_t cols,
   for (vidx_t r = 0; r < rows; ++r) {
     const offset_t lo = row_ptr[static_cast<std::size_t>(r)];
     const offset_t hi = row_ptr[static_cast<std::size_t>(r) + 1];
-    enforce(lo <= hi, at_row("csr: row_ptr not monotone", r));
+    enforce_row(lo <= hi, "csr: row_ptr not monotone", r);
     for (offset_t k = lo; k < hi; ++k) {
       const vidx_t c = col_idx[static_cast<std::size_t>(k)];
-      enforce(c >= 0 && c < cols, at_row("csr: column index out of range", r));
+      enforce_row(c >= 0 && c < cols, "csr: column index out of range", r);
       if (k > lo)
-        enforce(col_idx[static_cast<std::size_t>(k) - 1] < c,
-                at_row("csr: row not sorted/unique", r));
+        enforce_row(col_idx[static_cast<std::size_t>(k) - 1] < c,
+                    "csr: row not sorted/unique", r);
     }
   }
 }
@@ -93,7 +89,7 @@ void validate_mirror(const sparse::CsrPattern& a,
   // the mirrors are identical as edge sets.
   for (vidx_t r = 0; r < a.rows(); ++r)
     for (const vidx_t c : a.row(r))
-      enforce(at.has(c, r), at_row("mirror: edge missing from transpose", r));
+      enforce_row(at.has(c, r), "mirror: edge missing from transpose", r);
 }
 
 void validate(const graph::BipartiteGraph& g) {
@@ -120,8 +116,8 @@ void validate(const count::DynamicButterflyCounter& c) {
   for (vidx_t u = 0; u < c.n1(); ++u) {
     for (const vidx_t v : c.neighbors_v1(u)) {
       const std::span<const vidx_t> nv = c.neighbors_v2(v);
-      enforce(std::binary_search(nv.begin(), nv.end(), u),
-              at_row("dynamic counter: V1/V2 mirror disagreement", u));
+      enforce_row(std::binary_search(nv.begin(), nv.end(), u),
+                  "dynamic counter: V1/V2 mirror disagreement", u);
     }
   }
   const graph::BipartiteGraph g = c.to_graph();
@@ -157,9 +153,8 @@ void validate_shard_range(const graph::BipartiteGraph& g, vidx_t lo,
               std::to_string(g.n1()) + ")");
   for (vidx_t u = 0; u < g.n1(); ++u) {
     if (lo <= u && u < hi) continue;
-    enforce(g.csr().row_degree(u) == 0,
-            at_row("shard graph: edge on a V1 vertex outside the owned range",
-                   u));
+    enforce_row(g.csr().row_degree(u) == 0,
+                "shard graph: edge on a V1 vertex outside the owned range", u);
   }
 }
 

@@ -73,6 +73,22 @@ bool sorted_erase(std::vector<vidx_t>& v, vidx_t x) {
   return true;
 }
 
+/// CSR pattern whose rows are the given sorted adjacency vectors.
+sparse::CsrPattern concat_rows(const std::vector<std::vector<vidx_t>>& rows,
+                               vidx_t cols, offset_t nnz) {
+  std::vector<offset_t> row_ptr;
+  row_ptr.reserve(rows.size() + 1);
+  row_ptr.push_back(0);
+  std::vector<vidx_t> col_idx;
+  col_idx.reserve(static_cast<std::size_t>(nnz));
+  for (const std::vector<vidx_t>& row : rows) {
+    col_idx.insert(col_idx.end(), row.begin(), row.end());
+    row_ptr.push_back(static_cast<offset_t>(col_idx.size()));
+  }
+  return sparse::CsrPattern(static_cast<vidx_t>(rows.size()), cols,
+                            std::move(row_ptr), std::move(col_idx));
+}
+
 }  // namespace
 
 DynamicButterflyCounter::DynamicButterflyCounter(vidx_t n1, vidx_t n2)
@@ -100,17 +116,10 @@ std::span<const vidx_t> DynamicButterflyCounter::neighbors_v2(vidx_t v) const {
 }
 
 graph::BipartiteGraph DynamicButterflyCounter::to_graph() const {
-  std::vector<offset_t> row_ptr;
-  row_ptr.reserve(static_cast<std::size_t>(n1_) + 1);
-  row_ptr.push_back(0);
-  std::vector<vidx_t> col_idx;
-  col_idx.reserve(static_cast<std::size_t>(edges_));
-  for (const std::vector<vidx_t>& row : adj_v1_) {
-    col_idx.insert(col_idx.end(), row.begin(), row.end());
-    row_ptr.push_back(static_cast<offset_t>(col_idx.size()));
-  }
-  return graph::BipartiteGraph(
-      sparse::CsrPattern(n1_, n2_, std::move(row_ptr), std::move(col_idx)));
+  // adj_v2_ holds the rows of Aᵀ, sorted like those of A in adj_v1_, so the
+  // CSC is a second concatenation rather than a transpose.
+  return graph::BipartiteGraph(concat_rows(adj_v1_, n2_, edges_),
+                               concat_rows(adj_v2_, n1_, edges_));
 }
 
 count_t DynamicButterflyCounter::support_of(vidx_t u, vidx_t v) const {

@@ -44,9 +44,9 @@ class DynamicButterflyCounter {
   [[nodiscard]] std::span<const vidx_t> neighbors_v2(vidx_t v) const;
 
   /// Materialises the current graph as an immutable BipartiteGraph (CSR +
-  /// CSC). O(|E|): the sorted adjacency vectors are the CSR rows already,
-  /// so this is a concatenation plus one transpose — the snapshot-publish
-  /// path of the serving layer (src/svc/).
+  /// CSC). O(|V| + |E|): the sorted V1 and V2 adjacency vectors are the rows
+  /// of A and Aᵀ already, so each orientation is one concatenation — the
+  /// snapshot-publish path of the serving layer (src/svc/).
   [[nodiscard]] graph::BipartiteGraph to_graph() const;
 
  private:

@@ -7,9 +7,18 @@ namespace bfc::graph {
 
 BipartiteGraph::BipartiteGraph(sparse::CsrPattern biadjacency)
     : a_(std::move(biadjacency)), at_(a_.transpose()) {
-  // Every graph in the system funnels through this constructor, so in a
+  // Every graph built from A alone funnels through this constructor, so in a
   // checked build verify the freshly built CSR/CSC pair actually mirror
   // each other (each pattern was already shape-checked on construction).
+  if constexpr (chk::kCheckedEnabled) chk::validate_mirror(a_, at_);
+}
+
+BipartiteGraph::BipartiteGraph(sparse::CsrPattern biadjacency,
+                               sparse::CsrPattern transpose)
+    : a_(std::move(biadjacency)), at_(std::move(transpose)) {
+  chk::enforce(at_.rows() == a_.cols() && at_.cols() == a_.rows(),
+               "mirror: transpose shape mismatch");
+  chk::enforce(at_.nnz() == a_.nnz(), "mirror: transpose nnz mismatch");
   if constexpr (chk::kCheckedEnabled) chk::validate_mirror(a_, at_);
 }
 
@@ -23,7 +32,7 @@ BipartiteGraph BipartiteGraph::from_edges(
 }
 
 BipartiteGraph BipartiteGraph::swapped_sides() const {
-  return BipartiteGraph(at_);
+  return BipartiteGraph(at_, a_);
 }
 
 }  // namespace bfc::graph

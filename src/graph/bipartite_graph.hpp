@@ -10,6 +10,10 @@
 #include "sparse/csr.hpp"
 #include "util/common.hpp"
 
+namespace bfc::count {
+class DynamicButterflyCounter;
+}
+
 namespace bfc::graph {
 
 class BipartiteGraph {
@@ -44,7 +48,8 @@ class BipartiteGraph {
 
   [[nodiscard]] bool has_edge(vidx_t u, vidx_t v) const { return a_.has(u, v); }
 
-  /// The same graph with the roles of V1 and V2 exchanged (A -> Aᵀ).
+  /// The same graph with the roles of V1 and V2 exchanged (A -> Aᵀ); reuses
+  /// both orientations instead of transposing again.
   [[nodiscard]] BipartiteGraph swapped_sides() const;
 
   bool operator==(const BipartiteGraph& other) const {
@@ -52,6 +57,15 @@ class BipartiteGraph {
   }
 
  private:
+  // The counter keeps both orientations sorted already, so its snapshots
+  // skip the transpose.
+  friend class count::DynamicButterflyCounter;
+
+  /// From both orientations, each already a validated pattern. Shapes and
+  /// nnz are always checked; the full mirror check runs in checked builds,
+  /// as for the public constructor.
+  BipartiteGraph(sparse::CsrPattern biadjacency, sparse::CsrPattern transpose);
+
   sparse::CsrPattern a_;
   sparse::CsrPattern at_;
 };

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "sparse/coo.hpp"
 #include "sparse/ops.hpp"
@@ -42,15 +44,20 @@ std::vector<vidx_t> permutation_for(const std::vector<offset_t>& degrees,
   return old_to_new;
 }
 
+[[noreturn]] void bad_permutation(const char* what, const char* why) {
+  throw std::invalid_argument(std::string(what) + ": " + why);
+}
+
+/// Throws on the first bad entry; the message is built only then.
 void check_permutation(const std::vector<vidx_t>& perm, vidx_t n,
                        const char* what) {
-  require(perm.size() == static_cast<std::size_t>(n),
-          std::string(what) + ": permutation size mismatch");
+  if (perm.size() != static_cast<std::size_t>(n))
+    bad_permutation(what, "permutation size mismatch");
   std::vector<std::uint8_t> seen(static_cast<std::size_t>(n), 0);
   for (const vidx_t p : perm) {
-    require(p >= 0 && p < n, std::string(what) + ": entry out of range");
-    require(!seen[static_cast<std::size_t>(p)],
-            std::string(what) + ": duplicate entry");
+    if (p < 0 || p >= n) bad_permutation(what, "entry out of range");
+    if (seen[static_cast<std::size_t>(p)])
+      bad_permutation(what, "duplicate entry");
     seen[static_cast<std::size_t>(p)] = 1;
   }
 }

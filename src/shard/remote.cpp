@@ -130,12 +130,7 @@ std::string RemoteShard::rpc(wire::Msg msg, std::string_view payload,
 
 svc::PublishResult RemoteShard::apply(
     std::span<const svc::EdgeUpdate> batch) {
-  for (const svc::EdgeUpdate& up : batch)
-    require(lo_ <= up.u && up.u < hi_,
-            "RemoteShard: update routed to the wrong shard (u=" +
-                std::to_string(up.u) + " outside [" + std::to_string(lo_) +
-                ", " + std::to_string(hi_) + ") of shard " +
-                std::to_string(id_) + ")");
+  require_owned(batch, lo_, hi_, id_, "RemoteShard");
   // Publishes are not idempotent at the transport level: when the reply is
   // lost the batch may or may not have landed, and a blind replay would
   // publish a second epoch. One attempt; the caller owns recovery (the

@@ -1,5 +1,6 @@
 #include "shard/shard.hpp"
 
+#include <stdexcept>
 #include <string>
 
 #include "chk/validate.hpp"
@@ -22,13 +23,18 @@ LocalShard::LocalShard(int id, vidx_t n1, vidx_t n2, vidx_t lo, vidx_t hi)
   }
 }
 
-svc::PublishResult LocalShard::apply(std::span<const svc::EdgeUpdate> batch) {
+void require_owned(std::span<const svc::EdgeUpdate> batch, vidx_t lo,
+                   vidx_t hi, int id, const char* who) {
   for (const svc::EdgeUpdate& up : batch)
-    require(lo_ <= up.u && up.u < hi_,
-            "LocalShard: update routed to the wrong shard (u=" +
-                std::to_string(up.u) + " outside [" + std::to_string(lo_) +
-                ", " + std::to_string(hi_) + ") of shard " +
-                std::to_string(id_) + ")");
+    if (up.u < lo || up.u >= hi)
+      throw std::invalid_argument(
+          std::string(who) + ": update routed to the wrong shard (u=" +
+          std::to_string(up.u) + " outside [" + std::to_string(lo) + ", " +
+          std::to_string(hi) + ") of shard " + std::to_string(id) + ")");
+}
+
+svc::PublishResult LocalShard::apply(std::span<const svc::EdgeUpdate> batch) {
+  require_owned(batch, lo_, hi_, id_, "LocalShard");
   svc::PublishResult result = store_.apply_batch(batch);
   if (publishes_ != nullptr) publishes_->increment();
   return result;

@@ -68,6 +68,12 @@ class ShardHandle {
 
 using ShardHandlePtr = std::shared_ptr<ShardHandle>;
 
+/// The ownership check of ShardHandle::apply: throws std::invalid_argument
+/// naming the first update whose u lies outside [lo, hi), the owned range
+/// and the shard id. The text is built only when an update is misrouted.
+void require_owned(std::span<const svc::EdgeUpdate> batch, vidx_t lo,
+                   vidx_t hi, int id, const char* who);
+
 /// In-process shard: a SnapshotStore plus ownership checks and a
 /// construction-bound svc.shard.<id>.publishes counter.
 class LocalShard final : public ShardHandle {

@@ -27,10 +27,18 @@ using count_t = std::int64_t;
   return n <= 1 ? 0 : (n % 2 == 0 ? (n / 2) * (n - 1) : n * ((n - 1) / 2));
 }
 
+/// Throws std::invalid_argument(msg). Out-of-line and cold, so a passing
+/// require() costs one branch and never touches its message.
+[[noreturn, gnu::cold]] void require_fail(const char* msg);
+
 /// Throwing check used at API boundaries (argument validation), as opposed to
-/// assert() which guards internal invariants.
+/// assert() which guards internal invariants. Prefer a literal message on hot
+/// paths: a computed std::string is built on every call, passing or not.
+inline void require(bool cond, const char* msg) {
+  if (!cond) [[unlikely]] require_fail(msg);
+}
 inline void require(bool cond, const std::string& msg) {
-  if (!cond) throw std::invalid_argument(msg);
+  if (!cond) [[unlikely]] require_fail(msg.c_str());
 }
 
 }  // namespace bfc

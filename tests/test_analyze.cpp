@@ -336,6 +336,69 @@ TEST(AnalyzeSpanPairing, QuietOnRegisteredNamesDeclsAndNonNamespaced) {
           .empty());
 }
 
+// -------------------------------------------------------------- eager-message
+
+TEST(AnalyzeEagerMessage, FiresOnComputedMessageInsideLoops) {
+  const std::string code =
+      "void validate(const Csr& p) {\n"
+      "  for (vidx_t r = 0; r < p.rows(); ++r) {\n"
+      "    chk::enforce(ok(r), at_row(\"csr: bad row\", r));\n"  // line 3
+      "    for (const vidx_t c : p.row(r))\n"
+      "      enforce(c >= 0, std::string(\"csr: col \") + std::to_string(c));\n"
+      "  }\n"
+      "}\n"
+      "void route(std::span<const Up> batch) {\n"
+      "  for (const Up& up : batch)\n"
+      "    bfc::require(owned(up.u), \"wrong shard (u=\" +\n"  // line 10
+      "                 std::to_string(up.u) + \")\");\n"
+      "  const auto each = [&] { while (more()) require(ok(), what + s); };\n"
+      "}\n";
+  const auto fs =
+      of_rule(analyze_one("src/shard/foo.cpp", code), "eager-message");
+  ASSERT_EQ(fs.size(), 4u);
+  EXPECT_EQ(fs[0].line, 3);
+  EXPECT_EQ(fs[1].line, 5);
+  EXPECT_EQ(fs[2].line, 10);
+  EXPECT_EQ(fs[3].line, 12);
+  EXPECT_NE(fs[0].message.find("enforce()"), std::string::npos);
+  EXPECT_NE(fs[2].message.find("require()"), std::string::npos);
+}
+
+TEST(AnalyzeEagerMessage, QuietOnLiteralsNamesRowFormAndOutsideLoops) {
+  const std::string code =
+      "void validate(const Csr& p, const std::string& what) {\n"
+      // outside any loop: built once per call, not per entry
+      "  enforce(p.rows() >= 0, \"csr: \" + what);\n"
+      "  for (vidx_t r = 0; r < p.rows(); ++r) {\n"
+      // literals (adjacent ones included), names, enforce_row
+      "    enforce(ok(r), \"csr: row \" \"not monotone\");\n"
+      "    require(ok(r), what);\n"
+      "    require(ok(r), msgs::kBadRow);\n"
+      "    chk::enforce_row(ok(r), \"csr: row not sorted\", r);\n"
+      // other classes' members and one-argument calls are not ours
+      "    cli.require(\"--\" + name);\n"
+      "    require(ok(r));\n"
+      // text built only on the throw path
+      "    if (!ok(r)) throw std::invalid_argument(\"row \" + "
+      "std::to_string(r));\n"
+      "  }\n"
+      "}\n";
+  EXPECT_TRUE(
+      of_rule(analyze_one("src/chk/foo.cpp", code), "eager-message").empty());
+}
+
+TEST(AnalyzeEagerMessage, SuppressionWithRationaleSilences) {
+  const std::string code =
+      "void parse(const std::vector<std::string>& items) {\n"
+      "  for (const std::string& it : items)\n"
+      "    // bfc-analyze: eager-message-ok a few CLI entries at startup\n"
+      "    require(known(it), \"unknown entry '\" + it + \"'\");\n"
+      "}\n";
+  const auto all = analyze_one("bench/foo.cpp", code);
+  EXPECT_TRUE(of_rule(all, "eager-message").empty());
+  EXPECT_TRUE(of_rule(all, "suppression").empty());
+}
+
 // ---------------------------------------------------------------- suppression
 
 TEST(AnalyzeSuppression, MalformedMarkersAreFindings) {

@@ -10,6 +10,8 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "chk/check.hpp"
@@ -209,6 +211,51 @@ TEST(ChkSnapshot, EpochMustAdvanceByOne) {
   EXPECT_THROW(chk::validate_epoch_transition(prev, next), chk::CheckError);
   next.epoch = prev.epoch + 2;  // skipped
   EXPECT_THROW(chk::validate_epoch_transition(prev, next), chk::CheckError);
+}
+
+// --- failing checks say where ----------------------------------------
+// The validators format the row number only when a check fails; these pin
+// the text that reaches the caller.
+
+/// The what() of the CheckError `f` throws ("" and a test failure if none).
+template <typename F>
+std::string check_error_text(F&& f) {
+  try {
+    f();
+  } catch (const chk::CheckError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "no CheckError thrown";
+  return "";
+}
+
+TEST(ChkMessages, CsrArrayErrorsNameTheRow) {
+  RawCsr r;
+  r.col_idx = {0, 3, 2, 1};  // row 2 descending
+  EXPECT_EQ(check_error_text([&] { validate_raw(r); }),
+            "validation failed: csr: row not sorted/unique at row 2");
+  r.col_idx = {0, 3, 1, 4};  // cols == 4
+  EXPECT_EQ(check_error_text([&] { validate_raw(r); }),
+            "validation failed: csr: column index out of range at row 2");
+}
+
+TEST(ChkMessages, MirrorErrorNamesTheRowOfTheMissingEdge) {
+  // A holds (1, 1) and (2, 0); the "transpose" has (0, 2) but not (1, 1).
+  const sparse::CsrPattern a(3, 2, {0, 0, 1, 2}, {1, 0});
+  const sparse::CsrPattern wrong(2, 3, {0, 1, 2}, {2, 2});
+  EXPECT_EQ(check_error_text([&] { chk::validate_mirror(a, wrong); }),
+            "validation failed: mirror: edge missing from transpose at row 1");
+}
+
+TEST(ChkMessages, DynamicCounterErrorNamesTheCorruptRow) {
+  auto c = make_counter();
+  // V1 vertex 1 holds {0, 1}; swap it through the span's storage (the
+  // counter is not const, so the write is defined).
+  auto* row = const_cast<vidx_t*>(c.neighbors_v1(1).data());
+  std::swap(row[0], row[1]);
+  EXPECT_EQ(check_error_text([&] { chk::validate(c); }),
+            "validation failed: dynamic counter: adjacency not sorted/unique "
+            "at row 1");
 }
 
 // --- overflow-checked arithmetic --------------------------------------

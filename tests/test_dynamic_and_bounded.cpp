@@ -87,6 +87,67 @@ TEST_P(DynamicRandomized, TracksExactCounterThroughMixedUpdates) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DynamicRandomized,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
 
+/// to_graph() concatenates the V2 adjacency into the CSC instead of
+/// transposing the CSR; both orientations must equal the transpose-built
+/// graph's, and so must swapped_sides(). operator== compares only the CSR,
+/// so csc() is compared explicitly.
+void expect_matches_transpose_built(const DynamicButterflyCounter& c) {
+  const graph::BipartiteGraph g = c.to_graph();
+  const graph::BipartiteGraph ref(g.csr());
+  EXPECT_EQ(g.csr(), ref.csr());
+  EXPECT_EQ(g.csc(), ref.csc());
+  const graph::BipartiteGraph swapped = g.swapped_sides();
+  const graph::BipartiteGraph swapped_ref(g.csr().transpose());
+  EXPECT_EQ(swapped.csr(), swapped_ref.csr());
+  EXPECT_EQ(swapped.csc(), swapped_ref.csc());
+}
+
+TEST(DynamicToGraph, EmptyAndIsolatedVerticesMatchTransposeBuilt) {
+  expect_matches_transpose_built(DynamicButterflyCounter(0, 0));
+  expect_matches_transpose_built(DynamicButterflyCounter(4, 7));
+  DynamicButterflyCounter c(6, 5);
+  c.insert(2, 4);
+  c.insert(5, 4);  // every other vertex of both sides stays isolated
+  expect_matches_transpose_built(c);
+  c.remove(2, 4);
+  c.remove(5, 4);
+  expect_matches_transpose_built(c);
+  EXPECT_EQ(c.to_graph().edge_count(), 0);
+}
+
+class DynamicToGraphRandomized
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(DynamicToGraphRandomized, BothOrientationsMatchTransposeBuilt) {
+  Rng rng(GetParam());
+  // More vertices than updates reach, so isolated vertices stay on both
+  // sides; inserts and removes both land on present and absent edges.
+  const vidx_t n1 = 23, n2 = 17;
+  DynamicButterflyCounter c(n1, n2);
+  std::vector<std::pair<vidx_t, vidx_t>> present;
+  for (int step = 0; step < 240; ++step) {
+    const auto u = static_cast<vidx_t>(rng.bounded(n1 - 3));
+    const auto v = static_cast<vidx_t>(rng.bounded(n2 - 2));
+    if (rng.bernoulli(0.65)) {
+      c.insert(u, v);
+    } else {
+      c.remove(u, v);
+    }
+    if (step % 30 == 29) {
+      present.clear();
+      for (vidx_t x = 0; x < n1; ++x)
+        for (const vidx_t y : c.neighbors_v1(x)) present.emplace_back(x, y);
+      ASSERT_EQ(c.to_graph().csc(),
+                graph::BipartiteGraph::from_edges(n1, n2, present).csc())
+          << "step " << step;
+      expect_matches_transpose_built(c);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DynamicToGraphRandomized,
+                         ::testing::Values(11u, 12u, 13u, 14u));
+
 TEST(BoundedMemory, MatchesExactAcrossBudgets) {
   const auto g = random_graph(25, 20, 0.3, 7);
   const count_t exact = wedge_reference(g);

@@ -244,6 +244,21 @@ TEST(ShardParity, ShardScopedApplyEnforcesOwnership) {
                std::invalid_argument);
 }
 
+TEST(ShardParity, WrongShardErrorNamesVertexRangeAndShard) {
+  shard::LocalShard s(1, 12, 10, 4, 8);
+  const std::vector<EdgeUpdate> batch = {EdgeUpdate::add(5, 0),
+                                         EdgeUpdate::add(9, 3)};
+  try {
+    s.apply(batch);
+    ADD_FAILURE() << "misrouted update accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "LocalShard: update routed to the wrong shard (u=9 outside "
+                 "[4, 8) of shard 1)");
+  }
+  EXPECT_EQ(s.epoch(), 0u);  // nothing of the batch was published
+}
+
 TEST(ShardParity, PersistRestoreRoundTripSharded) {
   const std::string path = ::testing::TempDir() + "bfc_shard_ckpt.bin";
   ButterflyService service(14, 9, {.threads = 1, .shards = 3});

@@ -90,6 +90,20 @@ TEST(CooBuilder, RangeChecked) {
   EXPECT_THROW(b.add(0, -1), std::invalid_argument);
 }
 
+TEST(CooBuilder, RangeErrorsKeepTheirText) {
+  CooBuilder b(2, 2);
+  const auto text = [&](vidx_t r, vidx_t c) -> std::string {
+    try {
+      b.add(r, c);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no exception";
+  };
+  EXPECT_EQ(text(2, 0), "CooBuilder::add: row out of range");
+  EXPECT_EQ(text(0, -1), "CooBuilder::add: column out of range");
+}
+
 TEST(Ops, Degrees) {
   const DenseMatrix d = {{1, 1, 0}, {0, 0, 0}, {1, 0, 1}};
   const CsrPattern m = CsrPattern::from_dense(d);

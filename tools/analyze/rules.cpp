@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cctype>
 #include <set>
+#include <utility>
+
+#include "flow.hpp"
 
 namespace bfc::analyze {
 namespace {
@@ -505,6 +508,83 @@ void rule_span_pairing(const SourceFile& f, const RuleContext& ctx,
   }
 }
 
+// -------------------------------------------------------------- eager-message
+
+/// Token ranges of every loop body in `stmts`, nested loops and loops inside
+/// lambdas included.
+void collect_loop_bodies(const std::vector<Stmt>& stmts,
+                         std::vector<std::pair<std::size_t, std::size_t>>& out) {
+  for (const Stmt& s : stmts) {
+    if (s.kind == Stmt::Kind::kLoop)
+      for (const Stmt& body : s.blocks) out.emplace_back(body.begin, body.end);
+    collect_loop_bodies(s.blocks, out);
+  }
+}
+
+/// require()/enforce() take a finished message, so a computed one — a
+/// concatenation, std::to_string, std::string(...) — is built on every
+/// call, passing or not. Inside a loop that can be the whole cost of the
+/// check (validate_csr_arrays once spent ~97 % of its time formatting row
+/// numbers for checks that passed). The message must be a string literal,
+/// or a name bound outside the call; chk::enforce_row carries a row number
+/// lazily.
+void rule_eager_message(const SourceFile& f, const RuleContext&,
+                        std::vector<Finding>& out) {
+  const Tokens& t = f.lex.tokens;
+  std::vector<std::pair<std::size_t, std::size_t>> loops;
+  for (const FuncInfo& fn : extract_functions(f))
+    collect_loop_bodies(fn.body, loops);
+  if (loops.empty()) return;
+  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+    if (!(t[i].ident("require") || t[i].ident("enforce")) ||
+        !t[i + 1].punct("("))
+      continue;
+    if (i > 0 && (t[i - 1].punct(".") || t[i - 1].punct("->")))
+      continue;  // some other class's member function
+    if (std::none_of(loops.begin(), loops.end(), [&](const auto& r) {
+          return r.first <= i && i < r.second;
+        }))
+      continue;
+    const std::size_t close = match_bracket(t, i + 1);
+    if (close >= t.size()) continue;
+    // The message is the second argument: from the first depth-0 comma to
+    // the next one (or the closing paren).
+    std::size_t msg_begin = close;
+    std::size_t msg_end = close;
+    int depth = 0;
+    for (std::size_t j = i + 2; j < close; ++j) {
+      if (t[j].kind != Tok::kPunct) continue;
+      const std::string& p = t[j].text;
+      if (p == "(" || p == "[" || p == "{") {
+        ++depth;
+      } else if (p == ")" || p == "]" || p == "}") {
+        --depth;
+      } else if (p == "," && depth == 0) {
+        if (msg_begin == close) {
+          msg_begin = j + 1;
+        } else {
+          msg_end = j;
+          break;
+        }
+      }
+    }
+    if (msg_begin >= msg_end) continue;
+    bool literal = true;
+    bool name = true;
+    for (std::size_t j = msg_begin; j < msg_end; ++j) {
+      literal = literal && t[j].kind == Tok::kString;
+      name = name && (t[j].kind == Tok::kIdent || t[j].punct("::"));
+    }
+    if (literal || name) continue;
+    emit(f, "eager-message", t[i],
+         "computed message for " + t[i].text +
+             "() inside a loop is built on every call, passing or not; pass "
+             "a string literal (chk::enforce_row for a row number) or build "
+             "the text only on the throw path",
+         out);
+  }
+}
+
 // ---------------------------------------------------------------- suppression
 
 /// The meta-rule: a suppression that cannot work (no rationale, unknown rule
@@ -574,6 +654,9 @@ const std::vector<Rule>& all_rules() {
       {"span-pairing",
        "span/tag literal lifetime and registry consistency",
        rule_span_pairing},
+      {"eager-message",
+       "computed require()/enforce() messages inside loop bodies",
+       rule_eager_message},
       {"suppression", "malformed or unknown suppression markers",
        rule_suppression},
     };

@@ -10,6 +10,7 @@
 //   cancellation-checkpoint kernels taking a CancelToken must consult it
 //   metric-registry         metric literals must exist in metrics.registry
 //   span-pairing            span/tag literals: lifetime + registry contract
+//   eager-message           computed require/enforce messages in loop bodies
 //   suppression             malformed or unknown suppression markers
 // Flow-sensitive families (rules_flow.cpp, built on flow.hpp):
 //   lifetime-escape         views bound to temporaries / escaping locals
