@@ -139,10 +139,16 @@ int cmd_peel(const Cli& cli, const graph::BipartiteGraph& g) {
 int cmd_pairs(const Cli& cli, const graph::BipartiteGraph& g) {
   const auto top = static_cast<std::size_t>(cli.get_int_at_least("top", 10, 1));
   Table table({"V1 pair", "shared neighbours", "butterflies"});
-  for (const count::VertexPair& p : count::top_wedge_pairs_v1(g, top))
-    table.add_row({"(" + std::to_string(p.a) + ", " + std::to_string(p.b) +
-                       ")",
-                   Table::num(p.wedges), Table::num(p.butterflies())});
+  for (const count::VertexPair& p : count::top_wedge_pairs_v1(g, top)) {
+    // Appended piecewise: GCC 12's -Wrestrict misfires on the chained
+    // operator+ form of this label at -O3.
+    std::string label = "(";
+    label += std::to_string(p.a);
+    label += ", ";
+    label += std::to_string(p.b);
+    label += ")";
+    table.add_row({label, Table::num(p.wedges), Table::num(p.butterflies())});
+  }
   table.print(std::cout);
   return 0;
 }
