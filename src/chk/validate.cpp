@@ -103,7 +103,7 @@ void validate(const graph::BipartiteGraph& g) {
           "graph: degree sums disagree with edge count");
 }
 
-void validate(const count::DynamicButterflyCounter& c) {
+void validate_structure(const count::DynamicButterflyCounter& c) {
   BFC_COUNT_ADD("chk.validations", 1);
   const offset_t deg_v1 = validate_adjacency_side(c, true, c.n1(), c.n2());
   const offset_t deg_v2 = validate_adjacency_side(c, false, c.n2(), c.n1());
@@ -120,6 +120,10 @@ void validate(const count::DynamicButterflyCounter& c) {
                   "dynamic counter: V1/V2 mirror disagreement", u);
     }
   }
+}
+
+void validate(const count::DynamicButterflyCounter& c) {
+  validate_structure(c);
   const graph::BipartiteGraph g = c.to_graph();
   validate(g);
   enforce(count::wedge_reference(g) == c.butterflies(),

@@ -63,9 +63,12 @@ void validate_mirror(const sparse::CsrPattern& a, const sparse::CsrPattern& at);
 void validate(const graph::BipartiteGraph& g);
 
 /// Adjacency vectors sorted/unique/in-range on both sides, V1/V2 mirror
-/// agreement, edge_count() equal to the degree sum, and the incremental
-/// butterfly count equal to a from-scratch recount of the materialised
-/// graph.
+/// agreement, and edge_count() equal to the degree sum. O(edges log deg);
+/// materialises nothing and recounts nothing.
+void validate_structure(const count::DynamicButterflyCounter& c);
+
+/// validate_structure, then the materialised graph validated and the
+/// incremental butterfly count checked against a from-scratch recount.
 void validate(const count::DynamicButterflyCounter& c);
 
 /// Snapshot-internal consistency: graph valid, edges field equal to the

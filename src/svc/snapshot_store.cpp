@@ -116,9 +116,10 @@ PublishResult SnapshotStore::apply_batch(std::span<const EdgeUpdate> batch) {
   // Checked build: the batch just mutated the counter, so re-verify its
   // internal structure, the snapshot it materialised (including a recount
   // of the incremental butterfly total), and the epoch transition before
-  // any reader can pin the new head.
+  // any reader can pin the new head. The snapshot is the counter's graph
+  // and count, so its check is the one recount the counter needs.
   if constexpr (chk::kCheckedEnabled) {
-    chk::validate(counter_);
+    chk::validate_structure(counter_);
     chk::validate(*snap);
     chk::validate_epoch_transition(*head_load(), *snap);
   }
@@ -238,7 +239,7 @@ void SnapshotStore::restore(const std::string& path) {
   snap->butterflies = meta.butterflies;
   snap->edges = meta.edges;
   if constexpr (chk::kCheckedEnabled) {
-    chk::validate(counter);
+    chk::validate_structure(counter);  // validate(*snap) recounts its edges
     chk::validate(*snap);
   }
 
