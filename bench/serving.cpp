@@ -154,17 +154,6 @@ svc::ShedPolicy parse_policy(const std::string& name) {
   return svc::ShedPolicy::kRejectNew;  // unreachable
 }
 
-/// Uniform present edge of the pinned snapshot via the CSR row pointers.
-std::pair<vidx_t, vidx_t> random_edge(const svc::SnapshotPtr& snap, Rng& rng) {
-  const sparse::CsrPattern& a = snap->graph.csr();
-  const auto k = static_cast<offset_t>(
-      rng.bounded(static_cast<std::uint64_t>(snap->edges)));
-  const auto& rp = a.row_ptr();
-  const auto it = std::upper_bound(rp.begin(), rp.end(), k);
-  const auto u = static_cast<vidx_t>(it - rp.begin() - 1);
-  return {u, a.col_idx()[static_cast<std::size_t>(k)]};
-}
-
 /// Uniform present neighbour of `u` in the pinned shard snapshot; when u
 /// currently has no edges, a uniform (possibly absent) partner — support of
 /// an absent edge is a legal query answering 0.
@@ -750,11 +739,6 @@ int main(int argc, char** argv) {
         std::vector<KindStats>& stats = per_reader[static_cast<std::size_t>(r)];
         Rng rng(cfg.seed + 100 + static_cast<std::uint64_t>(r));
         for (int q = 0; q < queries_per_reader; ++q) {
-          // Pin the consistency unit once per query: a materialised snapshot
-          // in single-shard mode, a shard view (one pointer per shard) when
-          // sharded — materialising the union per query would be O(|E|).
-          const svc::SnapshotPtr snap = sharded ? nullptr : service.snapshot();
-          const shard::ShardViewPtr view = sharded ? service.view() : nullptr;
           // Fresh deadline per request: the budget is relative to *now*.
           const svc::Deadline deadline =
               deadline_ms > 0.0
@@ -763,8 +747,10 @@ int main(int argc, char** argv) {
                         std::chrono::duration<double, std::milli>(
                             deadline_ms)))
                   : svc::Deadline{};
-          const svc::Request req = sharded ? svc::Request(view, deadline)
-                                           : svc::Request(snap, deadline);
+          // Pin the consistency unit once per query: one view, one pointer
+          // per shard.
+          const shard::ShardViewPtr view = service.view();
+          const svc::Request req(view, deadline);
           const MixEntry& kind = pick(mix, rng, mix_total);
           bool degraded = false;
           bool shed = false;
@@ -781,16 +767,11 @@ int main(int argc, char** argv) {
             } else if (kind.name == "global") {
               (void)service.global_count(req).get();
             } else if (kind.name == "edge") {
-              if (sharded) {
-                const vidx_t u = pick_v1(rng);
-                const svc::SnapshotPtr& owner =
-                    view->shards[static_cast<std::size_t>(part.owner(u))];
-                const auto [eu, ev] = random_edge_at(owner, u, n2, rng);
-                degraded = service.edge_support(eu, ev, req).get().degraded();
-              } else if (snap->edges > 0) {
-                const auto [u, v] = random_edge(snap, rng);
-                degraded = service.edge_support(u, v, req).get().degraded();
-              }
+              const vidx_t u = pick_v1(rng);
+              const svc::SnapshotPtr& owner =
+                  view->shards[static_cast<std::size_t>(part.owner(u))];
+              const auto [eu, ev] = random_edge_at(owner, u, n2, rng);
+              degraded = service.edge_support(eu, ev, req).get().degraded();
             } else {  // top
               degraded = service.top_pairs(8, req).get().degraded();
             }

@@ -21,6 +21,13 @@ constexpr std::uint64_t pair_key(vidx_t u1, vidx_t u2) noexcept {
          static_cast<std::uint32_t>(u2);
 }
 
+/// The aggregate of every one-shard view: no cross pairs.
+const CrossAggregatePtr& no_cross_pairs() {
+  static const CrossAggregatePtr empty =
+      std::make_shared<const CrossAggregate>();
+  return empty;
+}
+
 }  // namespace
 
 CrossAggregate ScatterGather::compute(const ShardView& view,
@@ -116,6 +123,7 @@ CrossAggregate ScatterGather::compute(const ShardView& view,
 CrossAggregatePtr ScatterGather::cross(const ShardViewPtr& view,
                                        const CancelToken& cancel,
                                        const obs::TraceContext& trace) {
+  if (view->shard_count() < 2) return no_cross_pairs();
   const std::uint64_t sig = view->signature;
   std::shared_future<CrossAggregatePtr> fut;
   std::promise<CrossAggregatePtr> mine;
@@ -194,6 +202,12 @@ std::optional<CrossAggregatePtr> ScatterGather::cached(
     }
   }
   return std::nullopt;
+}
+
+std::optional<CrossAggregatePtr> ScatterGather::ready(
+    const ShardView& view) const {
+  if (view.shard_count() < 2) return no_cross_pairs();
+  return cached(view.signature);
 }
 
 std::optional<CrossAggregatePtr> ScatterGather::latest_ready() const {

@@ -29,7 +29,9 @@
 // One cross pass serves every scatter query at a given view signature: the
 // planner memoises the aggregate per signature (keeping the latest two, so
 // the degrade ladder has a stale rung) and coalesces concurrent computes
-// onto one shared future, exactly like the service's tip-pass memo. The
+// onto one shared future, exactly like the service's tip-pass memo. A
+// one-shard view has no cross pairs: it gets one shared empty aggregate
+// that never enters the memo, so the one-shard service pays nothing. The
 // pass itself is sequential and cancellable — serving-path kernels stay
 // free of OpenMP regions by design (see tests/test_svc.cpp's stress note);
 // the ParButterfly-style parallel aggregation stays on the batch side.
@@ -84,6 +86,7 @@ class ScatterGather {
   /// caller's token cancels for everyone, and CancelledError propagates to
   /// every waiter). Keeps the latest two completed signatures; older
   /// completed aggregates are dropped (in-flight ones are never evicted).
+  /// A one-shard view gets the shared empty aggregate, memo untouched.
   CrossAggregatePtr cross(const ShardViewPtr& view,
                           const CancelToken& cancel = {},
                           const obs::TraceContext& trace = {});
@@ -97,6 +100,11 @@ class ScatterGather {
   /// Memo probe without computing — the stale rung of the degrade ladder.
   [[nodiscard]] std::optional<CrossAggregatePtr> cached(
       std::uint64_t signature) const;
+
+  /// The aggregate for `view` if it needs no pass: the shared empty one
+  /// for a one-shard view, else the completed memo entry, if any.
+  [[nodiscard]] std::optional<CrossAggregatePtr> ready(
+      const ShardView& view) const;
 
   /// Most recently completed aggregate of ANY signature, if one survives.
   [[nodiscard]] std::optional<CrossAggregatePtr> latest_ready() const;

@@ -94,10 +94,9 @@ class LocalShard final : public ShardHandle {
   [[nodiscard]] vidx_t range_begin() const noexcept override { return lo_; }
   [[nodiscard]] vidx_t range_end() const noexcept override { return hi_; }
 
-  /// The backing store, for the single-shard compatibility paths that must
-  /// keep the exact legacy behavior (service introspection, legacy
-  /// persist format). Deliberately absent from ShardHandle: a remote shard
-  /// has no local store to hand out.
+  /// The backing store, for introspection (ButterflyService::store()).
+  /// Deliberately absent from ShardHandle: a remote shard has no local
+  /// store to hand out.
   [[nodiscard]] const svc::SnapshotStore& store() const noexcept {
     return store_;
   }

@@ -97,30 +97,31 @@ svc::PublishResult ShardedSnapshotStore::apply_to_shard(
   // No store-wide lock: the shard serialises its own publishes, and writers
   // on different shards proceed fully in parallel.
   const ShardMapPtr map = map_load();
-  svc::PublishResult result = map->shards[static_cast<std::size_t>(k)]->apply(
-      batch);
-  // relaxed: version() is a monotone freshness scalar (see header).
-  version_.fetch_add(1, std::memory_order_relaxed);
-  return result;
+  return map->shards[static_cast<std::size_t>(k)]->apply(batch);
 }
 
 ShardViewPtr ShardedSnapshotStore::view() const {
   const ShardMapPtr map = map_load();
-  auto v = std::make_shared<ShardView>();
-  v->shards.reserve(map->shards.size());
+  std::vector<svc::SnapshotPtr> pinned;
+  pinned.reserve(map->shards.size());
+  std::uint64_t stale_mask = 0;
   for (std::size_t k = 0; k < map->shards.size(); ++k) {
     const ShardHandlePtr& h = map->shards[k];
-    v->shards.push_back(h->pin());
+    pinned.push_back(h->pin());
     // healthy() AFTER pin(): a RemoteShard discovers a dead host during
     // the pin, so probing first would blame a healthy snapshot on a shard
     // that only just failed (or miss a failure by one view).
     // k < 64 always holds (constructor refuses wider layouts), so every
     // unhealthy shard is representable in the mask.
-    if (!h->healthy()) v->stale_mask |= std::uint64_t{1} << k;
+    if (!h->healthy()) stale_mask |= std::uint64_t{1} << k;
   }
-  v->version = version();
-  v->signature = ShardView::signature_of(v->shards);
-  return v;
+  return make_view(std::move(pinned), stale_mask);
+}
+
+std::uint64_t ShardedSnapshotStore::version() const {
+  std::uint64_t sum = 0;
+  for (const ShardHandlePtr& h : map_load()->shards) sum += h->epoch();
+  return sum;
 }
 
 svc::SnapshotPtr ShardedSnapshotStore::shard_snapshot(int k) const {
@@ -218,7 +219,6 @@ void ShardedSnapshotStore::restore(const std::string& path) {
     auto next = std::make_shared<ShardMap>();
     next->shards.push_back(std::move(reborn));
     map_store(std::move(next));
-    version_.fetch_add(1, std::memory_order_relaxed);  // relaxed: see header
     return;
   }
 
@@ -258,8 +258,6 @@ void ShardedSnapshotStore::restore(const std::string& path) {
   }
   const MutexLock lock(swap_mu_);
   map_store(std::move(next));
-  version_.fetch_add(static_cast<std::uint64_t>(shard_count()),
-                     std::memory_order_relaxed);  // relaxed: see header
   BFC_COUNT_ADD("svc.snapshots_restored", 1);
 }
 

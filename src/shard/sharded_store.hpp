@@ -48,9 +48,9 @@ class ShardedSnapshotStore {
   /// Routes a mixed batch by V1 owner and applies one sub-batch per touched
   /// shard, in ascending shard order, preserving the batch's relative
   /// update order within each shard. Returns the summed PublishResult with
-  /// `epoch` carrying the store's global version() after the last publish
-  /// (per-shard epochs are per-shard; the global version is the only
-  /// scalar that means "after this batch" across shards).
+  /// `epoch` carrying the store's version() after the last publish
+  /// (per-shard epochs are per-shard; the version is the only scalar that
+  /// means "after this batch" across shards).
   svc::PublishResult apply_batch(std::span<const svc::EdgeUpdate> batch);
   svc::PublishResult apply_batch(std::initializer_list<svc::EdgeUpdate> b) {
     return apply_batch(std::span<const svc::EdgeUpdate>(b.begin(), b.end()));
@@ -81,12 +81,10 @@ class ShardedSnapshotStore {
   /// version() for that.
   [[nodiscard]] std::uint64_t epoch() const;
 
-  /// Global monotone publish counter: incremented once per shard publish,
-  /// in publish order as the shards' own epoch sequences interleave.
-  [[nodiscard]] std::uint64_t version() const noexcept {
-    // relaxed: a monotone freshness scalar; nothing is ordered against it.
-    return version_.load(std::memory_order_relaxed);
-  }
+  /// Σ of the shards' latest epochs, the version of a view pinned now:
+  /// every publish adds one, and with one shard it is that shard's epoch.
+  /// restore() and swap_shard() move it to the new shards' epochs.
+  [[nodiscard]] std::uint64_t version() const;
 
   // ---- checkpointing ----------------------------------------------------
 
@@ -124,9 +122,8 @@ class ShardedSnapshotStore {
   /// id and owned range must match the slot.
   void swap_shard(int k, ShardHandlePtr handle);
 
-  /// Shard k's backing SnapshotStore when it is a LocalShard, else null.
-  /// The single-shard service paths use slot 0 to keep the pre-shard
-  /// introspection surface (`service.store()`) intact.
+  /// Shard k's backing SnapshotStore when it is a LocalShard, else null
+  /// (ButterflyService::store() hands out slot 0's).
   [[nodiscard]] const svc::SnapshotStore* local_store(int k) const;
 
  private:
@@ -143,7 +140,6 @@ class ShardedSnapshotStore {
   RangePartition part_;
   std::atomic<vidx_t> n1_;
   std::atomic<vidx_t> n2_;
-  std::atomic<std::uint64_t> version_{0};
   mutable Mutex swap_mu_{"shard.store.swap"};  // restore/swap_shard
 #if defined(__SANITIZE_THREAD__)
   // Same TSan accommodation as SnapshotStore::head_: libstdc++'s

@@ -10,7 +10,8 @@
 // views with equal signatures answer every query identically, which is what
 // lets the service key its composed-answer cache tier and the scatter-gather
 // planner key its cross-aggregate memo by signature instead of by any
-// single epoch.
+// single epoch. The version is the sum of the pinned epochs: every publish
+// adds one, and a one-shard view's version is its shard's epoch.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +26,7 @@ namespace bfc::shard {
 
 struct ShardView {
   std::vector<svc::SnapshotPtr> shards;  // index = shard id, never null
-  std::uint64_t version = 0;    // global publish counter at pin time
+  std::uint64_t version = 0;    // Σ of the pinned shard epochs
   std::uint64_t signature = 0;  // order-sensitive hash of per-shard epochs
   // Bit k set: shard k was unhealthy at pin time (open circuit on a
   // RemoteShard), so shards[k] is its last *known* snapshot rather than a
@@ -59,13 +60,6 @@ struct ShardView {
     return total;
   }
 
-  [[nodiscard]] std::uint64_t max_epoch() const noexcept {
-    std::uint64_t m = 0;
-    for (const svc::SnapshotPtr& s : shards)
-      if (s->epoch > m) m = s->epoch;
-    return m;
-  }
-
   /// splitmix64 chain over the per-shard epochs (order-sensitive).
   [[nodiscard]] static std::uint64_t signature_of(
       const std::vector<svc::SnapshotPtr>& shards) noexcept {
@@ -82,5 +76,17 @@ struct ShardView {
 };
 
 using ShardViewPtr = std::shared_ptr<const ShardView>;
+
+/// The view over `shards` (index = shard id): version and signature follow
+/// from their epochs.
+[[nodiscard]] inline ShardViewPtr make_view(
+    std::vector<svc::SnapshotPtr> shards, std::uint64_t stale_mask = 0) {
+  auto v = std::make_shared<ShardView>();
+  for (const svc::SnapshotPtr& s : shards) v->version += s->epoch;
+  v->signature = ShardView::signature_of(shards);
+  v->shards = std::move(shards);
+  v->stale_mask = stale_mask;
+  return v;
+}
 
 }  // namespace bfc::shard

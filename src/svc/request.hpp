@@ -3,7 +3,7 @@
 // statistics) — the global count, per-vertex tip numbers, per-edge wing
 // support, and top-k wedge pairs — plus the fault-tolerance vocabulary
 // every query carries: a per-request Deadline, the Request envelope
-// (pinned snapshot + deadline), the QueryResult fidelity tag that makes
+// (pinned view + deadline), the QueryResult fidelity tag that makes
 // degraded-mode answers explicit, and OverloadError, the one exception a
 // caller sees when the admission queue sheds its work outright.
 #pragma once
@@ -83,16 +83,14 @@ class Deadline {
   bool armed_ = false;
 };
 
-/// Per-query envelope: which epoch to answer against (empty = pin the
-/// latest at submission) and how long the caller is willing to wait.
-/// Implicitly constructible from a SnapshotPtr so the common
-/// `service.vertex_tip_v1(u, snap)` call sites read naturally.
+/// Per-query envelope: which state to answer against and how long the
+/// caller is willing to wait. Implicitly constructible from a ShardViewPtr
+/// or a SnapshotPtr so `service.vertex_tip_v1(u, pinned)` reads naturally.
 struct Request {
-  SnapshotPtr snap{};
-  /// Sharded pinning: against a service running with more than one shard,
-  /// queries answer from this pinned ShardView (empty = pin the latest at
-  /// submission), and `snap` — a single-store concept with no cross-shard
-  /// meaning — is ignored. Single-shard services ignore `view` instead.
+  /// The pinned view to answer from; empty = pin the latest at submission.
+  /// A snapshot becomes the one-shard view over it. A view whose shard
+  /// count differs from the service's (a snapshot handed to a sharded
+  /// service) is ignored, and the query pins the latest view instead.
   shard::ShardViewPtr view{};
   Deadline deadline{};
   /// Telemetry identity. Inactive (the default) makes the service root a
@@ -102,16 +100,19 @@ struct Request {
   obs::TraceContext trace{};
 
   Request() = default;
-  // NOLINTNEXTLINE(google-explicit-constructor): a bare pinned snapshot IS
-  // a request; forcing Request{snap, {}} on every call site buys nothing.
-  Request(SnapshotPtr s) : snap(std::move(s)) {}
-  // NOLINTNEXTLINE(google-explicit-constructor): same for a pinned view.
+  // NOLINTNEXTLINE(google-explicit-constructor): a bare pinned view IS a
+  // request; forcing Request{view, {}} on every call site buys nothing.
   Request(shard::ShardViewPtr v) : view(std::move(v)) {}
+  // NOLINTNEXTLINE(google-explicit-constructor): same for a snapshot.
+  Request(SnapshotPtr s)
+      : view(s ? shard::make_view({std::move(s)}) : nullptr) {}
   // NOLINTNEXTLINE(google-explicit-constructor)
   Request(Deadline d) : deadline(d) {}
-  Request(SnapshotPtr s, Deadline d) : snap(std::move(s)), deadline(d) {}
   Request(shard::ShardViewPtr v, Deadline d)
       : view(std::move(v)), deadline(d) {}
+  Request(SnapshotPtr s, Deadline d) : Request(std::move(s)) {
+    deadline = d;
+  }
 };
 
 /// How trustworthy a query answer is. Anything other than kExact means the
@@ -132,18 +133,19 @@ enum class Fidelity : std::uint8_t {
 }
 
 /// Every service query resolves to one of these: the value, the epoch it
-/// actually reflects (== the pinned epoch unless fidelity is kStale), and
-/// the explicit degradation tag.
+/// actually reflects (the pinned view's version — Σ of its shard epochs,
+/// with one shard that shard's epoch — unless fidelity is kStale), and the
+/// explicit degradation tag.
 template <typename T>
 struct QueryResult {
   T value{};
   std::uint64_t epoch = 0;
   Fidelity fidelity = Fidelity::kExact;
-  // Per-shard fidelity (sharded serving only): bit k set means shard k's
-  // contribution came from its last known snapshot because the shard was
-  // unreachable (open circuit) when the view was pinned. Nonzero implies
-  // fidelity != kExact for queries whose answer touches those ranges;
-  // single-store answers always leave it 0.
+  // Per-shard fidelity: bit k set means shard k's contribution came from
+  // its last known snapshot because the shard was unreachable (open
+  // circuit) when the view was pinned. Nonzero implies fidelity != kExact
+  // for queries whose answer touches those ranges; in-process shards are
+  // always reachable and leave it 0.
   std::uint64_t stale_shards = 0;
 
   [[nodiscard]] bool degraded() const noexcept {

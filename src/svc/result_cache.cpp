@@ -71,23 +71,6 @@ void ResultCache::invalidate_all() {
   BFC_COUNT_ADD("svc.cache_invalidations", 1);
 }
 
-void ResultCache::invalidate_older_than(std::uint64_t min_epoch) {
-  const MutexLock lock(mu_);
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if (it->first.epoch < min_epoch) {
-      map_.erase(it->first);
-      it = lru_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // The store-wide publish retires every tier's generation at once.
-  std::fill(hits_.begin(), hits_.end(), 0);
-  std::fill(misses_.begin(), misses_.end(), 0);
-  BFC_GAUGE_SET("svc.cache_hit_rate", 0.0);
-  BFC_COUNT_ADD("svc.cache_invalidations", 1);
-}
-
 void ResultCache::invalidate_tier_older_than(int tier,
                                              std::uint64_t min_epoch) {
   const MutexLock lock(mu_);

@@ -1,16 +1,14 @@
 // Bounded LRU cache over query results, keyed by (epoch, kind, argument,
-// tier). Because the key includes the epoch and snapshots are immutable, a
-// cached entry can never serve a *wrong* answer — entries for old epochs
-// are merely old. The service exploits that for graceful degradation: on
-// publish it calls invalidate_older_than(epoch - 1), keeping exactly the
-// just-retired epoch's entries as the stale-answer tier of the degradation
-// ladder while dropping everything older.
+// tier). Because the key includes the epoch (or a view signature) and
+// snapshots are immutable, a cached entry can never serve a *wrong* answer
+// — entries for old epochs are merely old. The service exploits that for
+// graceful degradation: a publish keeps the just-retired generation's
+// entries as the stale-answer tier of the degradation ladder while dropping
+// everything older.
 //
 // Tiers are independent invalidation domains sharing one LRU budget. The
-// unsharded service uses a single tier (tier 0, the default — the key
-// layout and every legacy call site are unchanged); the sharded service
-// gives each shard its own tier (keyed by that shard's epoch) plus a
-// view-composite tier (keyed by view signature), so a publish on shard k
+// service gives each shard its own tier (keyed by that shard's epoch) plus
+// a view-composite tier (keyed by view signature), so a publish on shard k
 // invalidates ONLY shard k's entries and stats, leaving the other shards'
 // hit streaks untouched.
 //
@@ -88,12 +86,6 @@ class ResultCache {
 
   /// Drops every entry and resets every tier's generation-scoped stats.
   void invalidate_all();
-
-  /// Drops entries with key.epoch < min_epoch across ALL tiers (the
-  /// unsharded publish path passes new_epoch - 1, retaining one trailing
-  /// epoch as the stale-answer tier) and resets every tier's
-  /// generation-scoped hit/miss stats.
-  void invalidate_older_than(std::uint64_t min_epoch);
 
   /// Shard-local publish: drops only `tier`'s entries older than min_epoch
   /// and resets only `tier`'s generation stats. Other tiers keep both

@@ -1,41 +1,35 @@
-// ButterflyService — the serving facade. One writer thread feeds edge
-// batches in; any number of reader threads submit queries and get futures
-// back. Three layers cooperate per query:
+// ButterflyService — the serving facade. One writer thread (or one per
+// shard) feeds edge batches in; any number of reader threads submit queries
+// and get futures back.
 //
-//   1. snapshot pinning   every query is answered against one immutable
-//                         epoch (the caller's pinned snapshot, or the
-//                         latest at submission time);
-//   2. LRU result cache   (epoch, kind, argument) -> answer, so repeated
-//                         queries on an unchanged snapshot are O(1); on
-//                         publish, entries older than the just-retired
-//                         epoch are dropped — the retired epoch itself is
-//                         kept as the stale-answer tier;
-//   3. request coalescing per-vertex tip queries for the same (epoch,
-//                         side) share ONE pass over count::local_counts —
-//                         the first request computes the full tip vector,
-//                         concurrent and later requests block on (or read)
-//                         the same shared future instead of re-scanning.
+// The store is a shard::ShardedSnapshotStore: the V1 side range-partitioned
+// across ServiceOptions::shards independently-published shards. One shard
+// is the degenerate partition, not a separate code path — every query kind
+// has one implementation, and four layers cooperate per query:
 //
-// Sharded serving (ServiceOptions::shards > 1): the store becomes a
-// shard::ShardedSnapshotStore — the V1 side range-partitioned across N
-// independently-published shards — and the same three layers go per-shard:
-//
-//   - pinning       queries pin a ShardView (one snapshot per shard); a
-//                   Request may carry its own view, exactly as it may
-//                   carry a snapshot in single-shard mode;
-//   - routing       tip_v1 and edge_support route to the owning shard and
-//                   add the cross-shard correction (shard/scatter_gather);
+//   - pinning       every query answers from one pinned ShardView (one
+//                   snapshot per shard; a Request may carry its own, and a
+//                   snapshot is the one-shard view over it). The answer's
+//                   epoch is the view's version, Σ of its shard epochs —
+//                   with one shard, that shard's epoch;
+//   - routing       tip_v1 and edge_support route to the owning shard,
 //                   global_count, tip_v2 and top_pairs scatter across all
-//                   shards and gather exact merged answers;
-//   - caching       the ResultCache runs shards + 1 tiers: tier k holds
-//                   shard-k components keyed by shard k's epoch (a publish
-//                   on shard j leaves them untouched), the last tier holds
-//                   composed answers keyed by the view signature;
-//   - coalescing    tip passes memoise per (shard, epoch, side); the
-//                   cross-shard aggregate memoises per view signature.
+//                   shards, and each adds the cross-shard correction from
+//                   shard/scatter_gather (empty, and free, with one shard);
+//   - caching       composed answers cache by view signature in the last
+//                   ResultCache tier; a publish keeps the current and the
+//                   previous view generation. With more than one shard,
+//                   per-shard components (owner-shard support, per-shard
+//                   top-k lists) also cache in tier k under shard k's epoch,
+//                   so a publish on shard j leaves them warm; with one shard
+//                   the component is the answer and caches only as such;
+//   - coalescing    concurrent tip queries for the same (shard, epoch, side)
+//                   share ONE pass over count::local_counts; the cross
+//                   aggregate memoises per view signature.
 //
-// With shards == 1 every path is the pre-sharding one: same cache keys,
-// same epochs, same persist format, byte-identical answers.
+// global_count answers inline whenever the view's cross aggregate is ready
+// (always, with one shard): Σ of the writer-maintained shard counts plus
+// the correction.
 //
 // Fault tolerance (the robustness layer on top):
 //
@@ -50,31 +44,34 @@
 //   - degraded answers    every query resolves to QueryResult{value,
 //                         epoch, fidelity}: under overload (queue depth or
 //                         p95 latency past the configured thresholds) the
-//                         service walks a ladder — previous-epoch (or
-//                         previous-view-generation) cached answer (kStale),
-//                         retained pass memos (kStale), sampled estimate
-//                         via count::approx_tip (kApprox) — and only throws
+//                         service walks one ladder — the previous view
+//                         generation's cached answer (kStale), then the
+//                         kind's own rungs: retained tip passes (kStale) and
+//                         a sampled estimate via count::approx_tip (kApprox)
+//                         for tips, an exact inline answer for edge
+//                         support, the freshest completed cross aggregate
+//                         for the global count — and only throws
 //                         OverloadError when no rung produces a value.
-//                         Sharded mode keeps one SloTracker per shard, so
-//                         overload on one shard's traffic degrades only the
-//                         queries routed there.
+//                         With more than one shard the service keeps one
+//                         SloTracker per shard, so overload on one shard's
+//                         traffic degrades only the queries routed there.
 //
 // Everything is wired into the obs registry: svc.queries, svc.cache_hits /
 // svc.cache_misses / svc.cache_hit_rate, svc.tip_passes,
 // svc.coalesced_queries / svc.coalesced_batches, svc.queue_depth,
 // svc.epochs_published, svc.shed / svc.rejected / svc.deadline_expired,
 // svc.degraded / svc.stale_answers / svc.approx_fallbacks /
-// svc.inline_answers, one latency histogram per query kind
-// (svc.latency_us.<kind>), and — sharded — svc.scatter_queries plus the
+// svc.inline_answers, svc.scatter_queries, one latency histogram per query
+// kind (svc.latency_us.<kind>), and — with more than one shard — the
 // per-shard family svc.shard.<k>.publishes / .cache_hit_rate / .degraded.
 //
 // Telemetry (obs/spans.hpp): when span collection is enabled, every query
 // runs under one "svc.query.<kind>" span — rooted fresh, or parented into
 // the Request's TraceContext — with child spans for the queue wait
 // (svc.queue, recorded by the Executor), the coalesced kernel pass
-// (svc.kernel.tip_v1/v2) and, sharded, the cross pass (svc.scatter /
-// svc.gather) and per-shard publishes (svc.shard.publish). Tags record the
-// decisions: cache=hit|miss, outcome=exact|stale|approx|shed,
+// (svc.kernel.tip_v1/v2), the cross pass (svc.scatter / svc.gather; with
+// more than one shard) and per-shard publishes (svc.shard.publish). Tags
+// record the decisions: cache=hit|miss, outcome=exact|stale|approx|shed,
 // rejected/cancelled flags, and the rung the degrade ladder stopped at.
 // SLO accounting (svc/slo.hpp) rides the same latency stream:
 // ServiceOptions::slo_target_us arms per-kind objectives whose
@@ -117,9 +114,9 @@ struct ServiceOptions {
   std::size_t cache_capacity = 1 << 16;
   std::uint64_t memo_keep_epochs = 4;  // trailing epochs whose tip passes stay
   // ---- sharding ----------------------------------------------------------
-  // Number of range-partitioned V1 shards. 1 (the default) is the classic
-  // single-store service; N > 1 turns on routed/scattered queries and lets
-  // writers on disjoint ranges publish concurrently (apply_updates_shard).
+  // Number of range-partitioned V1 shards. 1 (the default) is one store;
+  // N > 1 lets writers on disjoint ranges publish concurrently
+  // (apply_updates_shard).
   int shards = 1;
   // ---- robustness knobs --------------------------------------------------
   std::size_t max_queue = 0;  // bound on the admission queue; 0 = unbounded
@@ -146,11 +143,10 @@ class ButterflyService {
 
   // ---- writer side -------------------------------------------------------
 
-  /// Applies the batch and publishes the next epoch(s); drops cache entries
-  /// older than the just-retired epoch (which stays as the stale tier) and
-  /// retires tip-pass memos older than memo_keep_epochs. Sharded, the batch
-  /// is routed by V1 owner and each touched shard publishes independently;
-  /// the returned epoch is then the store's global version.
+  /// Routes the batch by V1 owner and publishes each touched shard (every
+  /// shard, for an empty batch) through apply_updates_shard. The returned
+  /// epoch is the store's version after the batch: with one shard, the
+  /// shard's new epoch.
   PublishResult apply_updates(std::span<const EdgeUpdate> batch);
   PublishResult apply_updates(std::initializer_list<EdgeUpdate> batch) {
     return apply_updates(
@@ -161,7 +157,9 @@ class ButterflyService {
   /// that shard's range — the shard enforces it). THE concurrent-writer
   /// entry point: writers on disjoint shards call this in parallel and
   /// their publishes overlap in time; each invalidates only its own cache
-  /// tier. The returned epoch is shard k's new epoch.
+  /// tier, rolls the view generation (the previous one stays as the stale
+  /// tier) and retires shard k's tip-pass memos older than
+  /// memo_keep_epochs. The returned epoch is shard k's new epoch.
   PublishResult apply_updates_shard(int k, std::span<const EdgeUpdate> batch);
   PublishResult apply_updates_shard(int k,
                                     std::initializer_list<EdgeUpdate> batch) {
@@ -192,57 +190,55 @@ class ButterflyService {
 
   // ---- reader side -------------------------------------------------------
 
-  /// Pins the latest snapshot. Pass it to the query methods to run several
-  /// queries against one consistent epoch; queries called with no snapshot
-  /// pin the latest themselves. Sharded (shards > 1) this MATERIALISES the
-  /// union of the per-shard graphs at one pinned view — an O(edges) rebuild
-  /// plus one cross pass, for drift checks and offline use, not a per-query
-  /// pin; sharded queries pin views (see view()) instead and ignore
-  /// Request::snap.
+  /// The latest state as one graph: with one shard, that shard's snapshot;
+  /// with more, the union of the per-shard graphs at one pinned view,
+  /// MATERIALISED — an O(edges) rebuild plus one cross pass, for drift
+  /// checks and offline use, not a per-query pin (pin views for that; a
+  /// snapshot handed back to a sharded service's queries is ignored).
   [[nodiscard]] SnapshotPtr snapshot() const;
 
   /// Pins the latest per-shard snapshots into one ShardView (cheap: N
-  /// atomic loads). Pass it via Request to answer several sharded queries
-  /// against one frozen view. Single-shard services accept it too.
+  /// atomic loads). Pass it via Request to answer several queries against
+  /// one frozen view.
   [[nodiscard]] shard::ShardViewPtr view() const { return store_.view(); }
 
-  /// Ξ_G of the pinned epoch. Single-shard: O(1), maintained incrementally
-  /// by the writer, never queued, never degraded. Sharded: Σ shard-local
-  /// counts plus the cross-shard correction — a real scatter query that
-  /// caches per view signature and can degrade like any other.
+  /// Ξ_G of the pinned view: Σ shard-local counts, maintained by the
+  /// writers, plus the cross-shard correction. Inline (never queued, never
+  /// degraded) when the view's cross aggregate is ready — always with one
+  /// shard; otherwise a scatter query that computes it, caches per view
+  /// signature and can degrade like any other.
   [[nodiscard]] std::future<QueryResult<count_t>> global_count(
       Request req = {});
 
   /// Butterflies containing V1 vertex u (tip number). Coalesced: concurrent
-  /// same-epoch tip queries share one butterflies_per_v1 pass (per shard,
-  /// when sharded — plus one shared cross aggregate per view signature).
-  /// Under overload the answer may be kStale (previous epoch / view
-  /// generation) or kApprox (sampled); the fidelity tag says which.
+  /// same-epoch tip queries share one butterflies_per_v1 pass per shard,
+  /// plus one shared cross aggregate per view signature. Under overload the
+  /// answer may be kStale (previous view generation, or retained passes) or
+  /// kApprox (sampled); the fidelity tag says which.
   [[nodiscard]] std::future<QueryResult<count_t>> vertex_tip_v1(
       vidx_t u, Request req = {});
   [[nodiscard]] std::future<QueryResult<count_t>> vertex_tip_v2(
       vidx_t v, Request req = {});
 
   /// Butterflies containing edge (u, v); 0 when the edge is absent at the
-  /// pinned epoch. O(Σ_{w∈N(v)} min(deg u, deg w)), no global pass — cheap
-  /// enough that shedding answers it inline (exact) rather than degrading.
-  /// Sharded: owner-shard support plus the cross-shard term, still inline.
+  /// pinned view: owner-shard support plus the cross-shard term.
+  /// O(Σ_{w∈N(v)} min(deg u, deg w)), no global pass — cheap enough that
+  /// shedding answers it inline (exact) rather than degrading.
   [[nodiscard]] std::future<QueryResult<count_t>> edge_support(
       vidx_t u, vidx_t v, Request req = {});
 
-  /// The k V1-pairs with the most wedges at the pinned epoch. Degrades to
-  /// the previous epoch's (or view generation's) cached list; with no stale
-  /// list the future carries OverloadError. Sharded: exact merge of
-  /// per-shard top-k lists and the cross-shard pairs.
+  /// The k V1-pairs with the most wedges at the pinned view: the exact
+  /// merge of per-shard top-k lists and the cross-shard pairs. Degrades to
+  /// the previous view generation's cached list; with no stale list the
+  /// future carries OverloadError.
   [[nodiscard]] std::future<QueryResult<TopPairsPtr>> top_pairs(
       std::size_t k, Request req = {});
 
   // ---- introspection -----------------------------------------------------
 
-  /// Shard 0's backing store — with one shard, exactly the pre-sharding
-  /// store (same epochs, same snapshots), keeping the legacy introspection
-  /// surface intact. Throws std::invalid_argument if slot 0 was swapped to
-  /// a non-local handle (swap_shard); use shard_store() for those layouts.
+  /// Shard 0's backing store — with one shard, the whole graph's. Throws
+  /// std::invalid_argument if slot 0 was swapped to a non-local handle
+  /// (swap_shard); use shard_store() for those layouts.
   [[nodiscard]] const SnapshotStore& store() const {
     const SnapshotStore* local = store_.local_store(0);
     require(local != nullptr,
@@ -250,7 +246,7 @@ class ButterflyService {
             "handle) — use shard_store()");
     return *local;
   }
-  /// The sharded store facade (layout, per-shard handles, global version).
+  /// The sharded store facade (layout, per-shard handles, version).
   [[nodiscard]] const shard::ShardedSnapshotStore& shard_store()
       const noexcept {
     return store_;
@@ -284,59 +280,63 @@ class ButterflyService {
 
  private:
   using TipVector = std::shared_ptr<const std::vector<count_t>>;
-  /// Tip memo key: (shard, epoch, v1_side). Single-shard keys are all
-  /// shard 0, preserving the legacy (epoch, side) behavior exactly.
+  /// Tip memo key: (shard, shard epoch, v1_side).
   using TipKey = std::tuple<int, std::uint64_t, bool>;
 
-  std::future<QueryResult<count_t>> vertex_tip(vidx_t vertex, bool v1_side,
-                                               Request req);
-
-  // ---- sharded query paths (shards_ > 1 only) ----------------------------
-  std::future<QueryResult<count_t>> sharded_global(Request req);
-  std::future<QueryResult<count_t>> sharded_tip(vidx_t vertex, bool v1_side,
-                                                Request req);
-  std::future<QueryResult<count_t>> sharded_edge(vidx_t u, vidx_t v,
-                                                 Request req);
-  std::future<QueryResult<TopPairsPtr>> sharded_top_pairs(std::size_t k,
-                                                          Request req);
-
-  /// The request's pinned view, else the latest.
+  /// The request's pinned view when it has this service's shard count,
+  /// else the latest.
   [[nodiscard]] shard::ShardViewPtr resolve_view(Request& req) const {
-    return req.view ? std::move(req.view) : store_.view();
+    if (req.view && req.view->shard_count() == shards_)
+      return std::move(req.view);
+    return store_.view();
   }
   /// Index of the composed-answer cache tier (per-shard tiers are 0..S-1).
   [[nodiscard]] std::int32_t view_tier() const noexcept { return shards_; }
 
-  /// Exact sharded support of edge (u, v): owner-shard formula (cached in
-  /// the owner's tier) plus the cross-shard term. 0 when the edge is
-  /// absent.
-  count_t sharded_support(const shard::ShardView& view, int owner, vidx_t u,
-                          vidx_t v);
+  /// The one serving path. Probes the composed answer cached under the
+  /// view signature; on a miss, queues `exact(deadline, trace)` and caches
+  /// its value. Under overload, on rejection, on abandonment in the queue
+  /// and on cancellation it walks the ladder instead: the previous view
+  /// generation's answer, then `lower()`, the kind's own rungs. `owner` is
+  /// the routed shard, or -1 for a scattered query.
+  template <typename T, typename Exact, typename Lower>
+  std::future<QueryResult<T>> serve(QueryKind kind, std::int64_t a,
+                                    std::int64_t b, int owner,
+                                    const shard::ShardViewPtr& view,
+                                    const Deadline& deadline,
+                                    const std::shared_ptr<obs::Span>& span,
+                                    Exact exact, Lower lower);
 
-  /// Shard s's top-k list at the view's pinned epoch, from tier s or one
-  /// count::top_wedge_pairs_v1 pass.
+  /// Rung 1 of every ladder: the previous view generation's cached answer,
+  /// when that generation is older than the pinned view.
+  template <typename T>
+  std::optional<QueryResult<T>> previous_generation(
+      const shard::ShardView& view, QueryKind kind, std::int64_t a,
+      std::int64_t b);
+
+  /// vertex_tip_v1/v2 after the range check.
+  std::future<QueryResult<count_t>> tip(vidx_t vertex, bool v1_side,
+                                        Request req);
+
+  /// The tip ladder below rung 1: a retained pass per shard that holds
+  /// the vertex's local butterflies, from an epoch before the pinned one,
+  /// plus the cross aggregate (kStale); else a sampled estimate on those
+  /// shards' graphs plus the freshest cross aggregate (kApprox).
+  std::optional<QueryResult<count_t>> retained_or_sampled_tip(
+      const shard::ShardView& view, vidx_t vertex, bool v1_side, int owner);
+
+  /// Exact support of edge (u, v): owner-shard formula plus the
+  /// cross-shard term; 0 when the edge is absent.
+  count_t support(const shard::ShardView& view, int owner, vidx_t u,
+                  vidx_t v);
+
+  /// Shard s's top-k list at the view's pinned epoch.
   TopPairsPtr shard_top_list(const shard::ShardView& view, int s,
                              std::size_t k);
 
   /// After a shard publish: roll the (cur, prev) view-generation pair and
   /// prune the composed-answer tier down to those two signatures.
   void refresh_view_generation();
-
-  /// Composed-answer probe at the PREVIOUS view generation — the kStale
-  /// rung of every sharded ladder. Empty when no older generation exists.
-  std::optional<QueryResult<count_t>> stale_view_scalar(QueryKind kind,
-                                                        std::int64_t a,
-                                                        std::int64_t b);
-  std::optional<QueryResult<TopPairsPtr>> stale_view_pairs(std::size_t k);
-
-  /// Sharded degradation ladder for a tip query: previous view
-  /// generation's composed answer, then (v1 side) a retained owner-shard
-  /// pass plus the freshest completed cross aggregate, then the sampled
-  /// estimator on the shard graph(s). `owner` is -1 for the scattered v2
-  /// side.
-  std::optional<QueryResult<count_t>> degraded_tip_sharded(
-      const shard::ShardViewPtr& view, vidx_t vertex, bool v1_side,
-      int owner);
 
   /// The coalescing point: returns the full tip vector for (shard,
   /// snap->epoch, side), computing it at most once per epoch and side. The
@@ -354,29 +354,14 @@ class ButterflyService {
   /// newer in-flight pass re-inserted under the same key.
   void drop_tip_pass(const TipKey& key, std::uint64_t pass_id);
 
-  /// Degradation ladder for a single-shard tip query: previous-epoch cache
-  /// entry, then a retained tip-pass memo from an earlier epoch, then the
-  /// sampled estimator on the requested snapshot. Engaged in practice —
-  /// the approx rung always produces — but optional so a future rung can
-  /// refuse.
-  std::optional<QueryResult<count_t>> degraded_tip(const SnapshotPtr& snap,
-                                                   vidx_t vertex,
-                                                   bool v1_side);
-
-  /// Previous-epoch scalar cache probe (the kStale rung shared by tip and
-  /// edge-support queries, single-shard).
-  std::optional<QueryResult<count_t>> stale_scalar(const SnapshotPtr& snap,
-                                                   QueryKind kind,
-                                                   std::int64_t a,
-                                                   std::int64_t b);
-
   /// Most recent completed tip pass on `shard` for `side` strictly before
   /// `before_epoch`, if any memo survives.
   std::optional<std::pair<std::uint64_t, TipVector>> stale_tips(
       int shard, std::uint64_t before_epoch, bool v1_side);
 
-  /// Feeds the p95 ring and the SLO tracker(s) with one completed request;
-  /// a non-negative `shard` also feeds that shard's tracker.
+  /// Feeds the latency histogram, the p95 ring and the SLO tracker(s) with
+  /// one completed request; a non-negative `shard` also feeds that shard's
+  /// tracker.
   void observe_latency(QueryKind kind, double us, int shard = -1);
 
   /// Bumps svc.shard.<k>.degraded for a routed query's degrade (no-op for
