@@ -82,7 +82,8 @@ int cmd_count(const Cli& cli, const graph::BipartiteGraph& g) {
     return 1;
   }
   opts.threads = static_cast<int>(cli.get_int_at_least("threads", 1, 1));
-  opts.block_size = static_cast<vidx_t>(cli.get_int_at_least("block-size", 32, 1));
+  opts.block_size = static_cast<vidx_t>(cli.get_int_at_least(
+      "block-size", la::CountOptions{}.block_size, 1));
 
   count_t result;
   if (cli.has("invariant")) {

@@ -1,11 +1,13 @@
 // Tests for the FLAME blocked engine (la/blocked.hpp): the panel algorithms
 // must agree with the dense oracle for every invariant, every panel width
-// (including degenerate and > 64 requests), and every graph shape.
+// (including degenerate widths, widths on both sides of the 64-bit mask
+// word boundaries, and widths above the line count), and every graph shape.
 #include <gtest/gtest.h>
 
 #include "dense/spec.hpp"
 #include "la/blocked.hpp"
 #include "la/count.hpp"
+#include "obs/metrics.hpp"
 #include "test_helpers.hpp"
 
 namespace bfc::la {
@@ -49,11 +51,11 @@ TEST(Blocked, BlockSizeOneMatchesUnblocked) {
   }
 }
 
-TEST(Blocked, OversizedBlockClampsTo64) {
+TEST(Blocked, WidthAboveLineCountRunsOnePanel) {
   const auto g = random_graph(30, 30, 0.25, 6);
   CountOptions huge;
   huge.engine = Engine::kBlocked;
-  huge.block_size = 1000;  // clamped internally to the 64-bit panel mask
+  huge.block_size = 1000;  // wider than the 30 lines: one panel holds all
   EXPECT_EQ(count_butterflies(g, Invariant::kInv2, huge),
             count_butterflies(g, Invariant::kInv2));
 }
@@ -106,6 +108,74 @@ INSTANTIATE_TEST_SUITE_P(
                       // panel boundary exactly dividing n and not
                       BlockedCase{24, 24, 0.3, 6, 8},
                       BlockedCase{25, 25, 0.3, 6, 9}));
+
+// A tall and a wide graph: whichever side an invariant partitions, one of
+// the two holds several panels plus a partial last one at every width here.
+// The oracle takes the Gram matrix over the short side, which keeps the dense
+// spec cheap.
+struct WidePanelGraph {
+  graph::BipartiteGraph g;
+  count_t oracle;
+};
+
+std::vector<WidePanelGraph> wide_panel_graphs() {
+  std::vector<WidePanelGraph> out;
+  for (const bool tall : {true, false}) {
+    auto g = tall ? random_graph(2600, 60, 0.05, 31)
+                  : random_graph(60, 2600, 0.05, 32);
+    const count_t oracle = dense::butterflies_spec(
+        (tall ? g.csc() : g.csr()).to_dense());
+    out.push_back({std::move(g), oracle});
+  }
+  return out;
+}
+
+TEST(Blocked, WidePanelsMatchDenseOracle) {
+  const std::vector<WidePanelGraph> graphs = wide_panel_graphs();
+  for (const vidx_t b : {63, 64, 65, 127, 128, 129, 256, 1000}) {
+    for (const int threads : {1, 3}) {
+      CountOptions o;
+      o.engine = Engine::kBlocked;
+      o.block_size = b;
+      o.threads = threads;
+      for (const WidePanelGraph& w : graphs)
+        for (const Invariant inv : all_invariants())
+          EXPECT_EQ(count_butterflies(w.g, inv, o), w.oracle)
+              << name(inv) << " block=" << b << " threads=" << threads
+              << " n1=" << w.g.n1() << " n2=" << w.g.n2();
+    }
+  }
+}
+
+TEST(Blocked, WedgesDoNotDependOnWidthAndPanelsTileTheLines) {
+  if constexpr (!obs::kMetricsEnabled) {
+    GTEST_SKIP() << "built with BFC_METRICS=OFF";
+  }
+  obs::Registry& reg = obs::Registry::instance();
+  const auto g = random_graph(2600, 60, 0.05, 31);
+  for (const Invariant inv : {Invariant::kInv2, Invariant::kInv6}) {
+    const vidx_t n = traits(inv).family == Family::kColumns ? g.n2() : g.n1();
+    std::int64_t wedges_at_one = -1;
+    for (const vidx_t b : {vidx_t{1}, vidx_t{32}, CountOptions{}.block_size}) {
+      for (const int threads : {1, 3}) {
+        reg.reset();
+        CountOptions o;
+        o.engine = Engine::kBlocked;
+        o.block_size = b;
+        o.threads = threads;
+        (void)count_butterflies(g, inv, o);
+        const std::int64_t wedges = reg.counter("la.wedges").value();
+        if (wedges_at_one < 0) wedges_at_one = wedges;
+        EXPECT_EQ(wedges, wedges_at_one)
+            << name(inv) << " block=" << b << " threads=" << threads;
+        EXPECT_EQ(reg.counter("la.panels").value(), (n + b - 1) / b)
+            << name(inv) << " block=" << b << " threads=" << threads;
+      }
+    }
+    EXPECT_GT(wedges_at_one, 0) << name(inv);
+  }
+  reg.reset();
+}
 
 TEST(Blocked, LargerGraphAgreesWithWedgeEngine) {
   const auto g = random_graph(200, 160, 0.03, 11);
