@@ -171,10 +171,12 @@ std::string encode_snapshot(const svc::GraphSnapshot& snap) {
   return std::move(p).take();
 }
 
-svc::SnapshotPtr decode_snapshot(std::string_view payload) {
+svc::SnapshotPtr decode_snapshot(std::string_view payload,
+                                 std::uint64_t lineage) {
   Cursor c(payload);
   auto snap = std::make_shared<svc::GraphSnapshot>();
   snap->epoch = c.u64();
+  snap->lineage = lineage;
   snap->butterflies = c.i64();
   snap->edges = static_cast<offset_t>(c.i64());
   std::istringstream blob(c.str(), std::ios::binary);

@@ -280,8 +280,8 @@ class ButterflyService {
 
  private:
   using TipVector = std::shared_ptr<const std::vector<count_t>>;
-  /// Tip memo key: (shard, shard epoch, v1_side).
-  using TipKey = std::tuple<int, std::uint64_t, bool>;
+  /// Tip memo key: (shard, shard epoch, v1_side, snapshot lineage).
+  using TipKey = std::tuple<int, std::uint64_t, bool, std::uint64_t>;
 
   /// The request's pinned view when it has this service's shard count,
   /// else the latest.
@@ -354,10 +354,10 @@ class ButterflyService {
   /// newer in-flight pass re-inserted under the same key.
   void drop_tip_pass(const TipKey& key, std::uint64_t pass_id);
 
-  /// Most recent completed tip pass on `shard` for `side` strictly before
-  /// `before_epoch`, if any memo survives.
+  /// Most recent completed tip pass on `shard` for `side` of the pinned
+  /// snapshot's lineage, strictly before its epoch, if any memo survives.
   std::optional<std::pair<std::uint64_t, TipVector>> stale_tips(
-      int shard, std::uint64_t before_epoch, bool v1_side);
+      int shard, const GraphSnapshot& pinned, bool v1_side);
 
   /// Feeds the latency histogram, the p95 ring and the SLO tracker(s) with
   /// one completed request; a non-negative `shard` also feeds that shard's

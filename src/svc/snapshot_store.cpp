@@ -54,6 +54,7 @@ SnapshotStore::SnapshotStore(vidx_t n1, vidx_t n2, int shard_id)
     : n1_(n1), n2_(n2), shard_id_(shard_id), counter_(n1, n2) {
   auto genesis = std::make_shared<GraphSnapshot>();
   genesis->epoch = 0;
+  genesis->lineage = lineage_;
   genesis->graph = counter_.to_graph();
   genesis->butterflies = 0;
   genesis->edges = 0;
@@ -108,6 +109,7 @@ PublishResult SnapshotStore::apply_batch(std::span<const EdgeUpdate> batch) {
 
   auto snap = std::make_shared<GraphSnapshot>();
   snap->epoch = next_epoch_++;
+  snap->lineage = lineage_;
   snap->graph = counter_.to_graph();
   snap->butterflies = counter_.butterflies();
   snap->edges = counter_.edge_count();
@@ -250,6 +252,8 @@ void SnapshotStore::restore(const std::string& path) {
   n2_.store(snap->graph.n2(), std::memory_order_relaxed);
   counter_ = std::move(counter);
   next_epoch_ = meta.epoch + 1;
+  lineage_ = next_lineage();
+  snap->lineage = lineage_;
   head_store(std::move(snap));
   BFC_COUNT_ADD("svc.snapshots_restored", 1);
 }

@@ -585,5 +585,64 @@ TEST(ServingVersion, OneShardRestoreKeepsEpochsAligned) {
   std::remove(path.c_str());
 }
 
+/// Every query kind on `view` against the oracle answers of `edges`.
+void expect_answers(ButterflyService& service, const shard::ShardViewPtr& view,
+                    const State& state) {
+  const State::Answers& want = state.answers(9, 6);
+  const Request req(view);
+  EXPECT_EQ(service.global_count(req).get().value, want.global);
+  EXPECT_EQ(service.vertex_tip_v1(7, req).get().value, want.tips_v1[7]);
+  EXPECT_EQ(service.vertex_tip_v1(0, req).get().value, want.tips_v1[0]);
+  EXPECT_EQ(service.vertex_tip_v2(3, req).get().value, want.tips_v2[3]);
+  EXPECT_EQ(service.edge_support(7, 3, req).get().value,
+            want.support.at({7, 3}));
+  const QueryResult<TopPairsPtr> top = service.top_pairs(4, req).get();
+  EXPECT_EQ(*top.value, count::top_wedge_pairs_v1(want.g, 4));
+  EXPECT_EQ(top.epoch, view->version);
+  EXPECT_FALSE(top.degraded());
+}
+
+// A view pinned before restore() keeps its own answers once post-restore
+// publishes re-reach its epochs with different content: the caches and
+// memos key by the snapshot lineage as well as the epoch. Vertices 0, 4 and
+// 7 sit on shards 0, 1 and 2 of three.
+TEST(ServingRestore, PinnedViewKeepsItsAnswersAfterRestore) {
+  const std::string path = ::testing::TempDir() + "bfc_serving_restore_" +
+                           std::to_string(::getpid());
+  const auto add = EdgeUpdate::add;
+  for (const int shards : {1, 3}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ButterflyService service(9, 6, {.threads = 1, .shards = shards});
+    State base;
+    base.edges = {{0, 0}, {0, 1}, {4, 0}, {4, 1}};
+    (void)service.apply_updates({add(0, 0), add(0, 1), add(4, 0), add(4, 1)});
+    service.persist(path);
+
+    // State A: a butterfly local to vertices 7 and 8.
+    State a;
+    a.edges = base.edges;
+    a.edges.insert({{7, 3}, {7, 4}, {8, 3}, {8, 4}});
+    (void)service.apply_updates({add(7, 3), add(7, 4), add(8, 3), add(8, 4)});
+    const shard::ShardViewPtr pinned = service.view();
+
+    // State B at the same epochs: vertex 7 closes butterflies with 0 and 4
+    // instead, and edge (7, 3) is in none.
+    service.restore(path);
+    State b;
+    b.edges = base.edges;
+    b.edges.insert({{7, 0}, {7, 1}, {7, 3}, {8, 3}});
+    (void)service.apply_updates({add(7, 0), add(7, 1), add(7, 3), add(8, 3)});
+    const shard::ShardViewPtr latest = service.view();
+    ASSERT_EQ(latest->version, pinned->version);
+    ASSERT_NE(a.answers(9, 6).tips_v1[7], b.answers(9, 6).tips_v1[7]);
+
+    expect_answers(service, latest, b);
+    expect_answers(service, pinned, a);
+    expect_answers(service, latest, b);
+    for (const char* suffix : {"", ".shard0", ".shard1", ".shard2"})
+      std::remove((path + suffix).c_str());
+  }
+}
+
 }  // namespace
 }  // namespace bfc::svc
