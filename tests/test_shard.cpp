@@ -439,11 +439,11 @@ TEST(ShardParity, PersistRestoreRoundTripSharded) {
   std::remove(path.c_str());
 }
 
-// Review regression: restore() must drop the cross-aggregate memo. View
-// signatures hash per-shard epochs only, so after a restore rewinds the
-// epoch sequences, a different post-restore update stream can re-reach a
-// memoised epoch vector — the retained aggregate would then be served as
-// kExact for different graph content.
+// Review regression: after a restore rewinds the epoch sequences, a
+// different post-restore update stream can re-reach a memoised epoch
+// vector, and the retained aggregate must not be served as kExact for
+// different graph content. restore() drops the cross-aggregate memo, and
+// view signatures also hash each shard's lineage.
 TEST(ShardParity, RestoreClearsCrossAggregateMemo) {
   const std::string path = ::testing::TempDir() + "bfc_shard_memo_ckpt.bin";
   ButterflyService service(8, 6, {.threads = 1, .shards = 2});
@@ -466,6 +466,27 @@ TEST(ShardParity, RestoreClearsCrossAggregateMemo) {
   const QueryResult<count_t> after = service.global_count().get();
   EXPECT_EQ(after.value, 3);
   EXPECT_FALSE(after.degraded());
+  for (const char* suffix : {"", ".shard0", ".shard1"})
+    std::remove((path + suffix).c_str());
+}
+
+// Two fresh stores fed the same batches pin views with equal signatures, so
+// an offline replay can look a live view's answers up by signature; a
+// restore starts a new lineage, and the same epochs then sign differently.
+TEST(ShardParity, FreshStoresFedTheSameBatchesSignAlike) {
+  const std::string path = ::testing::TempDir() + "bfc_shard_sign_ckpt.bin";
+  shard::ShardedSnapshotStore live(8, 6, 2);
+  shard::ShardedSnapshotStore replay(8, 6, 2);
+  for (shard::ShardedSnapshotStore* store : {&live, &replay}) {
+    (void)store->apply_batch({EdgeUpdate::add(0, 0), EdgeUpdate::add(4, 0)});
+    (void)store->apply_batch({EdgeUpdate::add(0, 1), EdgeUpdate::add(4, 1)});
+  }
+  EXPECT_EQ(live.view()->signature, replay.view()->signature);
+
+  live.persist(path);
+  live.restore(path);
+  EXPECT_EQ(live.view()->version, replay.view()->version);
+  EXPECT_NE(live.view()->signature, replay.view()->signature);
   for (const char* suffix : {"", ".shard0", ".shard1"})
     std::remove((path + suffix).c_str());
 }
