@@ -169,8 +169,8 @@ TEST(WireCodec, SnapshotRoundTripCarriesGraphAndCounts) {
       svc::EdgeUpdate::add(2, 0), svc::EdgeUpdate::add(2, 1)};
   (void)shard.apply(batch);
   const svc::SnapshotPtr snap = shard.pin();
-  const svc::SnapshotPtr back = wire::decode_snapshot(
-      wire::encode_snapshot(*snap));
+  const svc::SnapshotPtr back =
+      wire::decode_snapshot(wire::encode_snapshot(*snap), /*lineage=*/0);
   EXPECT_EQ(back->epoch, snap->epoch);
   EXPECT_EQ(back->butterflies, 1);
   EXPECT_EQ(back->edges, 4);
