@@ -1,8 +1,9 @@
 # Test driver for the serve-smoke ctest family: runs bench/serving with
 # --json, relying on the bench's built-in acceptance checks (zero count
-# drift vs. a from-scratch recount; nonzero cache hits and coalesced batches
-# in normal mode; nonzero shed/rejected/expired work in overload mode), then
-# validates the RunReport artifact with report_lint.
+# drift vs. a from-scratch recount; every tip answer at the final epoch equal
+# to a recount; nonzero cache hits in normal mode; nonzero
+# shed/rejected/expired work in overload mode), then validates the RunReport
+# artifact with report_lint.
 # Expects -DBENCH=<path> -DLINT=<path> -DOUT=<dir>; optional -DMODE= and
 # -DREGISTRY=<metrics.registry> (adds --families to the OpenMetrics lint so
 # dump families must map back to the bfc-analyze registry)
@@ -10,7 +11,11 @@
 #   light     reduced load for the sanitizer lanes, where slowdown makes the
 #             full config's wall-clock latency numbers flaky
 #   overload  undersized pool + bounded queue: proves admission control
-#             sheds, answers degrade, and the count still reconciles
+#             sheds, answers degrade, and the count still reconciles. With
+#             one shard a tip or global query is a lookup that never queues,
+#             so the overload loads lean on edge and top-pairs queries and
+#             run long enough that every generation sees queued misses: the
+#             stale-cache rung then answers some, eviction sheds others
 #   telemetry overload load with the whole telemetry plane armed: the
 #             OpenMetrics dump must lint clean (svc.slo.* included), the
 #             span tree must show degraded and shed requests (the bench
@@ -56,16 +61,19 @@ elseif(MODE STREQUAL "overload")
   # deep degrade threshold keeps the exact rung submitting, making eviction
   # structural; degraded answers still appear via eviction fallbacks.
   set(load --overload --scale 0.02 --readers 6 --epochs 3 --batch 60
-           --queries 120 --pool 1 --max-queue 2 --degrade-depth 64)
+           --queries 1000 --mix tip:3,global:1,edge:3,top:3 --pool 1
+           --max-queue 2 --degrade-depth 64)
 elseif(MODE STREQUAL "shard")
   # --degrade-depth above the queue bound keeps the exact rung submitting
   # instead of degrading preemptively, so queue overflow (and therefore the
   # shed evidence the span check demands) is structural rather than a race —
   # on a single-core runner the depth-1 default sheds only when reader
   # submissions happen to interleave, which misses ~1 run in 8.
+  # The mix and the query count as for MODE=overload: a tip or global query
+  # whose view already has its cross aggregate answers inline.
   set(load --shards 4 --zipf 0.9 --overload --scale 0.02 --readers 6
-           --epochs 3 --batch 60 --queries 120 --pool 1 --max-queue 2
-           --degrade-depth 64
+           --epochs 3 --batch 60 --queries 400 --mix tip:3,global:1,edge:3,top:3
+           --pool 1 --max-queue 2 --degrade-depth 64
            --metrics-file "${OUT}/metrics.txt"
            --spans-out "${OUT}/spans.json")
 elseif(MODE STREQUAL "chaos")
@@ -76,9 +84,11 @@ elseif(MODE STREQUAL "chaos")
            --readers 4 --epochs 6 --batch 60 --queries 200 --pool 2
            --metrics-file "${OUT}/metrics.txt")
 elseif(MODE STREQUAL "telemetry")
-  # --degrade-depth 64 for the same structural-shed reason as MODE=overload.
+  # --degrade-depth 64, the mix and the query count for the same reasons
+  # as MODE=overload.
   set(load --overload --scale 0.05 --readers 6 --epochs 3 --batch 60
-           --queries 150 --pool 1 --max-queue 2 --degrade-depth 64 --slo-ms 5
+           --queries 1000 --mix tip:3,global:1,edge:3,top:3 --pool 1
+           --max-queue 2 --degrade-depth 64 --slo-ms 5
            --metrics-file "${OUT}/metrics.txt"
            --spans-out "${OUT}/spans.json"
            --profile-hz 250 --profile-out "${OUT}/profile.folded"

@@ -3,8 +3,8 @@
 // snapshots while one writer thread applies edge-update batches and
 // publishes epochs underneath them. Emits a throughput / p50 / p95 / p99
 // latency table per query kind, and the usual RunReport (--json) with every
-// latency sample plus the svc.* counters (cache hits, coalesced batches,
-// epochs published, ...).
+// latency sample plus the svc.* counters (cache hits, epochs published,
+// degraded answers, ...).
 //
 //   ./serving [--readers 4] [--epochs 8] [--batch 200] [--queries 500]
 //             [--pool 4] [--mix tip:6,global:2,edge:1,top:1]
@@ -62,9 +62,9 @@
 //                      query kind (svc.slo.* instruments, SLO-driven
 //                      degradation); --slo-objective sets the fraction
 //
-// The run fails (exit 1) if the incrementally maintained count at the final
-// epoch drifts from a from-scratch recount, or — when kernel metrics are
-// compiled in — if the run produced no cache hits or no coalesced batches
+// The run fails (exit 1) if the incrementally maintained count or any tip
+// answer at the final epoch drifts from a from-scratch recount, or — when
+// kernel metrics are compiled in — if the run produced no cache hits
 // (normal mode), or no shed/rejected work (overload mode).
 #include <signal.h>
 #include <unistd.h>
@@ -86,6 +86,7 @@
 
 #include "bench_common.hpp"
 #include "count/baselines.hpp"
+#include "count/local_counts.hpp"
 #include "la/count.hpp"
 #include "obs/export.hpp"
 #include "obs/flight.hpp"
@@ -292,7 +293,7 @@ bool check_spans(const std::string& path, bool overload) {
   for (const obs::SpanRecord& s : spans) {
     if (s.parent_id != 0 && ids.count(s.parent_id) == 0) ++broken;
     const std::string_view outcome = s.tag("outcome");
-    if (outcome == "stale" || outcome == "approx") ++degraded;
+    if (outcome == "stale") ++degraded;
     if (outcome == "shed" || outcome == "cancelled" ||
         s.tag("rejected") == "true")
       ++shed;
@@ -310,6 +311,35 @@ bool check_spans(const std::string& path, bool overload) {
   std::cout << "spans: " << spans.size() << " recorded ("
             << obs::SpanLog::dropped() << " dropped), " << degraded
             << " degraded, " << shed << " shed/cancelled\n";
+  return true;
+}
+
+/// Tip-drift acceptance at the final epoch: every vertex_tip_v1/v2 answer on
+/// `view` must equal count::butterflies_per_v1/v2 of `truth`, a graph built
+/// without the tips the writers maintained.
+bool check_tip_drift(svc::ButterflyService& service,
+                     const shard::ShardViewPtr& view,
+                     const graph::BipartiteGraph& truth) {
+  for (const bool v1_side : {true, false}) {
+    const std::vector<count_t> want = v1_side
+                                          ? count::butterflies_per_v1(truth)
+                                          : count::butterflies_per_v2(truth);
+    for (vidx_t x = 0; x < static_cast<vidx_t>(want.size()); ++x) {
+      const svc::QueryResult<count_t> r =
+          v1_side ? service.vertex_tip_v1(x, view).get()
+                  : service.vertex_tip_v2(x, view).get();
+      if (r.value != want[static_cast<std::size_t>(x)]) {
+        std::cerr << "FATAL: tip drift at view version " << view->version
+                  << ": vertex_tip_" << (v1_side ? "v1(" : "v2(") << x
+                  << ") = " << r.value << " (" << svc::fidelity_name(r.fidelity)
+                  << ") != recount " << want[static_cast<std::size_t>(x)]
+                  << "\n";
+        return false;
+      }
+    }
+  }
+  std::cout << "tip drift check: all " << truth.n1() << " + " << truth.n2()
+            << " tips == from-scratch recount\n";
   return true;
 }
 
@@ -944,6 +974,7 @@ int main(int argc, char** argv) {
   // Two independent engines recount (wedge reference and the linear-algebra
   // dispatch); running the la/ kernel here also keeps it inside the
   // profiler's sampling window, so folded profiles attribute time to it.
+  const shard::ShardViewPtr final_view = service.view();
   const svc::SnapshotPtr fin = service.snapshot();
   const count_t recount = count::wedge_reference(fin->graph);
   const count_t la_recount = la::count_butterflies(fin->graph);
@@ -971,6 +1002,7 @@ int main(int argc, char** argv) {
   // sequentially into a --shards 1 service, must land on exactly the same
   // count — concurrent disjoint-range publishes may not lose or duplicate a
   // single butterfly relative to the serial single-store execution.
+  svc::SnapshotPtr single;  // the --shards 1 replay's final snapshot
   if (sharded) {
     svc::ButterflyService replay(n1, n2, svc::ServiceOptions{.threads = 1});
     std::vector<svc::EdgeUpdate> load;
@@ -981,7 +1013,7 @@ int main(int argc, char** argv) {
       for (int k = 0; k < shards; ++k)
         replay.apply_updates(script[static_cast<std::size_t>(k)]
                                    [static_cast<std::size_t>(e)]);
-    const svc::SnapshotPtr single = replay.snapshot();
+    single = replay.snapshot();
     if (single->butterflies != fin->butterflies ||
         single->edges != fin->edges) {
       std::cerr << "FATAL: sharded count drift: --shards " << shards
@@ -1027,18 +1059,14 @@ int main(int argc, char** argv) {
       return obs::Registry::instance().counter(name).value();
     };
     const std::int64_t hits = counter("svc.cache_hits");
-    const std::int64_t coalesced = counter("svc.coalesced_batches");
     std::cout << "cache hits: " << hits
-              << "  misses: " << counter("svc.cache_misses")
-              << "  coalesced batches: " << coalesced
-              << "  tip passes: " << counter("svc.tip_passes") << '\n';
+              << "  misses: " << counter("svc.cache_misses") << '\n';
     const std::int64_t shed = counter("svc.shed");
     const std::int64_t rejected = counter("svc.rejected");
     const std::int64_t expired = counter("svc.deadline_expired");
     std::cout << "shed: " << shed << "  rejected: " << rejected
               << "  deadline expired: " << expired
               << "  stale answers: " << counter("svc.stale_answers")
-              << "  approx fallbacks: " << counter("svc.approx_fallbacks")
               << "  inline answers: " << counter("svc.inline_answers")
               << '\n';
     if (overload) {
@@ -1048,9 +1076,8 @@ int main(int argc, char** argv) {
                      "saturated?); raise --readers or lower --max-queue\n";
         return 1;
       }
-    } else if (hits <= 0 || coalesced <= 0) {
-      std::cerr << "FATAL: serving run produced no cache hits or no "
-                   "coalesced batches\n";
+    } else if (hits <= 0) {
+      std::cerr << "FATAL: serving run produced no cache hits\n";
       return 1;
     }
 
@@ -1077,6 +1104,10 @@ int main(int argc, char** argv) {
     std::cout << "epoch-scoped latency histograms: " << hist_total
               << " observations across a " << tail << "-query tail\n";
   }
+
+  // Last, as its queries feed the latency histograms checked above.
+  if (!check_tip_drift(service, final_view, (single ? single : fin)->graph))
+    return 1;
 
   for (const std::string& p : chaos_ckpts) std::remove(p.c_str());
   bfc::bench::write_reports(cfg);

@@ -5,6 +5,7 @@
 
 #include "count/baselines.hpp"
 #include "count/dynamic.hpp"
+#include "count/local_counts.hpp"
 #include "graph/bipartite_graph.hpp"
 #include "obs/metrics.hpp"
 #include "sparse/coo.hpp"
@@ -128,6 +129,10 @@ void validate(const count::DynamicButterflyCounter& c) {
   validate(g);
   enforce(count::wedge_reference(g) == c.butterflies(),
           "dynamic counter: incremental count drifted from recount");
+  enforce(c.tips_v1() == count::butterflies_per_v1(g),
+          "dynamic counter: maintained V1 tips drifted from recount");
+  enforce(c.tips_v2() == count::butterflies_per_v2(g),
+          "dynamic counter: maintained V2 tips drifted from recount");
 }
 
 void validate(const svc::GraphSnapshot& s) {
@@ -137,6 +142,13 @@ void validate(const svc::GraphSnapshot& s) {
           "snapshot: edges field != materialised edge count");
   enforce(count::wedge_reference(s.graph) == s.butterflies,
           "snapshot: butterfly count != recount of materialised graph");
+  enforce(s.tips_v1.size() == static_cast<std::size_t>(s.graph.n1()) &&
+              s.tips_v2.size() == static_cast<std::size_t>(s.graph.n2()),
+          "snapshot: tip vector length != vertex count");
+  enforce(s.tips_v1 == count::butterflies_per_v1(s.graph),
+          "snapshot: V1 tips != recount of materialised graph");
+  enforce(s.tips_v2 == count::butterflies_per_v2(s.graph),
+          "snapshot: V2 tips != recount of materialised graph");
 }
 
 void validate_epoch_transition(const svc::GraphSnapshot& prev,

@@ -68,12 +68,14 @@ void validate(const graph::BipartiteGraph& g);
 void validate_structure(const count::DynamicButterflyCounter& c);
 
 /// validate_structure, then the materialised graph validated and the
-/// incremental butterfly count checked against a from-scratch recount.
+/// incremental butterfly count and tip vectors checked against a
+/// from-scratch recount.
 void validate(const count::DynamicButterflyCounter& c);
 
 /// Snapshot-internal consistency: graph valid, edges field equal to the
 /// materialised edge count, and the incrementally maintained butterfly
-/// count equal to a from-scratch recount.
+/// count and tip vectors (one entry per vertex) equal to a from-scratch
+/// recount.
 void validate(const svc::GraphSnapshot& s);
 
 /// Publish-seam check: epochs advance by exactly one per batch.

@@ -137,61 +137,4 @@ ApproxResult approx_wedge_sampling(const graph::BipartiteGraph& g,
   return finalize(x, static_cast<double>(total_wedges) / 2.0);
 }
 
-namespace {
-
-/// Shared implementation of the per-vertex tip estimator over (lines,
-/// lines_t) — (CSR, CSC) for a V1 anchor, swapped for a V2 anchor.
-ApproxResult approx_tip_at(const sparse::CsrPattern& lines,
-                           const sparse::CsrPattern& lines_t, vidx_t anchor,
-                           const ApproxOptions& options) {
-  require(options.samples >= 1, "approx: samples must be >= 1");
-  require(anchor >= 0 && anchor < lines.rows(),
-          "approx_tip: vertex out of range");
-  const std::span<const vidx_t> nu = lines.row(anchor);
-
-  // W_u = Σ_{k∈N(u)} (deg k − 1): the wedges anchored at u. Midpoints of
-  // degree 1 close no wedge and get weight 0.
-  std::vector<double> weights(nu.size());
-  count_t total_wedges = 0;
-  for (std::size_t i = 0; i < nu.size(); ++i) {
-    const count_t c = lines_t.row_degree(nu[i]) - 1;
-    weights[i] = static_cast<double>(c);
-    total_wedges = chk::checked_add(total_wedges, c);
-  }
-  if (total_wedges == 0) return {};  // isolated or wedge-free: exactly 0
-
-  gen::DiscreteSampler midpoints(weights);
-  Rng rng(options.seed);
-  std::vector<double> x;
-  x.reserve(static_cast<std::size_t>(options.samples));
-  for (std::int64_t s = 0; s < options.samples; ++s) {
-    const vidx_t k = nu[static_cast<std::size_t>(midpoints.sample(rng))];
-    const std::span<const vidx_t> ends = lines_t.row(k);
-    // Uniform far endpoint j ≠ u. The row is sorted, so skip over u's slot
-    // instead of rejection-sampling.
-    const auto pos = static_cast<std::size_t>(
-        std::lower_bound(ends.begin(), ends.end(), anchor) - ends.begin());
-    auto j_idx = static_cast<std::size_t>(rng.bounded(ends.size() - 1));
-    if (j_idx >= pos) ++j_idx;
-    const count_t common =
-        sparse::intersection_size(nu, lines.row(ends[j_idx]));
-    x.push_back(static_cast<double>(common - 1));
-  }
-  // Per sampled wedge, E[x] = Σ_j (w_uj/W_u)(w_uj − 1) = 2·B_u/W_u, so
-  // B_u = mean·W_u/2 — the wedge-sampling argument localised at u.
-  return finalize(x, static_cast<double>(total_wedges) / 2.0);
-}
-
-}  // namespace
-
-ApproxResult approx_tip_v1(const graph::BipartiteGraph& g, vidx_t u,
-                           const ApproxOptions& options) {
-  return approx_tip_at(g.csr(), g.csc(), u, options);
-}
-
-ApproxResult approx_tip_v2(const graph::BipartiteGraph& g, vidx_t v,
-                           const ApproxOptions& options) {
-  return approx_tip_at(g.csc(), g.csr(), v, options);
-}
-
 }  // namespace bfc::count

@@ -39,20 +39,4 @@ struct ApproxOptions {
 [[nodiscard]] ApproxResult approx_wedge_sampling(
     const graph::BipartiteGraph& g, const ApproxOptions& options = {});
 
-/// Estimates the *tip number* of one V1 vertex u (butterflies containing
-/// u, Eq. 19) by sampling wedges anchored at u: pick a wedge u—k—j with
-/// probability proportional to 1 among u's W_u = Σ_{k∈N(u)} (deg k − 1)
-/// wedges, count the closing wedges |N(u)∩N(j)| − 1, and scale by W_u/2.
-/// Unbiased for the same reason the global wedge estimator is; this is the
-/// degraded-mode answer the serving layer falls back to when an exact tip
-/// pass cannot be afforded under overload.
-[[nodiscard]] ApproxResult approx_tip_v1(const graph::BipartiteGraph& g,
-                                         vidx_t u,
-                                         const ApproxOptions& options = {});
-
-/// Same estimator anchored at a V2 vertex.
-[[nodiscard]] ApproxResult approx_tip_v2(const graph::BipartiteGraph& g,
-                                         vidx_t v,
-                                         const ApproxOptions& options = {});
-
 }  // namespace bfc::count

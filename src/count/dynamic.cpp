@@ -8,16 +8,16 @@
 namespace bfc::count {
 namespace {
 
-/// |a ∩ b| for sorted ranges. Linear two-pointer merge when the sizes are
-/// comparable; when one side is much smaller, gallop (exponential search +
-/// binary search) through the larger side so the cost is
-/// O(min · log(max/min)) rather than O(min + max).
-count_t sorted_intersection_size(std::span<const vidx_t> a,
-                                 std::span<const vidx_t> b) {
+/// Calls visit(x) for every x in a ∩ b (sorted ranges), ascending. Linear
+/// two-pointer merge when the sizes are comparable; when one side is much
+/// smaller, gallop (exponential search + binary search) through the larger
+/// side so the cost is O(min · log(max/min)) rather than O(min + max).
+template <typename Visit>
+void for_each_common(std::span<const vidx_t> a, std::span<const vidx_t> b,
+                     Visit&& visit) {
   if (a.size() > b.size()) std::swap(a, b);
-  if (a.empty()) return 0;
+  if (a.empty()) return;
 
-  count_t n = 0;
   if (b.size() / a.size() >= 8) {
     // Galloping: positions in b advance monotonically because a is sorted.
     std::size_t lo = 0;
@@ -34,12 +34,12 @@ count_t sorted_intersection_size(std::span<const vidx_t> a,
                                        b.begin() + static_cast<std::ptrdiff_t>(hi), x);
       lo = static_cast<std::size_t>(it - b.begin());
       if (lo < b.size() && b[lo] == x) {
-        ++n;
+        visit(x);
         ++lo;
       }
       if (lo >= b.size()) break;
     }
-    return n;
+    return;
   }
 
   std::size_t i = 0, j = 0;
@@ -49,12 +49,11 @@ count_t sorted_intersection_size(std::span<const vidx_t> a,
     } else if (b[j] < a[i]) {
       ++j;
     } else {
-      ++n;
+      visit(a[i]);
       ++i;
       ++j;
     }
   }
-  return n;
 }
 
 /// Inserts x into the sorted vector; returns false if already present.
@@ -96,6 +95,8 @@ DynamicButterflyCounter::DynamicButterflyCounter(vidx_t n1, vidx_t n2)
   require(n1 >= 0 && n2 >= 0, "DynamicButterflyCounter: negative dimension");
   adj_v1_.resize(static_cast<std::size_t>(n1));
   adj_v2_.resize(static_cast<std::size_t>(n2));
+  tips_v1_.assign(static_cast<std::size_t>(n1), 0);
+  tips_v2_.assign(static_cast<std::size_t>(n2), 0);
 }
 
 bool DynamicButterflyCounter::has_edge(vidx_t u, vidx_t v) const {
@@ -122,18 +123,28 @@ graph::BipartiteGraph DynamicButterflyCounter::to_graph() const {
                                concat_rows(adj_v2_, n1_, edges_));
 }
 
-count_t DynamicButterflyCounter::support_of(vidx_t u, vidx_t v) const {
-  // Butterflies through (u, v): for every other neighbour w of v, each
-  // common neighbour of u and w besides v closes one butterfly.
+count_t DynamicButterflyCounter::support_of(vidx_t u, vidx_t v, bool insert) {
+  const auto credit = [insert](count_t& tip, count_t n) {
+    tip = insert ? chk::checked_add(tip, n) : chk::checked_sub(tip, n);
+  };
   const std::vector<vidx_t>& nu = adj_v1_[static_cast<std::size_t>(u)];
   count_t total = 0;
   for (const vidx_t w : adj_v2_[static_cast<std::size_t>(v)]) {
     if (w == u) continue;
-    const count_t common = sorted_intersection_size(
-        nu, adj_v1_[static_cast<std::size_t>(w)]);
-    // Both N(u) and N(w) contain v, so common >= 1; subtract that shared v.
-    total = chk::checked_add(total, common - 1);
+    // Both N(u) and N(w) contain v; every other common neighbour x closes
+    // the butterfly (u, w, v, x).
+    count_t closed = 0;
+    for_each_common(nu, adj_v1_[static_cast<std::size_t>(w)], [&](vidx_t x) {
+      if (x == v) return;
+      ++closed;
+      count_t& tip = tips_v2_[static_cast<std::size_t>(x)];
+      insert ? ++tip : --tip;
+    });
+    credit(tips_v1_[static_cast<std::size_t>(w)], closed);
+    total = chk::checked_add(total, closed);
   }
+  credit(tips_v1_[static_cast<std::size_t>(u)], total);
+  credit(tips_v2_[static_cast<std::size_t>(v)], total);
   return total;
 }
 
@@ -142,14 +153,14 @@ count_t DynamicButterflyCounter::insert(vidx_t u, vidx_t v) {
   sorted_insert(adj_v1_[static_cast<std::size_t>(u)], v);
   sorted_insert(adj_v2_[static_cast<std::size_t>(v)], u);
   ++edges_;
-  const count_t created = support_of(u, v);
+  const count_t created = support_of(u, v, /*insert=*/true);
   butterflies_ = chk::checked_add(butterflies_, created);
   return created;
 }
 
 count_t DynamicButterflyCounter::remove(vidx_t u, vidx_t v) {
   if (!has_edge(u, v)) return 0;
-  const count_t destroyed = support_of(u, v);
+  const count_t destroyed = support_of(u, v, /*insert=*/false);
   sorted_erase(adj_v1_[static_cast<std::size_t>(u)], v);
   sorted_erase(adj_v2_[static_cast<std::size_t>(v)], u);
   --edges_;

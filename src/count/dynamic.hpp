@@ -5,6 +5,12 @@
 // butterflies the new edge completes — its support in the post-insertion
 // graph — and symmetrically for deletions. Each update costs
 // O(Σ_{w ∈ N(v)} min(deg u, deg w)) adjacency intersections, no recount.
+//
+// The same walk lists every butterfly (u, w, v, x) the update creates or
+// destroys, so the counter also keeps the per-vertex counts (the tip
+// vectors of Eq. 19, which seed the k-tip peeling of §IV) current: each
+// butterfly is credited to its four vertices, as in ParButterfly's
+// per-vertex attribution, at no extra asymptotic cost.
 #pragma once
 
 #include <span>
@@ -28,6 +34,16 @@ class DynamicButterflyCounter {
   /// Current exact butterfly count.
   [[nodiscard]] count_t butterflies() const noexcept { return butterflies_; }
 
+  /// Butterflies containing each V1 / V2 vertex: at every point equal to
+  /// count::butterflies_per_v1/v2(to_graph()), and each sums to
+  /// 2·butterflies().
+  [[nodiscard]] const std::vector<count_t>& tips_v1() const noexcept {
+    return tips_v1_;
+  }
+  [[nodiscard]] const std::vector<count_t>& tips_v2() const noexcept {
+    return tips_v2_;
+  }
+
   [[nodiscard]] bool has_edge(vidx_t u, vidx_t v) const;
 
   /// Inserts (u, v); returns the number of butterflies created (0 if the
@@ -50,14 +66,19 @@ class DynamicButterflyCounter {
   [[nodiscard]] graph::BipartiteGraph to_graph() const;
 
  private:
-  /// Butterflies containing edge (u, v) given both adjacency lists current
-  /// and the edge present: Σ_{w∈N(v)\{u}} (|N(u)∩N(w)| − 1).
-  [[nodiscard]] count_t support_of(vidx_t u, vidx_t v) const;
+  /// Walks every butterfly through the present edge (u, v), given both
+  /// adjacency lists current: for each w ∈ N(v)\{u}, every x ∈ N(u)∩N(w)
+  /// other than v closes (u, w, v, x). Credits each one to the tips of its
+  /// four vertices (+1 on insert, −1 on remove) and returns how many it
+  /// walked — the edge's support, Σ_{w∈N(v)\{u}} (|N(u)∩N(w)| − 1).
+  count_t support_of(vidx_t u, vidx_t v, bool insert);
 
   vidx_t n1_;
   vidx_t n2_;
   offset_t edges_ = 0;
   count_t butterflies_ = 0;
+  std::vector<count_t> tips_v1_;  // u -> butterflies containing u
+  std::vector<count_t> tips_v2_;  // v -> butterflies containing v
   // Sorted adjacency vectors: O(deg) insert/erase by shifting, but contiguous
   // memory makes the intersection walks (the dominant cost) cache-friendly,
   // and a galloping probe handles the skewed |N(u)| ≪ |N(w)| case in

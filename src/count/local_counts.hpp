@@ -37,4 +37,12 @@ namespace bfc::count {
 [[nodiscard]] std::vector<count_t> support_per_edge(
     const graph::BipartiteGraph& g, const CancelToken& cancel);
 
+/// Support of the single edge (u, v): Eq. (25) for one edge, 0 when the
+/// edge is absent. O(Σ_{w∈N(v)} min(deg u, deg w)), no global pass. On a
+/// shard graph (non-owned V1 rows empty) this is exactly the same-shard part
+/// of the support: every edge of u and of its same-shard wedge mates lives
+/// on the shard.
+[[nodiscard]] count_t support_of_edge(const graph::BipartiteGraph& g,
+                                      vidx_t u, vidx_t v);
+
 }  // namespace bfc::count

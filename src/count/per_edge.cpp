@@ -1,5 +1,6 @@
 #include "chk/checked_math.hpp"
 #include "count/local_counts.hpp"
+#include "sparse/ops.hpp"
 
 namespace bfc::count {
 
@@ -46,6 +47,18 @@ std::vector<count_t> support_per_edge(const graph::BipartiteGraph& g,
     for (const vidx_t w : touched) acc[static_cast<std::size_t>(w)] = 0;
   }
   return support;
+}
+
+count_t support_of_edge(const graph::BipartiteGraph& g, vidx_t u, vidx_t v) {
+  if (!g.has_edge(u, v)) return 0;
+  const std::span<const vidx_t> nu = g.neighbors_of_v1(u);
+  const std::span<const vidx_t> nv = g.neighbors_of_v2(v);
+  count_t sum = 0;
+  for (const vidx_t w : nv)
+    sum = chk::checked_add(
+        sum, sparse::intersection_size(nu, g.neighbors_of_v1(w)));
+  return sum - static_cast<count_t>(nu.size()) -
+         static_cast<count_t>(nv.size()) + 1;
 }
 
 }  // namespace bfc::count

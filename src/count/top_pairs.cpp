@@ -10,10 +10,13 @@ namespace bfc::count {
 namespace {
 
 /// Keeps the k best pairs while streaming all connected pairs of the rows
-/// of `lines` (transpose in `lines_t`).
+/// of `lines` (transpose in `lines_t`). One cancellation checkpoint per line:
+/// the accumulator is cleared between lines, so abandoning there leaks no
+/// partial state.
 std::vector<VertexPair> top_pairs(const sparse::CsrPattern& lines,
                                   const sparse::CsrPattern& lines_t,
-                                  std::size_t k) {
+                                  std::size_t k, const CancelToken& cancel,
+                                  const char* where) {
   if (k == 0) return {};
   auto better = [](const VertexPair& x, const VertexPair& y) {
     return pair_order(x, y);
@@ -30,6 +33,7 @@ std::vector<VertexPair> top_pairs(const sparse::CsrPattern& lines,
   std::vector<count_t> acc(static_cast<std::size_t>(n), 0);
   std::vector<vidx_t> touched;
   for (vidx_t i = 0; i < n; ++i) {
+    cancel.checkpoint(where);
     touched.clear();
     for (const vidx_t x : lines.row(i)) {
       for (const vidx_t j : lines_t.row(x)) {
@@ -64,12 +68,18 @@ std::vector<VertexPair> top_pairs(const sparse::CsrPattern& lines,
 
 std::vector<VertexPair> top_wedge_pairs_v1(const graph::BipartiteGraph& g,
                                            std::size_t k) {
-  return top_pairs(g.csr(), g.csc(), k);
+  return top_wedge_pairs_v1(g, k, CancelToken{});
+}
+
+std::vector<VertexPair> top_wedge_pairs_v1(const graph::BipartiteGraph& g,
+                                           std::size_t k,
+                                           const CancelToken& cancel) {
+  return top_pairs(g.csr(), g.csc(), k, cancel, "top_wedge_pairs_v1");
 }
 
 std::vector<VertexPair> top_wedge_pairs_v2(const graph::BipartiteGraph& g,
                                            std::size_t k) {
-  return top_pairs(g.csc(), g.csr(), k);
+  return top_pairs(g.csc(), g.csr(), k, CancelToken{}, "top_wedge_pairs_v2");
 }
 
 Biclique2 max_biclique_2xk(const graph::BipartiteGraph& g) {

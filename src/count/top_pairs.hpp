@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "graph/bipartite_graph.hpp"
+#include "util/cancel.hpp"
 #include "util/common.hpp"
 
 namespace bfc::count {
@@ -35,9 +36,13 @@ struct VertexPair {
 
 /// The k V1-pairs with the largest common-neighbourhood size, descending
 /// (ties by lexicographic pair). Cost O(Σ wedges + P log k) where P is the
-/// number of connected pairs.
+/// number of connected pairs. The CancelToken overload checks the token once
+/// per V1 row, like count/local_counts, so a serving query whose deadline
+/// passes mid-pass abandons it (CancelledError).
 [[nodiscard]] std::vector<VertexPair> top_wedge_pairs_v1(
     const graph::BipartiteGraph& g, std::size_t k);
+[[nodiscard]] std::vector<VertexPair> top_wedge_pairs_v1(
+    const graph::BipartiteGraph& g, std::size_t k, const CancelToken& cancel);
 
 /// Same over V2 pairs.
 [[nodiscard]] std::vector<VertexPair> top_wedge_pairs_v2(

@@ -7,6 +7,20 @@
 #include "obs/spans.hpp"
 
 namespace bfc::shard {
+namespace {
+
+/// Epoch 0 over the full dimensions, as a freshly started host holds it,
+/// under a lineage of its own.
+svc::SnapshotPtr empty_snapshot(vidx_t n1, vidx_t n2) {
+  auto empty = std::make_shared<svc::GraphSnapshot>();
+  empty->lineage = svc::next_lineage();
+  empty->graph = graph::BipartiteGraph::from_edges(n1, n2, {});
+  empty->tips_v1.assign(static_cast<std::size_t>(n1), 0);
+  empty->tips_v2.assign(static_cast<std::size_t>(n2), 0);
+  return empty;
+}
+
+}  // namespace
 
 RemoteShard::RemoteShard(int id, vidx_t n1, vidx_t n2, vidx_t lo, vidx_t hi,
                          std::string socket_path, RemoteOptions opts)
@@ -21,14 +35,10 @@ RemoteShard::RemoteShard(int id, vidx_t n1, vidx_t n2, vidx_t lo, vidx_t hi,
   require(id >= 0, "RemoteShard: id must be >= 0");
   require(0 <= lo && lo <= hi && hi <= n1,
           "RemoteShard: owned range must satisfy 0 <= lo <= hi <= n1");
-  // Epoch 0 = the empty graph over the full dimensions, matching a
-  // freshly started host. pin() is total from the first instant.
-  auto empty = std::make_shared<svc::GraphSnapshot>();
-  empty->lineage = svc::next_lineage();
-  empty->graph = graph::BipartiteGraph::from_edges(n1, n2, {});
+  // pin() is total from the first instant.
   {
     const MutexLock lock(mu_);
-    cached_ = std::move(empty);
+    cached_ = empty_snapshot(n1, n2);
   }
   if constexpr (obs::kMetricsEnabled) {
     auto& reg = obs::Registry::instance();
@@ -226,9 +236,7 @@ void RemoteShard::restore(const std::string& path) {
   // Drop the cache so the next pin() transfers the restored graph even
   // when the restored epoch collides with the cached one, under a new
   // lineage.
-  auto empty = std::make_shared<svc::GraphSnapshot>();
-  empty->lineage = svc::next_lineage();
-  empty->graph = graph::BipartiteGraph::from_edges(n1_, n2_, {});
+  svc::SnapshotPtr empty = empty_snapshot(n1_, n2_);
   const MutexLock lock(mu_);
   cached_ = std::move(empty);
   (void)restored_epoch;

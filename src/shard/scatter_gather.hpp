@@ -34,7 +34,7 @@
 // One cross pass serves every scatter query at a given view signature: the
 // planner memoises the aggregate per signature (keeping the latest two, so
 // the degrade ladder has a stale rung) and coalesces concurrent computes
-// onto one shared future, exactly like the service's tip-pass memo. A
+// onto one shared future. A
 // one-shard view has no cross pairs: it gets one shared empty aggregate
 // that never enters the memo, so the one-shard service pays nothing. The
 // pass itself is sequential and cancellable (a checkpoint per scanned V1

@@ -181,6 +181,10 @@ svc::SnapshotPtr decode_snapshot(std::string_view payload,
   snap->edges = static_cast<offset_t>(c.i64());
   std::istringstream blob(c.str(), std::ios::binary);
   snap->graph = graph::read_binary(blob, "<shard transport>");
+  // The tips are not on the wire: one pass each on the received graph,
+  // rather than per-vertex numbers taken from the host on trust.
+  snap->tips_v1 = count::butterflies_per_v1(snap->graph);
+  snap->tips_v2 = count::butterflies_per_v2(snap->graph);
   return snap;
 }
 
@@ -368,10 +372,11 @@ std::string call_host(const std::string& socket_path, wire::Msg msg,
 
 namespace {
 
-// Shard-local answers for the five query kinds, computed on the host's
-// pinned snapshot with the ordinary single-store kernels (non-owned V1
-// rows are empty, so the local tip/support/pair numbers are exactly the
-// shard's contribution to the scatter-gather identities).
+// Shard-local answers for the five query kinds on the host's pinned
+// snapshot: counts and tips are the snapshot's maintained ones, support and
+// pairs come from the ordinary single-store kernels (non-owned V1 rows are
+// empty, so the local tip/support/pair numbers are exactly the shard's
+// contribution to the scatter-gather identities).
 wire::Frame handle_request(const wire::Frame& req, ShardHandle& shard) {
   using wire::Msg;
   wire::Payload out;
@@ -414,26 +419,16 @@ wire::Frame handle_request(const wire::Frame& req, ShardHandle& shard) {
       out.i64(snap->butterflies);
       break;
     }
-    case Msg::kTipV1: {
-      wire::Cursor c(req.payload);
-      const auto u = static_cast<std::size_t>(c.u64());
-      const svc::SnapshotPtr snap = shard.pin();
-      const std::vector<count_t> tips =
-          count::butterflies_per_v1(snap->graph);
-      require(u < tips.size(), "tip_v1 vertex out of range");
-      out.u64(snap->epoch);
-      out.i64(tips[u]);
-      break;
-    }
+    case Msg::kTipV1:
     case Msg::kTipV2: {
       wire::Cursor c(req.payload);
-      const auto v = static_cast<std::size_t>(c.u64());
+      const auto x = static_cast<std::size_t>(c.u64());
       const svc::SnapshotPtr snap = shard.pin();
-      const std::vector<count_t> tips =
-          count::butterflies_per_v2(snap->graph);
-      require(v < tips.size(), "tip_v2 vertex out of range");
+      const std::vector<count_t>& tips =
+          req.msg == Msg::kTipV1 ? snap->tips_v1 : snap->tips_v2;
+      require(x < tips.size(), "tip vertex out of range");
       out.u64(snap->epoch);
-      out.i64(tips[v]);
+      out.i64(tips[x]);
       break;
     }
     case Msg::kEdgeSupport: {
@@ -441,21 +436,11 @@ wire::Frame handle_request(const wire::Frame& req, ShardHandle& shard) {
       const auto u = static_cast<vidx_t>(c.u64());
       const auto v = static_cast<vidx_t>(c.u64());
       const svc::SnapshotPtr snap = shard.pin();
-      require(u >= 0 && u < snap->graph.n1(), "edge_support u out of range");
-      const std::vector<count_t> support =
-          count::support_per_edge(snap->graph);
-      count_t value = 0;
-      const auto row = snap->graph.csr().row(u);
-      const offset_t base =
-          snap->graph.csr().row_ptr()[static_cast<std::size_t>(u)];
-      for (std::size_t i = 0; i < row.size(); ++i) {
-        if (row[i] == v) {
-          value = support[static_cast<std::size_t>(base) + i];
-          break;
-        }
-      }
+      require(u >= 0 && u < snap->graph.n1() && v >= 0 &&
+                  v < snap->graph.n2(),
+              "edge_support vertex out of range");
       out.u64(snap->epoch);
-      out.i64(value);
+      out.i64(count::support_of_edge(snap->graph, u, v));
       break;
     }
     case Msg::kTopPairs: {

@@ -5,7 +5,8 @@
 // fires() at the matching seam:
 //
 //   kQueueSaturation  Executor::admit treats the admission queue as full
-//   kSlowKernel       the service's tip pass sleeps param() milliseconds
+//   kSlowKernel       the service's top-pairs pass or the cross-shard pass
+//                     sleeps param() milliseconds before it scans
 //   kPersistTruncate  SnapshotStore::persist publishes a torn file
 //                     (truncated to param() bytes, or half when 0)
 //   kPersistCorrupt   persist flips one bit (byte index param()) before

@@ -119,15 +119,13 @@ struct Request {
 /// service degraded under pressure rather than shedding the request.
 enum class Fidelity : std::uint8_t {
   kExact = 0,  // exact value at the result's epoch
-  kStale,      // exact value, but from an older (already retired) epoch
-  kApprox,     // sampled estimate (Sanei-Mehri et al. style) at the epoch
+  kStale,      // exact at an older epoch, or partly from an older view
 };
 
 [[nodiscard]] inline const char* fidelity_name(Fidelity f) noexcept {
   switch (f) {
     case Fidelity::kExact: return "exact";
     case Fidelity::kStale: return "stale";
-    case Fidelity::kApprox: return "approx";
   }
   return "unknown";
 }

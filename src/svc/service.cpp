@@ -2,21 +2,17 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <exception>
 #include <thread>
 
 #include "chk/checked_math.hpp"
-#include "count/approx.hpp"
 #include "count/local_counts.hpp"
 #include "graph/bipartite_graph.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/spans.hpp"
-#include "obs/trace.hpp"
 #include "shard/router.hpp"
 #include "shard/transport.hpp"
-#include "sparse/ops.hpp"
 #include "svc/fault.hpp"
 #include "util/timer.hpp"
 
@@ -35,21 +31,6 @@ std::future<T> overload_future(OverloadError::Reason reason) {
   std::promise<T> p;
   p.set_exception(std::make_exception_ptr(OverloadError(reason)));
   return p.get_future();
-}
-
-/// Support of one present edge, Eq. (25) evaluated for a single (u, v):
-/// Σ_{w∈N(v)} |N(u)∩N(w)| − deg(u) − deg(v) + 1. No global pass. On a
-/// shard graph this is exactly the same-shard part of the support: every
-/// edge of u and of its same-shard wedge mates is local to the shard, so
-/// the formula is exact over wedge mates the shard owns.
-count_t support_of_edge(const graph::BipartiteGraph& g, vidx_t u, vidx_t v) {
-  const std::span<const vidx_t> nu = g.neighbors_of_v1(u);
-  const std::span<const vidx_t> nv = g.neighbors_of_v2(v);
-  count_t sum = 0;
-  for (const vidx_t w : nv)
-    sum = chk::checked_add(sum, sparse::intersection_size(nu, g.neighbors_of_v1(w)));
-  return sum - static_cast<count_t>(nu.size()) -
-         static_cast<count_t>(nv.size()) + 1;
 }
 
 // Request spans outlive the submitting frame (the exact lambda runs on a
@@ -103,6 +84,15 @@ std::pair<int, int> shards_holding(const shard::ShardView& view, int owner) {
   return {owner, owner + 1};
 }
 
+/// Throws std::invalid_argument (`what`) unless x is a vertex of the pinned
+/// view's V1 side (v1_side) or V2 side. Every shard spans the full vertex
+/// sets, so shard 0's graph has the view's dimensions.
+void require_vertex(const shard::ShardView& view, vidx_t x, bool v1_side,
+                    const char* what) {
+  const graph::BipartiteGraph& g = view.shards[0]->graph;
+  require(x >= 0 && x < (v1_side ? g.n1() : g.n2()), what);
+}
+
 std::array<SloPolicy, kQueryKinds> slo_policies(const ServiceOptions& o) {
   std::array<SloPolicy, kQueryKinds> policies;
   for (std::size_t k = 0; k < kQueryKinds; ++k)
@@ -118,17 +108,11 @@ ButterflyService::ButterflyService(vidx_t n1, vidx_t n2,
       store_(n1, n2, options.shards),
       // One tier per shard plus the composed-answer tier (view_tier()).
       cache_(options.cache_capacity, options.shards + 1),
-      memo_keep_epochs_(options.memo_keep_epochs),
       degrade_queue_depth_(options.degrade_queue_depth),
       degrade_p95_us_(options.degrade_p95_us),
-      approx_samples_(options.approx_samples),
       slo_(slo_policies(options), kLatencyWindow),
       pool_(ExecutorOptions{options.threads, options.max_queue,
                             options.shed_policy}) {
-  require(options.memo_keep_epochs >= 1,
-          "ButterflyService: memo_keep_epochs must be >= 1");
-  require(options.approx_samples >= 1,
-          "ButterflyService: approx_samples must be >= 1");
   if (shards_ > 1) {
     shard_slo_.reserve(static_cast<std::size_t>(shards_));
     for (int k = 0; k < shards_; ++k)
@@ -202,13 +186,6 @@ PublishResult ButterflyService::apply_updates_shard(
   cache_.invalidate_tier_older_than(k,
                                     result.epoch == 0 ? 0 : result.epoch - 1);
   publish_shard_gauge(k);
-  {
-    const MutexLock lock(memo_mu_);
-    std::erase_if(tip_memo_, [&](const auto& entry) {
-      return std::get<0>(entry.first) == k &&
-             std::get<1>(entry.first) + memo_keep_epochs_ <= result.epoch;
-    });
-  }
   refresh_view_generation();
   return result;
 }
@@ -258,10 +235,6 @@ void ButterflyService::restore(const std::string& path) {
   // flush only drops entries the latest view can no longer reach.
   cache_.invalidate_all();
   scatter_.clear();
-  {
-    const MutexLock lock(memo_mu_);
-    tip_memo_.clear();
-  }
   const shard::ShardViewPtr v = store_.view();
   const MutexLock lock(view_mu_);
   // cur == prev: no previous generation — the stale-view rung stays empty
@@ -277,10 +250,6 @@ void ButterflyService::swap_shard(int k, shard::ShardHandlePtr handle) {
   // meaningless — same flush discipline as restore().
   cache_.invalidate_all();
   scatter_.clear();
-  {
-    const MutexLock lock(memo_mu_);
-    tip_memo_.clear();
-  }
   const shard::ShardViewPtr v = store_.view();
   const MutexLock lock(view_mu_);
   cur_sig_ = prev_sig_ = v->signature;
@@ -292,8 +261,8 @@ SnapshotPtr ButterflyService::snapshot() const {
   if (view->shard_count() == 1) return view->shards[0];
   // Materialise the union graph of one pinned view. Owned ranges are
   // disjoint, so concatenating each shard's owned rows rebuilds the exact
-  // single-store edge set; the count is Σ locals + cross — the identity the
-  // drift checks verify.
+  // single-store edge set; the count and tips are Σ locals + cross — the
+  // identities the drift checks verify.
   const shard::RangePartition& part = store_.partition();
   std::vector<std::pair<vidx_t, vidx_t>> edges;
   edges.reserve(static_cast<std::size_t>(view->edges()));
@@ -310,6 +279,14 @@ SnapshotPtr ButterflyService::snapshot() const {
       graph::BipartiteGraph::from_edges(store_.n1(), store_.n2(), edges);
   snap.butterflies = shard::ScatterGather::global_count(*view, *agg);
   snap.edges = view->edges();
+  snap.tips_v1 = agg->tips_v1;
+  snap.tips_v2 = agg->tips_v2;
+  for (const SnapshotPtr& s : view->shards) {
+    for (std::size_t u = 0; u < snap.tips_v1.size(); ++u)
+      snap.tips_v1[u] = chk::checked_add(snap.tips_v1[u], s->tips_v1[u]);
+    for (std::size_t v = 0; v < snap.tips_v2.size(); ++v)
+      snap.tips_v2[v] = chk::checked_add(snap.tips_v2[v], s->tips_v2[v]);
+  }
   return std::make_shared<const GraphSnapshot>(std::move(snap));
 }
 
@@ -420,96 +397,101 @@ std::future<QueryResult<T>> ButterflyService::serve(
   return overload_future<QueryResult<T>>(OverloadError::Reason::kRejected);
 }
 
-std::future<QueryResult<count_t>> ButterflyService::global_count(Request req) {
-  shard::ShardViewPtr view = resolve_view(req);
-  const SpanPtr span = open_span(root_context(req), "svc.query.global");
-  count_query(span, *view, QueryKind::kGlobalCount);
-  // Σ locals is maintained by the writers, so once the cross aggregate is
-  // in hand the count is one sum: answered inline, never queued or
-  // degraded. With one shard the aggregate is always in hand.
+template <typename Compose>
+std::future<QueryResult<count_t>> ButterflyService::with_cross(
+    QueryKind kind, std::int64_t a, int owner, const shard::ShardViewPtr& view,
+    const Deadline& deadline, const SpanPtr& span, Compose compose) {
+  // The shards' numbers are maintained by the writers, so once the cross
+  // aggregate is in hand the answer is one sum: answered inline, never
+  // queued or degraded. With one shard the aggregate is always in hand.
   if (const auto agg = scatter_.ready(*view)) {
-    const std::uint64_t mask = answer_mask(*view, -1);
-    observe_latency(QueryKind::kGlobalCount, 0.0);
+    const std::uint64_t mask = answer_mask(*view, owner);
+    observe_latency(kind, 0.0, owner);
     if (mask) note_stale_mask(mask);
     const Fidelity fidelity = mask ? Fidelity::kStale : Fidelity::kExact;
     span_tag(span, "outcome", fidelity_name(fidelity));
-    return ready_future(QueryResult<count_t>{
-        shard::ScatterGather::global_count(*view, **agg), view->version,
-        fidelity, mask});
+    return ready_future(
+        QueryResult<count_t>{compose(**agg), view->version, fidelity, mask});
   }
   return serve<count_t>(
-      QueryKind::kGlobalCount, 0, 0, -1, view, req.deadline, span,
-      [this, view](const Deadline& deadline, const obs::TraceContext& trace) {
-        return shard::ScatterGather::global_count(
-            *view, *scatter_.cross(view, deadline.token(), trace));
+      kind, a, 0, owner, view, deadline, span,
+      [this, view, compose](const Deadline& d, const obs::TraceContext& trace) {
+        return compose(*scatter_.cross(view, d.token(), trace));
       },
-      [this, view]() -> std::optional<QueryResult<count_t>> {
+      [this, a, owner, view, compose]() -> std::optional<QueryResult<count_t>> {
         // The freshest COMPLETED cross aggregate of any signature plus the
-        // pinned locals — mixed freshness, honestly tagged stale.
+        // pinned shards' numbers — mixed freshness, honestly tagged stale.
         const auto agg = scatter_.latest_ready();
         if (!agg) return std::nullopt;
         BFC_COUNT_ADD("svc.degraded", 1);
         BFC_COUNT_ADD("svc.stale_answers", 1);
-        return QueryResult<count_t>{
-            chk::checked_add(view->local_butterflies(), (*agg)->butterflies),
-            view->version, Fidelity::kStale};
+        note_degraded(owner);
+        obs::FlightRecorder::record("degrade", "stale_cross",
+                                    static_cast<std::int64_t>(view->version),
+                                    a);
+        return QueryResult<count_t>{compose(**agg), view->version,
+                                    Fidelity::kStale};
       });
+}
+
+std::future<QueryResult<count_t>> ButterflyService::global_count(Request req) {
+  shard::ShardViewPtr view = resolve_view(req);
+  const SpanPtr span = open_span(root_context(req), "svc.query.global");
+  count_query(span, *view, QueryKind::kGlobalCount);
+  return with_cross(QueryKind::kGlobalCount, 0, -1, view, req.deadline, span,
+                    [view](const shard::CrossAggregate& agg) {
+                      return shard::ScatterGather::global_count(*view, agg);
+                    });
 }
 
 std::future<QueryResult<count_t>> ButterflyService::vertex_tip_v1(
     vidx_t u, Request req) {
-  require(u >= 0 && u < store_.n1(), "vertex_tip_v1: vertex out of range");
   return tip(u, /*v1_side=*/true, std::move(req));
 }
 
 std::future<QueryResult<count_t>> ButterflyService::vertex_tip_v2(
     vidx_t v, Request req) {
-  require(v >= 0 && v < store_.n2(), "vertex_tip_v2: vertex out of range");
   return tip(v, /*v1_side=*/false, std::move(req));
 }
 
 std::future<QueryResult<count_t>> ButterflyService::tip(vidx_t vertex,
                                                         bool v1_side,
                                                         Request req) {
+  shard::ShardViewPtr view = resolve_view(req);
+  require_vertex(*view, vertex, v1_side,
+                 v1_side ? "vertex_tip_v1: vertex out of range"
+                         : "vertex_tip_v2: vertex out of range");
+  // tip_v1 routes to the owner shard; tip_v2 scatters over all of them.
+  const int owner = v1_side ? owner_of(*view, vertex) : -1;
   const QueryKind kind =
       v1_side ? QueryKind::kVertexTipV1 : QueryKind::kVertexTipV2;
-  shard::ShardViewPtr view = resolve_view(req);
-  // tip_v1 routes to the owner shard; tip_v2 scatters over all of them.
-  const int owner = v1_side ? store_.partition().owner(vertex) : -1;
   const SpanPtr span = open_span(
       root_context(req), v1_side ? "svc.query.tip_v1" : "svc.query.tip_v2");
   count_query(span, *view, kind);
-  return serve<count_t>(
-      kind, vertex, 0, owner, view, req.deadline, span,
-      [this, view, vertex, v1_side, owner](const Deadline& deadline,
-                                           const obs::TraceContext& trace) {
-        const shard::CrossAggregatePtr agg =
-            scatter_.cross(view, deadline.token(), trace);
-        count_t value = v1_side ? agg->tip_v1(vertex) : agg->tip_v2(vertex);
+  return with_cross(
+      kind, vertex, owner, view, req.deadline, span,
+      [view, vertex, v1_side, owner](const shard::CrossAggregate& agg) {
+        count_t value = v1_side ? agg.tip_v1(vertex) : agg.tip_v2(vertex);
         // The local part: the owner shard's tip, or the sum over every
         // shard, each of which sees some of a V2 vertex's butterflies.
         const auto [lo, hi] = shards_holding(*view, owner);
+        const auto at = static_cast<std::size_t>(vertex);
         for (int s = lo; s < hi; ++s) {
-          const TipVector tips =
-              tips_for(s, view->shards[static_cast<std::size_t>(s)], v1_side,
-                       deadline.token(), trace);
-          value = chk::checked_add(value,
-                                   (*tips)[static_cast<std::size_t>(vertex)]);
+          const GraphSnapshot& snap = *view->shards[static_cast<std::size_t>(s)];
+          value = chk::checked_add(
+              value, v1_side ? snap.tips_v1[at] : snap.tips_v2[at]);
         }
         return value;
-      },
-      [this, view, vertex, v1_side, owner] {
-        return retained_or_sampled_tip(*view, vertex, v1_side, owner);
       });
 }
 
 std::future<QueryResult<count_t>> ButterflyService::edge_support(vidx_t u,
                                                                  vidx_t v,
                                                                  Request req) {
-  require(u >= 0 && u < store_.n1() && v >= 0 && v < store_.n2(),
-          "edge_support: vertex out of range");
   shard::ShardViewPtr view = resolve_view(req);
-  const int owner = store_.partition().owner(u);
+  require_vertex(*view, u, true, "edge_support: vertex out of range");
+  require_vertex(*view, v, false, "edge_support: vertex out of range");
+  const int owner = owner_of(*view, u);
   const SpanPtr span = open_span(root_context(req), "svc.query.edge");
   count_query(span, *view, QueryKind::kEdgeSupport);
   // Below the stale rung, the exact answer inline: support is one row scan
@@ -552,7 +534,8 @@ std::future<QueryResult<TopPairsPtr>> ButterflyService::top_pairs(
         std::vector<std::vector<count::VertexPair>> per_shard;
         per_shard.reserve(view->shards.size());
         for (int s = 0; s < view->shard_count(); ++s)
-          per_shard.push_back(*shard_top_list(*view, s, k));
+          per_shard.push_back(
+              *shard_top_list(*view, s, k, deadline.token(), trace));
         return std::make_shared<const std::vector<count::VertexPair>>(
             shard::ScatterGather::merge_top_pairs(per_shard, agg->pairs, k));
       },
@@ -579,7 +562,7 @@ count_t ButterflyService::support(const shard::ShardView& view, int owner,
   if (hit) {
     local = std::get<count_t>(*hit);
   } else {
-    local = support_of_edge(snap->graph, u, v);
+    local = count::support_of_edge(snap->graph, u, v);
     if (component) cache_.put(local_key, local);
   }
   publish_shard_gauge(owner);
@@ -588,7 +571,9 @@ count_t ButterflyService::support(const shard::ShardView& view, int owner,
 }
 
 TopPairsPtr ButterflyService::shard_top_list(const shard::ShardView& view,
-                                             int s, std::size_t k) {
+                                             int s, std::size_t k,
+                                             const CancelToken& cancel,
+                                             const obs::TraceContext& trace) {
   const SnapshotPtr& snap = view.shards[static_cast<std::size_t>(s)];
   // Shard-local list, cached like support()'s component: in the shard's own
   // tier under the shard epoch, and only with more than one shard.
@@ -601,105 +586,37 @@ TopPairsPtr ButterflyService::shard_top_list(const shard::ShardView& view,
       return std::get<TopPairsPtr>(*hit);
     }
   }
-  auto list = std::make_shared<const std::vector<count::VertexPair>>(
-      count::top_wedge_pairs_v1(snap->graph, k));
+  obs::Span kernel_span(trace, "svc.kernel.top_pairs");
+  if (kernel_span.armed()) {
+    kernel_span.tag("epoch", std::to_string(snap->epoch));
+    kernel_span.tag("shard", std::to_string(s));
+  }
+  TopPairsPtr list;
+  try {
+    // Checked builds can inject latency here to force deadline expiry
+    // mid-pass (fault::Point::kSlowKernel, param = milliseconds).
+    if (fault::fires(fault::Point::kSlowKernel))
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(fault::param(fault::Point::kSlowKernel)));
+    list = std::make_shared<const std::vector<count::VertexPair>>(
+        count::top_wedge_pairs_v1(snap->graph, k, cancel));
+    kernel_span.tag("outcome", "ok");
+  } catch (const CancelledError&) {
+    // A cancelled kernel still closes its span — tagged, not dropped — so
+    // the trace tree shows where the deadline landed.
+    kernel_span.tag("cancelled", "true");
+    kernel_span.tag("outcome", "cancelled");
+    throw;
+  } catch (...) {
+    kernel_span.tag("outcome", "error");
+    throw;
+  }
   if (component) cache_.put(key, CacheValue{list});
   publish_shard_gauge(s);
   return list;
 }
 
-std::optional<QueryResult<count_t>> ButterflyService::retained_or_sampled_tip(
-    const shard::ShardView& view, vidx_t vertex, bool v1_side, int owner) {
-  const auto [lo, hi] = shards_holding(view, owner);
-  const auto at = static_cast<std::size_t>(vertex);
-  // The cross contribution: the pinned view's own aggregate (the empty one
-  // with one shard), else the freshest completed one of any signature.
-  std::optional<shard::CrossAggregatePtr> agg = scatter_.ready(view);
-  if (!agg) agg = scatter_.latest_ready();
-  const count_t cross =
-      !agg ? 0 : v1_side ? (*agg)->tip_v1(vertex) : (*agg)->tip_v2(vertex);
-  // Rung 2: on every shard that holds the vertex's local butterflies, a
-  // retained pass from an epoch before the pinned one. The answer's epoch
-  // is the view's with those shards rolled back to their passes. Without
-  // ANY cross aggregate the passes alone would silently drop the
-  // correction, so that case falls through to the estimator.
-  if (agg) {
-    count_t value = cross;
-    std::uint64_t epoch = view.version;
-    int s = lo;
-    for (; s < hi; ++s) {
-      const GraphSnapshot& pinned = *view.shards[static_cast<std::size_t>(s)];
-      const auto pass = stale_tips(s, pinned, v1_side);
-      if (!pass) break;
-      value = chk::checked_add(value, (*pass->second)[at]);
-      epoch -= pinned.epoch - pass->first;
-    }
-    if (s == hi) {
-      BFC_COUNT_ADD("svc.degraded", 1);
-      BFC_COUNT_ADD("svc.stale_answers", 1);
-      note_degraded(owner);
-      obs::FlightRecorder::record("degrade", "stale_tips",
-                                  static_cast<std::int64_t>(epoch), vertex);
-      return QueryResult<count_t>{value, epoch, Fidelity::kStale};
-    }
-  }
-  // Rung 3: sampled estimates on the same shards' pinned graphs —
-  // O(samples · deg) regardless of graph size, affordable even under
-  // overload — plus the cross contribution (biased low without one; still
-  // an answer, and tagged kApprox either way). Each estimator sees only its
-  // shard's butterflies, so the estimates sum; the budget splits evenly.
-  count::ApproxOptions opt;
-  opt.samples = std::max<std::int64_t>(1, approx_samples_ / (hi - lo));
-  count_t value = cross;
-  for (int s = lo; s < hi; ++s) {
-    const SnapshotPtr& snap = view.shards[static_cast<std::size_t>(s)];
-    opt.seed = 0x5eedULL ^ (snap->epoch * 0x9e3779b97f4a7c15ULL) ^
-               static_cast<std::uint64_t>(vertex) ^
-               (static_cast<std::uint64_t>(s) << 48);
-    const count::ApproxResult est =
-        v1_side ? count::approx_tip_v1(snap->graph, vertex, opt)
-                : count::approx_tip_v2(snap->graph, vertex, opt);
-    value = chk::checked_add(value,
-                             std::max<count_t>(0, std::llround(est.estimate)));
-  }
-  BFC_COUNT_ADD("svc.degraded", 1);
-  BFC_COUNT_ADD("svc.approx_fallbacks", 1);
-  note_degraded(owner);
-  obs::FlightRecorder::record("degrade", "approx",
-                              static_cast<std::int64_t>(view.version), vertex);
-  return QueryResult<count_t>{value, view.version, Fidelity::kApprox};
-}
-
 // ---- shared plumbing -------------------------------------------------------
-
-std::optional<std::pair<std::uint64_t, ButterflyService::TipVector>>
-ButterflyService::stale_tips(int shard, const GraphSnapshot& pinned,
-                             bool v1_side) {
-  std::shared_future<TipVector> best;
-  std::uint64_t best_epoch = 0;
-  {
-    const MutexLock lock(memo_mu_);
-    for (const auto& [key, pass] : tip_memo_) {
-      if (std::get<0>(key) != shard || std::get<2>(key) != v1_side ||
-          std::get<3>(key) != pinned.lineage ||
-          std::get<1>(key) >= pinned.epoch)
-        continue;
-      if (pass.result.wait_for(std::chrono::seconds(0)) !=
-          std::future_status::ready)
-        continue;  // a degraded answer must not block on an in-flight pass
-      if (!best.valid() || std::get<1>(key) > best_epoch) {
-        best = pass.result;
-        best_epoch = std::get<1>(key);
-      }
-    }
-  }
-  if (!best.valid()) return std::nullopt;
-  try {
-    return std::make_pair(best_epoch, best.get());
-  } catch (...) {
-    return std::nullopt;  // that pass failed; not a usable stale tier
-  }
-}
 
 bool ButterflyService::overloaded() const {
   if (degrade_queue_depth_ != 0 && pool_.queue_depth() >= degrade_queue_depth_)
@@ -780,82 +697,6 @@ double ButterflyService::latency_p95_us() const {
                    window.begin() + static_cast<std::ptrdiff_t>(n));
   BFC_GAUGE_SET("svc.latency_p95_us", *nth);
   return *nth;
-}
-
-ButterflyService::TipVector ButterflyService::tips_for(
-    int shard, const SnapshotPtr& snap, bool v1_side,
-    const CancelToken& cancel, const obs::TraceContext& trace) {
-  const TipKey key{shard, snap->epoch, v1_side, snap->lineage};
-  std::promise<TipVector> mine;
-  std::shared_future<TipVector> pass;
-  bool compute = false;
-  std::uint64_t my_pass = 0;
-  {
-    const MutexLock lock(memo_mu_);
-    const auto it = tip_memo_.find(key);
-    if (it == tip_memo_.end()) {
-      pass = mine.get_future().share();
-      my_pass = ++next_tip_pass_;
-      tip_memo_.emplace(key, TipPass{pass, false, my_pass});
-      compute = true;
-    } else {
-      pass = it->second.result;
-      BFC_COUNT_ADD("svc.coalesced_queries", 1);
-      if (!it->second.has_joiner) {
-        it->second.has_joiner = true;
-        BFC_COUNT_ADD("svc.coalesced_batches", 1);
-      }
-    }
-  }
-  if (compute) {
-    BFC_TRACE_SCOPE(v1_side ? "svc.tip_pass_v1" : "svc.tip_pass_v2");
-    BFC_COUNT_ADD("svc.tip_passes", 1);
-    // The kernel span belongs to the request that computes; every coalesced
-    // waiter's own query span references the same pass only through timing.
-    obs::Span kernel_span(
-        trace, v1_side ? "svc.kernel.tip_v1" : "svc.kernel.tip_v2");
-    kernel_span.tag("epoch", std::to_string(snap->epoch));
-    kernel_span.tag("shard", std::to_string(shard));
-    try {
-      // Checked builds can inject latency here to force deadline expiry
-      // mid-pass (fault::Point::kSlowKernel, param = milliseconds).
-      if (fault::fires(fault::Point::kSlowKernel))
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(fault::param(fault::Point::kSlowKernel)));
-      auto tips = std::make_shared<const std::vector<count_t>>(
-          v1_side ? count::butterflies_per_v1(snap->graph, cancel)
-                  : count::butterflies_per_v2(snap->graph, cancel));
-      kernel_span.tag("outcome", "ok");
-      mine.set_value(std::move(tips));
-    } catch (const CancelledError&) {
-      // A cancelled kernel still closes its span — tagged, not dropped —
-      // so the trace tree shows where the deadline landed.
-      kernel_span.tag("cancelled", "true");
-      kernel_span.tag("outcome", "cancelled");
-      kernel_span.close();
-      drop_tip_pass(key, my_pass);
-      mine.set_exception(std::current_exception());
-    } catch (...) {
-      // Drop the memo so a later query can retry, then propagate to every
-      // request already coalesced onto this pass (each degrades on its own).
-      kernel_span.tag("outcome", "error");
-      drop_tip_pass(key, my_pass);
-      mine.set_exception(std::current_exception());
-    }
-  }
-  return pass.get();
-}
-
-void ButterflyService::drop_tip_pass(const TipKey& key, std::uint64_t pass_id) {
-  // Erase only OUR memo entry. Between the kernel failing and this lock
-  // acquisition a memo flush (publish retirement, restore, swap_shard) plus
-  // a fresh query can have installed a NEW in-flight pass under the same
-  // key; a blind erase would orphan that healthy pass and force a later
-  // caller into a duplicate compute.
-  const MutexLock lock(memo_mu_);
-  const auto it = tip_memo_.find(key);
-  if (it != tip_memo_.end() && it->second.pass_id == pass_id)
-    tip_memo_.erase(it);
 }
 
 }  // namespace bfc::svc

@@ -23,13 +23,14 @@
 //                   top-k lists) also cache in tier k under shard k's epoch,
 //                   so a publish on shard j leaves them warm; with one shard
 //                   the component is the answer and caches only as such;
-//   - coalescing    concurrent tip queries for the same (shard, epoch, side)
-//                   share ONE pass over count::local_counts; the cross
-//                   aggregate memoises per view signature.
+//   - coalescing    concurrent scatter queries at one view signature share
+//                   ONE cross pass: the cross aggregate memoises per view
+//                   signature.
 //
-// global_count answers inline whenever the view's cross aggregate is ready
-// (always, with one shard): Σ of the writer-maintained shard counts plus
-// the correction.
+// global_count and the tip queries answer inline whenever the view's cross
+// aggregate is ready (always, with one shard): the writers maintain every
+// shard's count and tip vectors (count::DynamicButterflyCounter), so the
+// answer is Σ of the pinned shards' numbers plus the aggregate's term.
 //
 // Fault tolerance (the robustness layer on top):
 //
@@ -39,39 +40,37 @@
 //                         on the caller's thread instead of queueing;
 //   - deadlines           Request carries an optional Deadline; expired
 //                         tasks are abandoned at dequeue, and an in-flight
-//                         tip or cross pass checks a CancelToken per row so
-//                         it can give up mid-scan;
+//                         top-pairs or cross pass checks a CancelToken per
+//                         row so it can give up mid-scan;
 //   - degraded answers    every query resolves to QueryResult{value,
 //                         epoch, fidelity}: under overload (queue depth or
 //                         p95 latency past the configured thresholds) the
 //                         service walks one ladder — the previous view
 //                         generation's cached answer (kStale), then the
-//                         kind's own rungs: retained tip passes (kStale) and
-//                         a sampled estimate via count::approx_tip (kApprox)
-//                         for tips, an exact inline answer for edge
-//                         support, the freshest completed cross aggregate
-//                         for the global count — and only throws
+//                         kind's own rungs: the freshest completed cross
+//                         aggregate plus the pinned shards' numbers (kStale)
+//                         for the global count and tips, an exact inline
+//                         answer for edge support — and only throws
 //                         OverloadError when no rung produces a value.
 //                         With more than one shard the service keeps one
 //                         SloTracker per shard, so overload on one shard's
 //                         traffic degrades only the queries routed there.
 //
 // Everything is wired into the obs registry: svc.queries, svc.cache_hits /
-// svc.cache_misses / svc.cache_hit_rate, svc.tip_passes,
-// svc.coalesced_queries / svc.coalesced_batches, svc.queue_depth,
+// svc.cache_misses / svc.cache_hit_rate, svc.queue_depth,
 // svc.epochs_published, svc.shed / svc.rejected / svc.deadline_expired,
-// svc.degraded / svc.stale_answers / svc.approx_fallbacks /
-// svc.inline_answers, svc.scatter_queries, one latency histogram per query
-// kind (svc.latency_us.<kind>), and — with more than one shard — the
-// per-shard family svc.shard.<k>.publishes / .cache_hit_rate / .degraded.
+// svc.degraded / svc.stale_answers / svc.inline_answers,
+// svc.scatter_queries, one latency histogram per query kind
+// (svc.latency_us.<kind>), and — with more than one shard — the per-shard
+// family svc.shard.<k>.publishes / .cache_hit_rate / .degraded.
 //
 // Telemetry (obs/spans.hpp): when span collection is enabled, every query
 // runs under one "svc.query.<kind>" span — rooted fresh, or parented into
 // the Request's TraceContext — with child spans for the queue wait
-// (svc.queue, recorded by the Executor), the coalesced kernel pass
-// (svc.kernel.tip_v1/v2), the cross pass (svc.scatter / svc.gather; with
+// (svc.queue, recorded by the Executor), the top-pairs pass
+// (svc.kernel.top_pairs), the cross pass (svc.scatter / svc.gather; with
 // more than one shard) and per-shard publishes (svc.shard.publish). Tags
-// record the decisions: cache=hit|miss, outcome=exact|stale|approx|shed,
+// record the decisions: cache=hit|miss, outcome=exact|stale|shed,
 // rejected/cancelled flags, and the rung the degrade ladder stopped at.
 // SLO accounting (svc/slo.hpp) rides the same latency stream:
 // ServiceOptions::slo_target_us arms per-kind objectives whose
@@ -81,12 +80,10 @@
 #include <array>
 #include <cstdint>
 #include <future>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -112,7 +109,6 @@ namespace bfc::svc {
 struct ServiceOptions {
   int threads = 4;                     // query-pool workers
   std::size_t cache_capacity = 1 << 16;
-  std::uint64_t memo_keep_epochs = 4;  // trailing epochs whose tip passes stay
   // ---- sharding ----------------------------------------------------------
   // Number of range-partitioned V1 shards. 1 (the default) is one store;
   // N > 1 lets writers on disjoint ranges publish concurrently
@@ -125,7 +121,6 @@ struct ServiceOptions {
                                         // mode; 0 = never trip on depth
   double degrade_p95_us = 0.0;          // p95 latency (µs) that trips
                                         // degraded mode; 0 = never
-  std::int64_t approx_samples = 256;    // budget of the sampled fallback
   // ---- SLO knobs ---------------------------------------------------------
   // Per-kind latency targets (µs), indexed by QueryKind; 0 = no objective
   // for that kind. When any target is armed, a windowed error-budget burn
@@ -157,9 +152,8 @@ class ButterflyService {
   /// that shard's range — the shard enforces it). THE concurrent-writer
   /// entry point: writers on disjoint shards call this in parallel and
   /// their publishes overlap in time; each invalidates only its own cache
-  /// tier, rolls the view generation (the previous one stays as the stale
-  /// tier) and retires shard k's tip-pass memos older than
-  /// memo_keep_epochs. The returned epoch is shard k's new epoch.
+  /// tier and rolls the view generation (the previous one stays as the
+  /// stale tier). The returned epoch is shard k's new epoch.
   PublishResult apply_updates_shard(int k, std::span<const EdgeUpdate> batch);
   PublishResult apply_updates_shard(int k,
                                     std::initializer_list<EdgeUpdate> batch) {
@@ -175,17 +169,18 @@ class ButterflyService {
   void persist(const std::string& path) const;
 
   /// Warm restart from a persisted checkpoint: replaces the store's state
-  /// and flushes every cache/memo tier (they are keyed by the old epoch
-  /// sequence). Throws std::runtime_error on a corrupted file, leaving the
-  /// service unchanged.
+  /// and flushes the result cache and the cross-aggregate memo (they are
+  /// keyed by the old epoch sequence). Throws std::runtime_error on a
+  /// corrupted file, leaving the service unchanged.
   void restore(const std::string& path);
 
   /// Replaces shard k's handle (same id and owned range — the store
   /// enforces it); THE entry point for moving a range out of process: swap
   /// in a shard::RemoteShard and every query path serves across the socket
-  /// unchanged. Flushes all caches/memos and resets the view generation,
-  /// exactly like restore(): the new handle's epoch sequence need not
-  /// extend the old one. Not safe concurrently with writers on shard k.
+  /// unchanged. Flushes the cache and the memo and resets the view
+  /// generation, exactly like restore(): the new handle's epoch sequence
+  /// need not extend the old one. Not safe concurrently with writers on
+  /// shard k.
   void swap_shard(int k, shard::ShardHandlePtr handle);
 
   // ---- reader side -------------------------------------------------------
@@ -210,27 +205,30 @@ class ButterflyService {
   [[nodiscard]] std::future<QueryResult<count_t>> global_count(
       Request req = {});
 
-  /// Butterflies containing V1 vertex u (tip number). Coalesced: concurrent
-  /// same-epoch tip queries share one butterflies_per_v1 pass per shard,
-  /// plus one shared cross aggregate per view signature. Under overload the
-  /// answer may be kStale (previous view generation, or retained passes) or
-  /// kApprox (sampled); the fidelity tag says which.
+  /// Butterflies containing V1 vertex u (tip number): the owner shard's
+  /// maintained tip plus the cross aggregate's term. Like global_count,
+  /// inline when the view's aggregate is ready (always with one shard);
+  /// otherwise a cross-pass query that can degrade to kStale (previous view
+  /// generation, or the freshest completed aggregate). Throws
+  /// std::invalid_argument for a vertex outside the pinned view.
   [[nodiscard]] std::future<QueryResult<count_t>> vertex_tip_v1(
       vidx_t u, Request req = {});
   [[nodiscard]] std::future<QueryResult<count_t>> vertex_tip_v2(
       vidx_t v, Request req = {});
 
   /// Butterflies containing edge (u, v); 0 when the edge is absent at the
-  /// pinned view: owner-shard support plus the cross-shard term.
+  /// pinned view: owner-shard support (count::support_of_edge) plus the
+  /// cross-shard term.
   /// O(Σ_{w∈N(v)} min(deg u, deg w)), no global pass — cheap enough that
   /// shedding answers it inline (exact) rather than degrading.
   [[nodiscard]] std::future<QueryResult<count_t>> edge_support(
       vidx_t u, vidx_t v, Request req = {});
 
   /// The k V1-pairs with the most wedges at the pinned view: the exact
-  /// merge of per-shard top-k lists and the cross-shard pairs. Degrades to
-  /// the previous view generation's cached list; with no stale list the
-  /// future carries OverloadError.
+  /// merge of per-shard top-k lists and the cross-shard pairs. The one
+  /// per-epoch pass a one-shard query queues for; it honours the request's
+  /// deadline. Degrades to the previous view generation's cached list; with
+  /// no stale list the future carries OverloadError.
   [[nodiscard]] std::future<QueryResult<TopPairsPtr>> top_pairs(
       std::size_t k, Request req = {});
 
@@ -279,16 +277,18 @@ class ButterflyService {
   static constexpr std::size_t kLatencyWindow = 256;
 
  private:
-  using TipVector = std::shared_ptr<const std::vector<count_t>>;
-  /// Tip memo key: (shard, shard epoch, v1_side, snapshot lineage).
-  using TipKey = std::tuple<int, std::uint64_t, bool, std::uint64_t>;
-
   /// The request's pinned view when it has this service's shard count,
   /// else the latest.
   [[nodiscard]] shard::ShardViewPtr resolve_view(Request& req) const {
     if (req.view && req.view->shard_count() == shards_)
       return std::move(req.view);
     return store_.view();
+  }
+  /// The shard owning V1 vertex u in `view`. A one-shard view's owner is 0
+  /// whatever the partition says: a one-shard restore may resize the
+  /// partition under a view pinned before it.
+  [[nodiscard]] int owner_of(const shard::ShardView& view, vidx_t u) const {
+    return view.shard_count() == 1 ? 0 : store_.partition().owner(u);
   }
   /// Index of the composed-answer cache tier (per-shard tiers are 0..S-1).
   [[nodiscard]] std::int32_t view_tier() const noexcept { return shards_; }
@@ -314,50 +314,36 @@ class ButterflyService {
       const shard::ShardView& view, QueryKind kind, std::int64_t a,
       std::int64_t b);
 
-  /// vertex_tip_v1/v2 after the range check.
+  /// A count composed from the pinned shards' maintained numbers and a
+  /// cross aggregate, `compose(aggregate)`: global_count and the tips.
+  /// Inline when the view's aggregate is ready; otherwise through serve(),
+  /// with the cross pass as the exact path and the freshest completed
+  /// aggregate as the kStale rung below the previous generation.
+  template <typename Compose>
+  std::future<QueryResult<count_t>> with_cross(
+      QueryKind kind, std::int64_t a, int owner,
+      const shard::ShardViewPtr& view, const Deadline& deadline,
+      const std::shared_ptr<obs::Span>& span, Compose compose);
+
+  /// vertex_tip_v1/v2.
   std::future<QueryResult<count_t>> tip(vidx_t vertex, bool v1_side,
                                         Request req);
-
-  /// The tip ladder below rung 1: a retained pass per shard that holds
-  /// the vertex's local butterflies, from an epoch before the pinned one,
-  /// plus the cross aggregate (kStale); else a sampled estimate on those
-  /// shards' graphs plus the freshest cross aggregate (kApprox).
-  std::optional<QueryResult<count_t>> retained_or_sampled_tip(
-      const shard::ShardView& view, vidx_t vertex, bool v1_side, int owner);
 
   /// Exact support of edge (u, v): owner-shard formula plus the
   /// cross-shard term; 0 when the edge is absent.
   count_t support(const shard::ShardView& view, int owner, vidx_t u,
                   vidx_t v);
 
-  /// Shard s's top-k list at the view's pinned epoch.
+  /// Shard s's top-k list at the view's pinned epoch. The pass runs under
+  /// a svc.kernel.top_pairs span parented to `trace`, checks `cancel` per
+  /// row, and closes its span tagged cancelled=true when the token fires.
   TopPairsPtr shard_top_list(const shard::ShardView& view, int s,
-                             std::size_t k);
+                             std::size_t k, const CancelToken& cancel,
+                             const obs::TraceContext& trace);
 
   /// After a shard publish: roll the (cur, prev) view-generation pair and
   /// prune the composed-answer tier down to those two signatures.
   void refresh_view_generation();
-
-  /// The coalescing point: returns the full tip vector for (shard,
-  /// snap->epoch, side), computing it at most once per epoch and side. The
-  /// token belongs to the request that ends up computing; CancelledError
-  /// propagates to every coalesced waiter (each degrades independently).
-  /// The computing request's trace context parents the kernel span
-  /// (svc.kernel.tip_*), which closes tagged cancelled=true when the token
-  /// fires mid-pass.
-  TipVector tips_for(int shard, const SnapshotPtr& snap, bool v1_side,
-                     const CancelToken& cancel,
-                     const obs::TraceContext& trace = {});
-
-  /// Failure-path memo drop for tips_for: erases the (key) entry only if it
-  /// still belongs to pass `pass_id`, so a failed pass can never evict a
-  /// newer in-flight pass re-inserted under the same key.
-  void drop_tip_pass(const TipKey& key, std::uint64_t pass_id);
-
-  /// Most recent completed tip pass on `shard` for `side` of the pinned
-  /// snapshot's lineage, strictly before its epoch, if any memo survives.
-  std::optional<std::pair<std::uint64_t, TipVector>> stale_tips(
-      int shard, const GraphSnapshot& pinned, bool v1_side);
 
   /// Feeds the latency histogram, the p95 ring and the SLO tracker(s) with
   /// one completed request; a non-negative `shard` also feeds that shard's
@@ -384,23 +370,11 @@ class ButterflyService {
     return {};
   }
 
-  struct TipPass {
-    std::shared_future<TipVector> result;
-    bool has_joiner = false;  // became a coalesced batch already
-    // Identity of the compute that inserted this entry; the failure-path
-    // erase in tips_for matches it so a failed pass never evicts a fresh
-    // in-flight pass re-inserted under the same key after a memo flush
-    // (publish retirement, restore, swap_shard).
-    std::uint64_t pass_id = 0;
-  };
-
   int shards_;
   shard::ShardedSnapshotStore store_;
   ResultCache cache_;
-  std::uint64_t memo_keep_epochs_;
   std::size_t degrade_queue_depth_;
   double degrade_p95_us_;
-  std::int64_t approx_samples_;
   // Cross-shard correction memo, shared by const readers (snapshot()).
   mutable shard::ScatterGather scatter_;
   // Per-shard SLO trackers (empty with one shard); they never bind the
@@ -417,9 +391,6 @@ class ButterflyService {
   std::uint64_t cur_version_ BFC_GUARDED_BY(view_mu_) = 0;
   std::uint64_t prev_sig_ BFC_GUARDED_BY(view_mu_) = 0;
   std::uint64_t prev_version_ BFC_GUARDED_BY(view_mu_) = 0;
-  Mutex memo_mu_{"svc.service.memo"};
-  std::map<TipKey, TipPass> tip_memo_ BFC_GUARDED_BY(memo_mu_);
-  std::uint64_t next_tip_pass_ BFC_GUARDED_BY(memo_mu_) = 0;
   mutable Mutex lat_mu_{"svc.service.latency"};
   std::array<double, kLatencyWindow> lat_ring_ BFC_GUARDED_BY(lat_mu_){};
   std::size_t lat_next_ BFC_GUARDED_BY(lat_mu_) = 0;

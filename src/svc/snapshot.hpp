@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "graph/bipartite_graph.hpp"
 #include "util/common.hpp"
@@ -39,6 +40,11 @@ struct GraphSnapshot {
   graph::BipartiteGraph graph;  // materialised CSR + CSC, immutable
   count_t butterflies = 0;      // exact count at this epoch (incremental)
   offset_t edges = 0;
+  // Butterflies containing each V1 / V2 vertex (sized n1 / n2): the
+  // writer's counter maintains them per update, and a snapshot decoded from
+  // a shard host recounts them, so a tip query is a lookup.
+  std::vector<count_t> tips_v1;
+  std::vector<count_t> tips_v2;
 };
 
 /// A lineage number no other epoch sequence of this process has. A store

@@ -58,6 +58,8 @@ SnapshotStore::SnapshotStore(vidx_t n1, vidx_t n2, int shard_id)
   genesis->graph = counter_.to_graph();
   genesis->butterflies = 0;
   genesis->edges = 0;
+  genesis->tips_v1 = counter_.tips_v1();
+  genesis->tips_v2 = counter_.tips_v2();
   head_store(std::move(genesis));
 }
 
@@ -113,13 +115,16 @@ PublishResult SnapshotStore::apply_batch(std::span<const EdgeUpdate> batch) {
   snap->graph = counter_.to_graph();
   snap->butterflies = counter_.butterflies();
   snap->edges = counter_.edge_count();
+  snap->tips_v1 = counter_.tips_v1();
+  snap->tips_v2 = counter_.tips_v2();
   result.epoch = snap->epoch;
 
   // Checked build: the batch just mutated the counter, so re-verify its
   // internal structure, the snapshot it materialised (including a recount
-  // of the incremental butterfly total), and the epoch transition before
-  // any reader can pin the new head. The snapshot is the counter's graph
-  // and count, so its check is the one recount the counter needs.
+  // of the incremental butterfly total and tips), and the epoch transition
+  // before any reader can pin the new head. The snapshot is the counter's
+  // graph, count and tips, so its check is the one recount the counter
+  // needs.
   if constexpr (chk::kCheckedEnabled) {
     chk::validate_structure(counter_);
     chk::validate(*snap);
@@ -240,6 +245,8 @@ void SnapshotStore::restore(const std::string& path) {
   snap->graph = std::move(g);
   snap->butterflies = meta.butterflies;
   snap->edges = meta.edges;
+  snap->tips_v1 = counter.tips_v1();
+  snap->tips_v2 = counter.tips_v2();
   if constexpr (chk::kCheckedEnabled) {
     chk::validate_structure(counter);  // validate(*snap) recounts its edges
     chk::validate(*snap);

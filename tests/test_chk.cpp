@@ -183,6 +183,8 @@ svc::GraphSnapshot make_snapshot() {
   s.graph = c.to_graph();
   s.butterflies = c.butterflies();
   s.edges = c.edge_count();
+  s.tips_v1 = c.tips_v1();
+  s.tips_v2 = c.tips_v2();
   return s;
 }
 
@@ -199,6 +201,16 @@ TEST(ChkSnapshot, FiresOnButterflyCountDrift) {
 TEST(ChkSnapshot, FiresOnEdgeCountDrift) {
   auto s = make_snapshot();
   s.edges -= 1;
+  EXPECT_THROW(chk::validate(s), chk::CheckError);
+}
+
+TEST(ChkSnapshot, FiresOnTipDrift) {
+  auto s = make_snapshot();
+  ASSERT_EQ(s.tips_v1[0], 1);
+  s.tips_v1[0] += 1;  // one maintained tip off by one
+  EXPECT_THROW(chk::validate(s), chk::CheckError);
+  s = make_snapshot();
+  s.tips_v2.pop_back();  // a vector of the wrong length
   EXPECT_THROW(chk::validate(s), chk::CheckError);
 }
 

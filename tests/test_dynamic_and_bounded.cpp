@@ -3,9 +3,13 @@
 // arbitrary update sequences / workspace budgets.
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <vector>
+
 #include "count/baselines.hpp"
 #include "count/bounded_memory.hpp"
 #include "count/dynamic.hpp"
+#include "count/local_counts.hpp"
 #include "sparse/ops.hpp"
 #include "test_helpers.hpp"
 
@@ -56,6 +60,19 @@ TEST(DynamicCounter, InsertionOrderIrrelevant) {
 
 class DynamicRandomized : public ::testing::TestWithParam<std::uint64_t> {};
 
+/// The maintained tip vectors equal a recount of the materialised graph,
+/// and each sums to 2·butterflies() (a butterfly has two vertices per side).
+void expect_tips_match_recount(const DynamicButterflyCounter& c, int step) {
+  const graph::BipartiteGraph g = c.to_graph();
+  ASSERT_EQ(c.tips_v1(), butterflies_per_v1(g)) << "step " << step;
+  ASSERT_EQ(c.tips_v2(), butterflies_per_v2(g)) << "step " << step;
+  const auto sum = [](const std::vector<count_t>& tips) {
+    return std::accumulate(tips.begin(), tips.end(), count_t{0});
+  };
+  ASSERT_EQ(sum(c.tips_v1()), 2 * c.butterflies()) << "step " << step;
+  ASSERT_EQ(sum(c.tips_v2()), 2 * c.butterflies()) << "step " << step;
+}
+
 TEST_P(DynamicRandomized, TracksExactCounterThroughMixedUpdates) {
   const auto seed = GetParam();
   Rng rng(seed);
@@ -64,24 +81,52 @@ TEST_P(DynamicRandomized, TracksExactCounterThroughMixedUpdates) {
   std::vector<std::pair<vidx_t, vidx_t>> present;
 
   for (int step = 0; step < 300; ++step) {
-    const bool do_insert = present.empty() || rng.bernoulli(0.6);
-    if (do_insert) {
+    const std::uint64_t op = present.empty() ? 0 : rng.bounded(10);
+    if (op < 6) {
       const auto u = static_cast<vidx_t>(rng.bounded(n1));
       const auto v = static_cast<vidx_t>(rng.bounded(n2));
       if (!c.has_edge(u, v)) present.emplace_back(u, v);
       c.insert(u, v);
-    } else {
+    } else if (op < 8) {
       const auto k = static_cast<std::size_t>(rng.bounded(present.size()));
       c.remove(present[k].first, present[k].second);
       present.erase(present.begin() + static_cast<std::ptrdiff_t>(k));
+    } else if (op == 8) {
+      // Re-inserting a present edge changes nothing.
+      const auto& [u, v] = present[rng.bounded(present.size())];
+      ASSERT_EQ(c.insert(u, v), 0);
+    } else {
+      // Removing an absent edge changes nothing.
+      const auto u = static_cast<vidx_t>(rng.bounded(n1));
+      const auto v = static_cast<vidx_t>(rng.bounded(n2));
+      if (!c.has_edge(u, v)) ASSERT_EQ(c.remove(u, v), 0);
     }
-    // Every 25 steps, verify against a from-scratch recount.
+    ASSERT_NO_FATAL_FAILURE(expect_tips_match_recount(c, step));
+    // Every 25 steps, verify the count against a from-scratch recount.
     if (step % 25 == 24) {
       const auto g = graph::BipartiteGraph::from_edges(n1, n2, present);
       ASSERT_EQ(c.butterflies(), wedge_reference(g)) << "step " << step;
       ASSERT_EQ(c.edge_count(), g.edge_count());
     }
   }
+
+  // Drain V1 vertex 0 and V2 vertex 0 down to degree 0: their tips read 0
+  // and every other tip follows.
+  int step = 300;
+  const std::vector<vidx_t> n_u(c.neighbors_v1(0).begin(),
+                                c.neighbors_v1(0).end());
+  for (const vidx_t v : n_u) {
+    c.remove(0, v);
+    ASSERT_NO_FATAL_FAILURE(expect_tips_match_recount(c, step++));
+  }
+  const std::vector<vidx_t> n_v(c.neighbors_v2(0).begin(),
+                                c.neighbors_v2(0).end());
+  for (const vidx_t u : n_v) {
+    c.remove(u, 0);
+    ASSERT_NO_FATAL_FAILURE(expect_tips_match_recount(c, step++));
+  }
+  EXPECT_EQ(c.tips_v1()[0], 0);
+  EXPECT_EQ(c.tips_v2()[0], 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DynamicRandomized,

@@ -22,6 +22,7 @@
 #include "chk/check.hpp"
 #include "count/baselines.hpp"
 #include "count/local_counts.hpp"
+#include "count/top_pairs.hpp"
 #include "graph/io_binary.hpp"
 #include "graph/io_edgelist.hpp"
 #include "graph/io_mtx.hpp"
@@ -109,6 +110,14 @@ std::vector<svc::EdgeUpdate> random_batch(vidx_t n1, vidx_t n2,
         static_cast<std::uint64_t>(n2)));
     batch.push_back({u, v, !rng.bernoulli(0.25)});
   }
+  return batch;
+}
+
+/// K_{3,3} on vertices 0..2 of both sides.
+std::vector<svc::EdgeUpdate> k33() {
+  std::vector<svc::EdgeUpdate> batch;
+  for (vidx_t u = 0; u < 3; ++u)
+    for (vidx_t v = 0; v < 3; ++v) batch.push_back(svc::EdgeUpdate::add(u, v));
   return batch;
 }
 
@@ -396,6 +405,8 @@ TEST(CancelRobustness, ExpiredTokenAbortsEveryKernel) {
   EXPECT_THROW((void)count::butterflies_per_v1(g, expired()), CancelledError);
   EXPECT_THROW((void)count::butterflies_per_v2(g, expired()), CancelledError);
   EXPECT_THROW((void)count::support_per_edge(g, expired()), CancelledError);
+  EXPECT_THROW((void)count::top_wedge_pairs_v1(g, 5, expired()),
+               CancelledError);
 }
 
 TEST(CancelRobustness, UnarmedTokenChangesNothing) {
@@ -404,6 +415,8 @@ TEST(CancelRobustness, UnarmedTokenChangesNothing) {
             count::butterflies_per_v1(g));
   EXPECT_EQ(count::support_per_edge(g, CancelToken{}),
             count::support_per_edge(g));
+  EXPECT_EQ(count::top_wedge_pairs_v1(g, 5, CancelToken{}),
+            count::top_wedge_pairs_v1(g, 5));
 }
 
 TEST(CancelRobustness, CancelledErrorNamesTheKernel) {
@@ -437,13 +450,19 @@ TEST(PersistRestore, RoundTripRecoversExactEpochAndCount) {
   EXPECT_EQ(b->butterflies, a->butterflies);
   EXPECT_EQ(b->edges, a->edges);
   EXPECT_EQ(count::wedge_reference(b->graph), b->butterflies);
+  // The tips are not in the file: the restore recounts them.
+  EXPECT_EQ(b->tips_v1, count::butterflies_per_v1(b->graph));
+  EXPECT_EQ(b->tips_v2, count::butterflies_per_v2(b->graph));
+  EXPECT_EQ(b->tips_v1, a->tips_v1);
 
   // Warm restart continues the epoch sequence with zero count drift.
   const svc::PublishResult next =
       reborn.apply_batch(random_batch(30, 25, 120, 777));
   EXPECT_EQ(next.epoch, writer.epoch() + 1);
-  EXPECT_EQ(reborn.current()->butterflies,
-            count::wedge_reference(reborn.current()->graph));
+  const svc::SnapshotPtr c = reborn.current();
+  EXPECT_EQ(c->butterflies, count::wedge_reference(c->graph));
+  EXPECT_EQ(c->tips_v1, count::butterflies_per_v1(c->graph));
+  EXPECT_EQ(c->tips_v2, count::butterflies_per_v2(c->graph));
 }
 
 TEST(PersistRestore, EveryTruncationRejectedAndStoreUntouched) {
@@ -538,7 +557,7 @@ TEST(PersistRestore, ServiceRestoreFlushesCachesAndContinues) {
   service.persist(file.str());
 
   (void)service.apply_updates(random_batch(3, 3, 12, 22));
-  (void)service.vertex_tip_v1(0).get();
+  (void)service.top_pairs(2).get();
   ASSERT_GT(service.cache().size(), 0u);
 
   service.restore(file.str());
@@ -568,68 +587,86 @@ class FaultGated : public ::testing::Test {
 
 TEST_F(FaultGated, SaturationDegradesToStaleCache) {
   svc::ButterflyService service(3, 3, svc::ServiceOptions{.threads = 1});
-  std::vector<svc::EdgeUpdate> k33;
-  for (vidx_t u = 0; u < 3; ++u)
-    for (vidx_t v = 0; v < 3; ++v) k33.push_back(svc::EdgeUpdate::add(u, v));
-  (void)service.apply_updates(k33);  // epoch 1 = K_{3,3}
+  (void)service.apply_updates(k33());  // epoch 1 = K_{3,3}
 
-  const svc::QueryResult<count_t> exact = service.vertex_tip_v1(0).get();
-  ASSERT_EQ(exact.value, 6);  // 2·C(3,2) butterflies touch each V1 vertex
+  // Edge support queues; a tip query would answer inline.
+  const svc::QueryResult<count_t> exact = service.edge_support(0, 0).get();
+  ASSERT_EQ(exact.value, 4);  // (3−1)·(3−1) butterflies per K_{3,3} edge
   ASSERT_FALSE(exact.degraded());
 
   (void)service.apply_updates({svc::EdgeUpdate::del(2, 2)});  // epoch 2
   const svc::fault::Scoped saturated(
       svc::fault::Point::kQueueSaturation, 0, kForever);
-  // Admission refuses; the ladder's first rung is epoch 1's cached answer.
-  const svc::QueryResult<count_t> stale = service.vertex_tip_v1(0).get();
-  EXPECT_EQ(stale.value, 6);
+  // Admission refuses; the ladder's first rung is epoch 1's cached answer
+  // (epoch 2's own support of (0, 0) is 3).
+  const svc::QueryResult<count_t> stale = service.edge_support(0, 0).get();
+  EXPECT_EQ(stale.value, 4);
   EXPECT_EQ(stale.epoch, 1u);
   EXPECT_EQ(stale.fidelity, svc::Fidelity::kStale);
 }
 
-TEST_F(FaultGated, SaturationDegradesToRetainedTipPass) {
+TEST_F(FaultGated, SaturatedOneShardTipAnswersInlineAndExact) {
   svc::ButterflyService service(4, 4, svc::ServiceOptions{.threads = 1});
-  std::vector<svc::EdgeUpdate> k33;
-  for (vidx_t u = 0; u < 3; ++u)
-    for (vidx_t v = 0; v < 3; ++v) k33.push_back(svc::EdgeUpdate::add(u, v));
-  (void)service.apply_updates(k33);  // epoch 1
-
-  // Query vertex 0 so epoch 1's FULL tip pass is memoised, but only vertex
-  // 0's scalar is cached — a later vertex-1 query cannot use rung 1.
-  ASSERT_EQ(service.vertex_tip_v1(0).get().value, 6);
+  (void)service.apply_updates(k33());                         // epoch 1
+  const svc::SnapshotPtr pinned = service.snapshot();
   (void)service.apply_updates({svc::EdgeUpdate::add(3, 3)});  // epoch 2
 
   const svc::fault::Scoped saturated(
       svc::fault::Point::kQueueSaturation, 0, kForever);
-  const svc::QueryResult<count_t> memo = service.vertex_tip_v1(1).get();
-  EXPECT_EQ(memo.value, 6);  // vertex 1's tip number out of the epoch-1 pass
-  EXPECT_EQ(memo.epoch, 1u);
-  EXPECT_EQ(memo.fidelity, svc::Fidelity::kStale);
+  // Nothing is cached and the queue refuses everything, yet every tip is
+  // exact at the epoch it was asked at: a lookup never reaches admission.
+  for (vidx_t x = 0; x < 3; ++x) {
+    const svc::QueryResult<count_t> v1 = service.vertex_tip_v1(x).get();
+    EXPECT_EQ(v1.value, 6);  // 2·C(3,2) butterflies touch each vertex
+    EXPECT_EQ(v1.epoch, 2u);
+    EXPECT_EQ(v1.fidelity, svc::Fidelity::kExact);
+    const svc::QueryResult<count_t> v2 =
+        service.vertex_tip_v2(x, pinned).get();
+    EXPECT_EQ(v2.value, 6);
+    EXPECT_EQ(v2.epoch, 1u);
+    EXPECT_EQ(v2.fidelity, svc::Fidelity::kExact);
+  }
+  EXPECT_EQ(service.vertex_tip_v1(3).get().value, 0);
+  EXPECT_EQ(svc::fault::fired_count(svc::fault::Point::kQueueSaturation), 0u);
 }
 
-TEST_F(FaultGated, SaturationFallsBackToSampledEstimate) {
-  svc::ButterflyService service(3, 3, svc::ServiceOptions{.threads = 1});
-  std::vector<svc::EdgeUpdate> k33;
-  for (vidx_t u = 0; u < 3; ++u)
-    for (vidx_t v = 0; v < 3; ++v) k33.push_back(svc::EdgeUpdate::add(u, v));
-  (void)service.apply_updates(k33);  // epoch 1, nothing cached or memoised
+TEST_F(FaultGated, SaturatedShardedTipUsesFreshestAggregateOrSheds) {
+  // Three shards over V1 ranges [0, 3), [3, 6), [6, 9).
+  svc::ButterflyService service(9, 6,
+                                svc::ServiceOptions{.threads = 1, .shards = 3});
+  const auto add = svc::EdgeUpdate::add;
+  // A: one butterfly across shards 0 and 1, {0, 4} x {0, 1}.
+  (void)service.apply_updates({add(0, 0), add(0, 1), add(4, 0), add(4, 1)});
+  {
+    const svc::fault::Scoped saturated(
+        svc::fault::Point::kQueueSaturation, 0, kForever);
+    // No cross aggregate exists yet and nothing is cached: shed.
+    std::future<svc::QueryResult<count_t>> shed = service.vertex_tip_v1(0);
+    EXPECT_THROW((void)shed.get(), svc::OverloadError);
+  }
+  ASSERT_EQ(service.global_count().get().value, 1);  // computes A's aggregate
 
+  // B: a butterfly local to shard 0, {0, 1} x {2, 3}. B's view has no
+  // aggregate, so its tip queries queue for the cross pass.
+  (void)service.apply_updates({add(0, 2), add(0, 3), add(1, 2), add(1, 3)});
+  const shard::ShardViewPtr b = service.view();
   const svc::fault::Scoped saturated(
       svc::fault::Point::kQueueSaturation, 0, kForever);
-  const svc::QueryResult<count_t> approx = service.vertex_tip_v1(0).get();
-  // On K_{3,3} every sampled wedge closes the same way (x = 2, W_u = 6), so
-  // the estimator is deterministic and exact: 2·6/2 = 6.
-  EXPECT_EQ(approx.value, 6);
-  EXPECT_EQ(approx.epoch, 1u);
-  EXPECT_EQ(approx.fidelity, svc::Fidelity::kApprox);
+  // Below the (empty) previous-generation rung: A's aggregate plus B's
+  // pinned local tips, tagged stale at B's version.
+  const svc::QueryResult<count_t> tip = service.vertex_tip_v1(0, b).get();
+  EXPECT_EQ(tip.fidelity, svc::Fidelity::kStale);
+  EXPECT_EQ(tip.epoch, b->version);
+  EXPECT_EQ(tip.value, 1 + b->shards[0]->tips_v1[0]);  // A's cross term is 1
+  EXPECT_EQ(b->shards[0]->tips_v1[0], 1);
+  const svc::QueryResult<count_t> v2 = service.vertex_tip_v2(2, b).get();
+  EXPECT_EQ(v2.fidelity, svc::Fidelity::kStale);
+  EXPECT_EQ(v2.value, 1);  // no cross butterfly at v = 2 in A
 }
 
 TEST_F(FaultGated, SaturationAnswersEdgeSupportInlineAndExact) {
   svc::ButterflyService service(3, 3, svc::ServiceOptions{.threads = 1});
-  std::vector<svc::EdgeUpdate> k33;
-  for (vidx_t u = 0; u < 3; ++u)
-    for (vidx_t v = 0; v < 3; ++v) k33.push_back(svc::EdgeUpdate::add(u, v));
-  (void)service.apply_updates(k33);
+  (void)service.apply_updates(k33());
 
   const svc::fault::Scoped saturated(
       svc::fault::Point::kQueueSaturation, 0, kForever);
@@ -640,10 +677,7 @@ TEST_F(FaultGated, SaturationAnswersEdgeSupportInlineAndExact) {
 
 TEST_F(FaultGated, SaturationServesStaleTopPairsOrSheds) {
   svc::ButterflyService service(3, 3, svc::ServiceOptions{.threads = 1});
-  std::vector<svc::EdgeUpdate> k33;
-  for (vidx_t u = 0; u < 3; ++u)
-    for (vidx_t v = 0; v < 3; ++v) k33.push_back(svc::EdgeUpdate::add(u, v));
-  (void)service.apply_updates(k33);  // epoch 1
+  (void)service.apply_updates(k33());  // epoch 1
   const svc::QueryResult<svc::TopPairsPtr> exact = service.top_pairs(2).get();
   ASSERT_EQ(exact.value->size(), 2u);
 
@@ -668,17 +702,29 @@ TEST_F(FaultGated, SlowKernelTripsDeadlineIntoDegradedAnswer) {
   for (vidx_t u = 0; u < g.n1(); ++u)
     for (const vidx_t v : g.csr().row(u))
       batch.push_back(svc::EdgeUpdate::add(u, v));
-  (void)service.apply_updates(batch);
+  (void)service.apply_updates(batch);                          // epoch 1
+  const svc::QueryResult<svc::TopPairsPtr> first = service.top_pairs(4).get();
+  ASSERT_FALSE(first.degraded());
+  (void)service.apply_updates({svc::EdgeUpdate::del(0, 0),
+                               svc::EdgeUpdate::add(0, 0)});  // epoch 2
 
-  // The injected 80 ms stall outlives the 5 ms budget, so the pass is
-  // cancelled mid-flight (or abandoned at dequeue) — either way the caller
-  // gets a degraded answer instead of a late exact one.
-  const svc::fault::Scoped slow(svc::fault::Point::kSlowKernel, 0, 1, 80);
-  const svc::Request req(service.snapshot(), svc::Deadline::after(5ms));
-  const svc::QueryResult<count_t> result =
-      service.vertex_tip_v1(0, req).get();
-  EXPECT_TRUE(result.degraded());
-  EXPECT_EQ(result.fidelity, svc::Fidelity::kApprox);  // no stale tier yet
+  // The injected 80 ms stall outlives the 5 ms budget, so the top-pairs
+  // pass is cancelled mid-flight (or abandoned at dequeue) — either way the
+  // caller gets epoch 1's list instead of a late exact one.
+  {
+    const svc::fault::Scoped slow(svc::fault::Point::kSlowKernel, 0, 1, 80);
+    const svc::Request req(service.snapshot(), svc::Deadline::after(5ms));
+    const svc::QueryResult<svc::TopPairsPtr> result =
+        service.top_pairs(4, req).get();
+    EXPECT_TRUE(result.degraded());
+    EXPECT_EQ(result.fidelity, svc::Fidelity::kStale);
+    EXPECT_EQ(result.epoch, 1u);
+    EXPECT_EQ(result.value.get(), first.value.get());
+  }
+  // The next query runs the pass and answers exact at epoch 2.
+  const svc::QueryResult<svc::TopPairsPtr> next = service.top_pairs(4).get();
+  EXPECT_FALSE(next.degraded());
+  EXPECT_EQ(next.epoch, 2u);
 }
 
 TEST_F(FaultGated, TornPersistIsRejectedAtRestore) {

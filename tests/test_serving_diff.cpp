@@ -157,7 +157,6 @@ class Program {
     ServiceOptions opt;
     opt.threads = 1 + static_cast<int>(rng_.bounded(2));
     opt.cache_capacity = rng_.bernoulli(0.3) ? 8 : 1 << 12;
-    opt.memo_keep_epochs = 1 + rng_.bounded(4);
     one_ = std::make_unique<ButterflyService>(n1_, n2_, opt);
     opt.shards = kShards;
     three_ = std::make_unique<ButterflyService>(n1_, n2_, opt);
@@ -259,6 +258,26 @@ class Program {
       fail(at.str() + "one-shard created-destroyed " +
            std::to_string(r1.created - r1.destroyed) + ", oracle delta " +
            std::to_string(after - before));
+    check_shard_tips(*one_, at.str());
+    check_shard_tips(*three_, at.str());
+  }
+
+  /// Every published shard snapshot's maintained tips against the oracle on
+  /// the edges that shard owns (with one shard, all of them).
+  void check_shard_tips(const ButterflyService& s, const std::string& at) {
+    const shard::RangePartition& part = s.shard_store().partition();
+    for (int k = 0; k < s.shard_count(); ++k) {
+      std::vector<std::pair<vidx_t, vidx_t>> owned;
+      for (const std::pair<vidx_t, vidx_t>& e : cur_->edges)
+        if (part.owner(e.first) == k) owned.push_back(e);
+      const auto g = graph::BipartiteGraph::from_edges(n1_, n2_, owned);
+      const SnapshotPtr snap = s.shard_store().shard_snapshot(k);
+      if (snap->tips_v1 != count::butterflies_per_v1(g) ||
+          snap->tips_v2 != count::butterflies_per_v2(g))
+        return fail(at + "shard " + std::to_string(k) + " of " +
+                    std::to_string(s.shard_count()) +
+                    ": maintained tips differ from the oracle");
+    }
   }
 
   void persist() {

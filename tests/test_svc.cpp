@@ -1,11 +1,15 @@
 // Tests for the serving subsystem (src/svc/): snapshot store epoch
-// semantics, LRU result cache, executor, request coalescing (asserted via
-// the obs counters), dynamic-counter parity with from-scratch recounts, and
-// a TSan-friendly readers-vs-writer stress test.
+// semantics, LRU result cache, executor, one-shard tip queries answered as
+// snapshot lookups, range checks against the pinned view, dynamic-counter
+// parity with from-scratch recounts, and a TSan-friendly readers-vs-writer
+// stress test.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -158,6 +162,52 @@ TEST(Service, OutOfRangeQueriesThrow) {
   EXPECT_THROW(service.edge_support(-1, 0), std::invalid_argument);
 }
 
+/// K_{3,3} on vertices {lo, lo+1, lo+2} of both sides.
+std::vector<EdgeUpdate> k33_at(vidx_t lo) {
+  std::vector<EdgeUpdate> batch;
+  for (vidx_t u = lo; u < lo + 3; ++u)
+    for (vidx_t v = lo; v < lo + 3; ++v) batch.push_back(EdgeUpdate::add(u, v));
+  return batch;
+}
+
+// A one-shard restore may change the dimensions, so queries range-check
+// against the view they answer from, never the latest store: a vertex
+// outside the pinned graph throws, and one inside it answers even when the
+// latest graph is smaller.
+TEST(Service, PinnedQueriesRangeCheckAgainstThePinnedView) {
+  const std::string big = ::testing::TempDir() + "bfc_pinned_range_16.snap";
+  const std::string small = ::testing::TempDir() + "bfc_pinned_range_8.snap";
+  {
+    ButterflyService s16(16, 16, {.threads = 1});
+    s16.apply_updates(k33_at(10));  // vertex 12 sits in six butterflies
+    s16.persist(big);
+    ButterflyService s8(8, 8, {.threads = 1});
+    s8.apply_updates(k33_at(0));
+    s8.persist(small);
+  }
+
+  ButterflyService service(8, 8, {.threads = 1});
+  service.apply_updates(k33_at(0));
+  const shard::ShardViewPtr pinned8 = service.view();
+  service.restore(big);  // the latest graph is 16 x 16 now
+  EXPECT_THROW(service.vertex_tip_v1(12, pinned8), std::invalid_argument);
+  EXPECT_THROW(service.vertex_tip_v2(12, pinned8), std::invalid_argument);
+  EXPECT_THROW(service.edge_support(12, 12, pinned8), std::invalid_argument);
+  EXPECT_THROW(service.edge_support(0, 12, pinned8), std::invalid_argument);
+  EXPECT_EQ(service.vertex_tip_v1(0, pinned8).get().value, 6);
+  EXPECT_EQ(service.vertex_tip_v1(12).get().value, 6);
+  EXPECT_EQ(service.edge_support(12, 12).get().value, 4);
+
+  const shard::ShardViewPtr pinned16 = service.view();
+  service.restore(small);  // and 8 x 8 again
+  EXPECT_THROW(service.vertex_tip_v1(12), std::invalid_argument);
+  EXPECT_EQ(service.vertex_tip_v1(12, pinned16).get().value, 6);
+  EXPECT_EQ(service.vertex_tip_v2(12, pinned16).get().value, 6);
+  EXPECT_EQ(service.edge_support(12, 12, pinned16).get().value, 4);
+  std::remove(big.c_str());
+  std::remove(small.c_str());
+}
+
 TEST(Service, CachePrunedToStaleTierOnPublish) {
   ButterflyService service(8, 8, {.threads = 2});
   service.apply_updates(inserts_of(random_graph(8, 8, 0.5, 5)));
@@ -193,33 +243,46 @@ TEST(Service, CachePrunedToStaleTierOnPublish) {
   EXPECT_EQ(service.cache().size(), 1u);
 }
 
-TEST(Service, ConcurrentTipQueriesCoalesceIntoOnePass) {
-  if (!obs::kMetricsEnabled)
-    GTEST_SKIP() << "coalescing is asserted via obs counters";
+TEST(Service, ConcurrentOneShardTipQueriesAnswerWithoutQueueing) {
   ButterflyService service(32, 24, {.threads = 4});
   service.apply_updates(inserts_of(random_graph(32, 24, 0.3, 9)));
   const SnapshotPtr snap = service.snapshot();
-  const std::vector<count_t> expect = count::butterflies_per_v1(snap->graph);
+  const std::vector<count_t> tips_v1 = count::butterflies_per_v1(snap->graph);
+  const std::vector<count_t> tips_v2 = count::butterflies_per_v2(snap->graph);
+  const std::int64_t lookups0 =
+      counter_value("svc.cache_hits") + counter_value("svc.cache_misses");
 
-  const std::int64_t passes0 = counter_value("svc.tip_passes");
-  const std::int64_t batches0 = counter_value("svc.coalesced_batches");
-  const std::int64_t joined0 = counter_value("svc.coalesced_queries");
-
-  // M concurrent per-vertex queries, all distinct vertices (so none can be
-  // answered by the LRU cache), all for the same epoch and side.
-  constexpr vidx_t kM = 24;
-  std::vector<std::future<QueryResult<count_t>>> futures;
-  futures.reserve(kM);
-  for (vidx_t u = 0; u < kM; ++u)
-    futures.push_back(service.vertex_tip_v1(u, snap));
-  for (vidx_t u = 0; u < kM; ++u)
-    EXPECT_EQ(futures[static_cast<std::size_t>(u)].get().value,
-              expect[static_cast<std::size_t>(u)]);
-
-  // One underlying pass over count::local_counts served all kM requests.
-  EXPECT_EQ(counter_value("svc.tip_passes"), passes0 + 1);
-  EXPECT_EQ(counter_value("svc.coalesced_queries"), joined0 + kM - 1);
-  EXPECT_EQ(counter_value("svc.coalesced_batches"), batches0 + 1);
+  // Four readers ask for every vertex of both sides at once. Each answer is
+  // a lookup in the pinned snapshot's maintained tips: its future is ready
+  // when the call returns, and it never probes the cache on its way to a
+  // queued pass.
+  std::atomic<int> queued{0};
+  std::atomic<int> wrong{0};
+  const auto check = [&](std::future<QueryResult<count_t>> f, count_t want) {
+    if (f.wait_for(std::chrono::seconds(0)) != std::future_status::ready)
+      queued.fetch_add(1, std::memory_order_relaxed);
+    const QueryResult<count_t> r = f.get();
+    if (r.value != want || r.degraded() || r.epoch != snap->epoch)
+      wrong.fetch_add(1, std::memory_order_relaxed);
+  };
+  {
+    std::vector<std::jthread> readers;
+    for (int r = 0; r < 4; ++r)
+      readers.emplace_back([&] {
+        for (vidx_t u = 0; u < 32; ++u)
+          check(service.vertex_tip_v1(u, snap),
+                tips_v1[static_cast<std::size_t>(u)]);
+        for (vidx_t v = 0; v < 24; ++v)
+          check(service.vertex_tip_v2(v, snap),
+                tips_v2[static_cast<std::size_t>(v)]);
+      });
+  }
+  EXPECT_EQ(queued.load(), 0);
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(service.queue_depth(), 0u);
+  EXPECT_EQ(
+      counter_value("svc.cache_hits") + counter_value("svc.cache_misses"),
+      lookups0);
 }
 
 TEST(ResultCache, LruEvictionAndRecency) {
@@ -376,17 +439,18 @@ TEST(Service, SloBudgetExhaustionTripsOverloadedAndDegrades) {
   service.apply_updates(inserts_of(g));
   EXPECT_FALSE(service.overloaded());  // no observations yet
 
-  // Distinct vertices: cache hits observe ~0µs and would stay under even
-  // this target, so each query must reach the (slow, exact) kernel path.
-  for (vidx_t v = 0; v < 8; ++v)
-    (void)service.vertex_tip_v1(v, {}).get();
+  // Distinct k: cache hits (and inline lookups) observe ~0µs and would stay
+  // under even this target, so each query must reach the (slow, exact)
+  // top-pairs pass.
+  for (std::size_t k = 1; k <= 8; ++k) (void)service.top_pairs(k, {}).get();
   EXPECT_TRUE(service.slo().budget_exhausted());
-  EXPECT_GT(service.slo().burn_rate(QueryKind::kVertexTipV1), 1.0);
+  EXPECT_GT(service.slo().burn_rate(QueryKind::kTopPairs), 1.0);
   EXPECT_TRUE(service.overloaded());
 
-  // With the budget exhausted the admission rung answers degraded.
-  const QueryResult<count_t> degraded =
-      service.vertex_tip_v1(20, {}).get();
+  // With the budget exhausted the admission rung answers degraded: the
+  // previous generation's list.
+  service.apply_updates({EdgeUpdate::add(0, 0), EdgeUpdate::del(0, 0)});
+  const QueryResult<TopPairsPtr> degraded = service.top_pairs(1, {}).get();
   EXPECT_TRUE(degraded.degraded());
 }
 
@@ -402,7 +466,7 @@ TEST(Service, QuerySpanTreeLinksQueueAndKernel) {
 
   obs::SpanLog::clear();
   obs::SpanLog::set_enabled(true);
-  (void)service.vertex_tip_v1(5, {}).get();
+  (void)service.top_pairs(5, {}).get();
   obs::SpanLog::set_enabled(false);
 
   const std::vector<obs::SpanRecord> spans = obs::SpanLog::snapshot();
@@ -410,9 +474,9 @@ TEST(Service, QuerySpanTreeLinksQueueAndKernel) {
   const obs::SpanRecord* queue = nullptr;
   const obs::SpanRecord* kernel = nullptr;
   for (const obs::SpanRecord& s : spans) {
-    if (s.name == "svc.query.tip_v1") query = &s;
+    if (s.name == "svc.query.top_pairs") query = &s;
     if (s.name == "svc.queue") queue = &s;
-    if (s.name == "svc.kernel.tip_v1") kernel = &s;
+    if (s.name == "svc.kernel.top_pairs") kernel = &s;
   }
   ASSERT_NE(query, nullptr);
   ASSERT_NE(queue, nullptr);
@@ -425,6 +489,7 @@ TEST(Service, QuerySpanTreeLinksQueueAndKernel) {
   EXPECT_EQ(kernel->trace_id, query->trace_id);
   EXPECT_EQ(kernel->parent_id, query->span_id);
   EXPECT_EQ(kernel->tag("outcome"), "ok");
+  EXPECT_EQ(kernel->tag("shard"), "0");
   EXPECT_EQ(query->tag("cache"), "miss");
   EXPECT_EQ(query->tag("outcome"), "exact");
   obs::SpanLog::clear();
@@ -443,13 +508,14 @@ TEST(Service, CancelledKernelStillClosesItsSpanTagged) {
   obs::SpanLog::clear();
   obs::SpanLog::set_enabled(true);
   {
-    // The tip pass sleeps 250 ms while the request's deadline expires after
-    // 50 ms, so the kernel observes its cancel token mid-pass and gives up.
+    // The top-pairs pass sleeps 250 ms while the request's deadline expires
+    // after 50 ms, so the kernel observes its cancel token mid-pass and
+    // gives up.
     const fault::Scoped slow(fault::Point::kSlowKernel, 0, 1, /*ms=*/250);
     const Request req(service.snapshot(),
                       Deadline::after(std::chrono::milliseconds(50)));
     try {
-      const QueryResult<count_t> r = service.vertex_tip_v1(3, req).get();
+      const QueryResult<TopPairsPtr> r = service.top_pairs(3, req).get();
       EXPECT_TRUE(r.degraded());  // fell down the ladder, never exact
     } catch (const OverloadError&) {
       // Acceptable: no degraded tier could answer either.
@@ -463,8 +529,8 @@ TEST(Service, CancelledKernelStillClosesItsSpanTagged) {
   const obs::SpanRecord* kernel = nullptr;
   const obs::SpanRecord* query = nullptr;
   for (const obs::SpanRecord& s : spans) {
-    if (s.name == "svc.kernel.tip_v1") kernel = &s;
-    if (s.name == "svc.query.tip_v1") query = &s;
+    if (s.name == "svc.kernel.top_pairs") kernel = &s;
+    if (s.name == "svc.query.top_pairs") query = &s;
   }
   // The cancelled kernel's span is closed and tagged, not dropped.
   ASSERT_NE(kernel, nullptr);
@@ -477,6 +543,12 @@ TEST(Service, CancelledKernelStillClosesItsSpanTagged) {
   EXPECT_FALSE(query->tag("outcome").empty());
   EXPECT_EQ(kernel->parent_id, query->span_id);
   obs::SpanLog::clear();
+
+  // The fault is spent and the cancelled pass cached nothing: the next
+  // query runs the pass and answers exact.
+  const QueryResult<TopPairsPtr> next = service.top_pairs(3).get();
+  EXPECT_FALSE(next.degraded());
+  EXPECT_EQ(*next.value, count::top_wedge_pairs_v1(g, 3));
 }
 
 }  // namespace

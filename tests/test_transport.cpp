@@ -199,6 +199,12 @@ TEST(RemoteShardProto, ParityWithTheLocalShardItProxies) {
   EXPECT_EQ(got->epoch, ref->epoch);
   EXPECT_EQ(got->butterflies, ref->butterflies);
   EXPECT_EQ(got->edges, ref->edges);
+  // The fetched snapshot's tips are the client's own recount, and equal the
+  // host's maintained ones.
+  EXPECT_EQ(got->tips_v1, count::butterflies_per_v1(got->graph));
+  EXPECT_EQ(got->tips_v2, count::butterflies_per_v2(got->graph));
+  EXPECT_EQ(got->tips_v1, ref->tips_v1);
+  EXPECT_EQ(got->tips_v2, ref->tips_v2);
   EXPECT_EQ(remote.epoch(), 1u);
   EXPECT_TRUE(remote.healthy());
 
