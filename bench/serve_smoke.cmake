@@ -1,7 +1,8 @@
 # Test driver for the serve-smoke ctest family: runs bench/serving with
 # --json, relying on the bench's built-in acceptance checks (zero count
 # drift vs. a from-scratch recount; every tip answer at the final epoch equal
-# to a recount; nonzero cache hits in normal mode; nonzero
+# to a recount; nonzero cache hits in normal mode, which the top-pairs reads
+# above K' = 64 supply (--top-k 65: a pass whose answer caches); nonzero
 # shed/rejected/expired work in overload mode), then validates the RunReport
 # artifact with report_lint.
 # Expects -DBENCH=<path> -DLINT=<path> -DOUT=<dir>; optional -DMODE= and
@@ -12,9 +13,10 @@
 #             full config's wall-clock latency numbers flaky
 #   overload  undersized pool + bounded queue: proves admission control
 #             sheds, answers degrade, and the count still reconciles. With
-#             one shard a tip or global query is a lookup that never queues,
-#             so the overload loads lean on edge and top-pairs queries and
-#             run long enough that every generation sees queued misses: the
+#             one shard a tip, global or top-64 query is a lookup that never
+#             queues, so the overload loads lean on edge queries and on
+#             top-pairs queries above K' = 64 (--top-k 65), and run long
+#             enough that every generation sees queued misses: the
 #             stale-cache rung then answers some, eviction sheds others
 #   telemetry overload load with the whole telemetry plane armed: the
 #             OpenMetrics dump must lint clean (svc.slo.* included), the
@@ -52,7 +54,7 @@ if(NOT DEFINED MODE)
 endif()
 if(MODE STREQUAL "light")
   set(load --scale 0.02 --readers 2 --epochs 2 --batch 40 --queries 40
-           --pool 2)
+           --pool 2 --top-k 65)
 elseif(MODE STREQUAL "overload")
   # --degrade-depth above the queue bound: with the depth-1 default the
   # service degrades preemptively instead of submitting, so queue overflow
@@ -61,8 +63,8 @@ elseif(MODE STREQUAL "overload")
   # deep degrade threshold keeps the exact rung submitting, making eviction
   # structural; degraded answers still appear via eviction fallbacks.
   set(load --overload --scale 0.02 --readers 6 --epochs 3 --batch 60
-           --queries 1000 --mix tip:3,global:1,edge:3,top:3 --pool 1
-           --max-queue 2 --degrade-depth 64)
+           --queries 1000 --mix tip:3,global:1,edge:3,top:3 --top-k 65
+           --pool 1 --max-queue 2 --degrade-depth 64)
 elseif(MODE STREQUAL "shard")
   # --degrade-depth above the queue bound keeps the exact rung submitting
   # instead of degrading preemptively, so queue overflow (and therefore the
@@ -85,17 +87,21 @@ elseif(MODE STREQUAL "chaos")
            --metrics-file "${OUT}/metrics.txt")
 elseif(MODE STREQUAL "telemetry")
   # --degrade-depth 64, the mix and the query count for the same reasons
-  # as MODE=overload.
-  set(load --overload --scale 0.05 --readers 6 --epochs 3 --batch 60
-           --queries 1000 --mix tip:3,global:1,edge:3,top:3 --pool 1
-           --max-queue 2 --degrade-depth 64 --slo-ms 5
+  # as MODE=overload. A degraded answer is a queued top-pairs read that
+  # finds the previous generation's list; each generation caches its list
+  # after the first such read completes, so the window for one opens once
+  # per publish. With 3 epochs the span check saw no degraded answer in
+  # 3 to 9 of 30 runs on an idle 4-vCPU VM; with 10, in none of 100.
+  set(load --overload --scale 0.05 --readers 6 --epochs 10 --batch 60
+           --queries 1000 --mix tip:3,global:1,edge:3,top:3 --top-k 65
+           --pool 1 --max-queue 2 --degrade-depth 64 --slo-ms 5
            --metrics-file "${OUT}/metrics.txt"
            --spans-out "${OUT}/spans.json"
            --profile-hz 250 --profile-out "${OUT}/profile.folded"
            --flight-out "${OUT}/flight.json")
 else()
   set(load --scale 0.02 --readers 3 --epochs 4 --batch 60 --queries 80
-           --pool 3)
+           --pool 3 --top-k 65)
 endif()
 
 execute_process(

@@ -7,8 +7,12 @@
 // degraded answers, ...).
 //
 //   ./serving [--readers 4] [--epochs 8] [--batch 200] [--queries 500]
-//             [--pool 4] [--mix tip:6,global:2,edge:1,top:1]
+//             [--pool 4] [--mix tip:6,global:2,edge:1,top:1] [--top-k 8]
 //             [--scale 0.05] [--seed 42] [--json out.json] [--trace t.json]
+//
+// A top-pairs read asks for --top-k pairs. Up to K′ = 64 the shards'
+// top-pair buffers answer it as a lookup; above K′ it queues for a pass and
+// caches its answer, the load the cache and overload checks need.
 //
 // Overload mode exercises the fault-tolerance path: a small bounded queue,
 // per-query deadlines and the degradation ladder. The run then also fails
@@ -353,7 +357,7 @@ int main(int argc, char** argv) {
        "zipf", "kill-shard", "host-bin", "overload", "max-queue", "policy",
        "deadline-ms", "degrade-depth", "metrics-port", "metrics-file",
        "spans-out", "trace-sample", "profile-hz", "profile-out", "flight-out",
-       "slo-ms", "slo-objective"});
+       "slo-ms", "slo-objective", "top-k"});
   const Cli cli(argc, argv);
   const int readers = static_cast<int>(cli.get_int("readers", 4));
   const int epochs = static_cast<int>(cli.get_int("epochs", 8));
@@ -362,6 +366,8 @@ int main(int argc, char** argv) {
   const int pool = static_cast<int>(cli.get_int("pool", 4));
   const std::vector<MixEntry> mix =
       parse_mix(cli.get("mix", "tip:6,global:2,edge:1,top:1"));
+  const auto top_k =
+      static_cast<std::size_t>(cli.get_int_at_least("top-k", 8, 1));
   require(readers >= 1 && epochs >= 1 && batch_size >= 1 &&
               queries_per_reader >= 1 && pool >= 1,
           "--readers/--epochs/--batch/--queries/--pool must be >= 1");
@@ -803,7 +809,7 @@ int main(int argc, char** argv) {
               const auto [eu, ev] = random_edge_at(owner, u, n2, rng);
               degraded = service.edge_support(eu, ev, req).get().degraded();
             } else {  // top
-              degraded = service.top_pairs(8, req).get().degraded();
+              degraded = service.top_pairs(top_k, req).get().degraded();
             }
           } catch (const svc::OverloadError&) {
             shed = true;  // no answer at any fidelity; the caller retries
@@ -1069,6 +1075,11 @@ int main(int argc, char** argv) {
               << "  stale answers: " << counter("svc.stale_answers")
               << "  inline answers: " << counter("svc.inline_answers")
               << '\n';
+    // Reading the counters registers them, so the report shows their 0s.
+    std::cout << "top-pair buffer rebuilds: "
+              << counter("svc.top_pair_rebuilds")
+              << "  query-side top-pairs passes: "
+              << counter("svc.top_pair_passes") << '\n';
     if (overload) {
       // The overload run is meaningless if admission never pushed back.
       if (shed + rejected + expired <= 0) {

@@ -6,10 +6,12 @@
 #include "count/baselines.hpp"
 #include "count/dynamic.hpp"
 #include "count/local_counts.hpp"
+#include "count/top_pairs.hpp"
 #include "graph/bipartite_graph.hpp"
 #include "obs/metrics.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/ops.hpp"
 #include "svc/snapshot.hpp"
 
 namespace bfc::chk {
@@ -33,6 +35,37 @@ offset_t validate_adjacency_side(const count::DynamicButterflyCounter& c,
     degree_sum += static_cast<offset_t>(nbrs.size());
   }
   return degree_sum;
+}
+
+/// A top-pair buffer's contract on g: at most K′ pairs, strictly sorted by
+/// pair_order, each a V1 pair with its exact |N(a) ∩ N(b)| > 0, and no
+/// connected pair outside the buffer ranking above the floor. The pairs
+/// above the floor are a prefix of the full ranking and the buffer holds at
+/// most K′ of them, so the ranking's first K′ + 1 pairs either hold them all
+/// or show one missing: one top_wedge_pairs_v1(g, K′ + 1) pass decides.
+void validate_top_pairs(const count::TopPairBuffer& top,
+                        const graph::BipartiteGraph& g) {
+  constexpr std::size_t kCapacity = count::TopPairBuffer::kCapacity;
+  enforce(top.pairs.size() <= kCapacity,
+          "top-pair buffer: more than K' pairs");
+  for (std::size_t i = 0; i < top.pairs.size(); ++i) {
+    const count::VertexPair& p = top.pairs[i];
+    enforce(i == 0 || count::pair_order(top.pairs[i - 1], p),
+            "top-pair buffer: pairs not strictly in pair_order");
+    enforce(0 <= p.a && p.a < p.b && p.b < g.n1(),
+            "top-pair buffer: pair out of range");
+    enforce(p.wedges > 0 &&
+                p.wedges == static_cast<count_t>(sparse::intersection_size(
+                                g.neighbors_of_v1(p.a),
+                                g.neighbors_of_v1(p.b))),
+            "top-pair buffer: wedge count != common neighbours");
+  }
+  for (const count::VertexPair& p :
+       count::top_wedge_pairs_v1(g, kCapacity + 1)) {
+    if (!count::pair_order(p, top.floor)) break;
+    enforce(std::ranges::binary_search(top.pairs, p, count::pair_order),
+            "top-pair buffer: an unbuffered pair ranks above the floor");
+  }
 }
 
 }  // namespace
@@ -133,6 +166,7 @@ void validate(const count::DynamicButterflyCounter& c) {
           "dynamic counter: maintained V1 tips drifted from recount");
   enforce(c.tips_v2() == count::butterflies_per_v2(g),
           "dynamic counter: maintained V2 tips drifted from recount");
+  validate_top_pairs(c.top_pairs(), g);
 }
 
 void validate(const svc::GraphSnapshot& s) {
@@ -149,6 +183,9 @@ void validate(const svc::GraphSnapshot& s) {
           "snapshot: V1 tips != recount of materialised graph");
   enforce(s.tips_v2 == count::butterflies_per_v2(s.graph),
           "snapshot: V2 tips != recount of materialised graph");
+  validate_top_pairs(s.top_pairs, s.graph);
+  enforce(s.top_pairs.certified(count::TopPairBuffer::kCapacity).has_value(),
+          "snapshot: top-pair buffer does not certify every k <= K'");
 }
 
 void validate_epoch_transition(const svc::GraphSnapshot& prev,

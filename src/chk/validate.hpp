@@ -67,15 +67,17 @@ void validate(const graph::BipartiteGraph& g);
 /// materialises nothing and recounts nothing.
 void validate_structure(const count::DynamicButterflyCounter& c);
 
-/// validate_structure, then the materialised graph validated and the
+/// validate_structure, then the materialised graph validated, the
 /// incremental butterfly count and tip vectors checked against a
-/// from-scratch recount.
+/// from-scratch recount, and the top-pair buffer against its contract
+/// (count::DynamicButterflyCounter::top_pairs) with one top-pairs pass.
 void validate(const count::DynamicButterflyCounter& c);
 
 /// Snapshot-internal consistency: graph valid, edges field equal to the
-/// materialised edge count, and the incrementally maintained butterfly
-/// count and tip vectors (one entry per vertex) equal to a from-scratch
-/// recount.
+/// materialised edge count, the incrementally maintained butterfly count
+/// and tip vectors (one entry per vertex) equal to a from-scratch recount,
+/// and the top-pair buffer exact, its floor honest (one top-pairs pass) and
+/// certifying every k ≤ K′.
 void validate(const svc::GraphSnapshot& s);
 
 /// Publish-seam check: epochs advance by exactly one per batch.

@@ -2,6 +2,7 @@
 #include "count/dynamic.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "sparse/csr.hpp"
 
@@ -97,6 +98,70 @@ DynamicButterflyCounter::DynamicButterflyCounter(vidx_t n1, vidx_t n2)
   adj_v2_.resize(static_cast<std::size_t>(n2));
   tips_v1_.assign(static_cast<std::size_t>(n1), 0);
   tips_v2_.assign(static_cast<std::size_t>(n2), 0);
+  top_.floor = VertexPair{};  // no edges, so no connected pair is left out
+  top_degree_.assign(static_cast<std::size_t>(n1), 0);
+}
+
+TopPairBuffer DynamicButterflyCounter::top_pairs() const {
+  TopPairBuffer sorted = top_;
+  std::ranges::sort(sorted.pairs, pair_order);
+  return sorted;
+}
+
+void DynamicButterflyCounter::rebuild_top_pairs(
+    const graph::BipartiteGraph& g) {
+  require(g.n1() == n1_ && g.n2() == n2_ && g.edge_count() == edges_,
+          "DynamicButterflyCounter::rebuild_top_pairs: not this graph");
+  top_ = TopPairBuffer::of(g);
+  std::ranges::fill(top_degree_, 0);
+  for (const VertexPair& p : top_.pairs) note_top_pair(p, 1);
+}
+
+void DynamicButterflyCounter::note_top_pair(const VertexPair& p, int delta) {
+  for (const vidx_t x : {p.a, p.b}) {
+    std::uint8_t& degree = top_degree_[static_cast<std::size_t>(x)];
+    degree = static_cast<std::uint8_t>(degree + delta);
+  }
+}
+
+std::uint64_t DynamicButterflyCounter::top_slots_of(vidx_t u) const {
+  static_assert(TopPairBuffer::kCapacity <= 64, "one bit per buffer slot");
+  static_assert(TopPairBuffer::kCapacity <= 255, "top_degree_ is 8-bit");
+  if (top_degree_[static_cast<std::size_t>(u)] == 0) return 0;
+  std::uint64_t slots = 0;
+  for (std::size_t i = 0; i < top_.pairs.size(); ++i)
+    if (top_.pairs[i].a == u || top_.pairs[i].b == u)
+      slots |= std::uint64_t{1} << i;
+  return slots;
+}
+
+bool DynamicButterflyCounter::offer_top_pair(vidx_t u, vidx_t w, count_t c,
+                                             std::uint64_t mine) {
+  std::vector<VertexPair>& pairs = top_.pairs;
+  for (; mine != 0; mine &= mine - 1) {
+    VertexPair& slot = pairs[static_cast<std::size_t>(std::countr_zero(mine))];
+    if (slot.a != w && slot.b != w) continue;
+    if (c != 0) {
+      slot.wedges = c;
+      return false;
+    }
+    note_top_pair(slot, -1);  // drained: no longer a connected pair
+    slot = pairs.back();
+    pairs.pop_back();
+    return true;
+  }
+  const VertexPair pair{std::min(u, w), std::max(u, w), c};
+  if (!pair_order(pair, top_.floor)) return false;
+  pairs.push_back(pair);
+  note_top_pair(pair, 1);
+  if (pairs.size() > TopPairBuffer::kCapacity) {
+    const auto lowest = std::ranges::max_element(pairs, pair_order);
+    if (pair_order(*lowest, top_.floor)) top_.floor = *lowest;
+    note_top_pair(*lowest, -1);
+    *lowest = pairs.back();
+    pairs.pop_back();
+  }
+  return true;
 }
 
 bool DynamicButterflyCounter::has_edge(vidx_t u, vidx_t v) const {
@@ -128,6 +193,7 @@ count_t DynamicButterflyCounter::support_of(vidx_t u, vidx_t v, bool insert) {
     tip = insert ? chk::checked_add(tip, n) : chk::checked_sub(tip, n);
   };
   const std::vector<vidx_t>& nu = adj_v1_[static_cast<std::size_t>(u)];
+  std::uint64_t mine = top_slots_of(u);
   count_t total = 0;
   for (const vidx_t w : adj_v2_[static_cast<std::size_t>(v)]) {
     if (w == u) continue;
@@ -142,6 +208,10 @@ count_t DynamicButterflyCounter::support_of(vidx_t u, vidx_t v, bool insert) {
     });
     credit(tips_v1_[static_cast<std::size_t>(w)], closed);
     total = chk::checked_add(total, closed);
+    // The pair keeps v as a common neighbour after an insert and loses it
+    // with a remove.
+    if (offer_top_pair(u, w, insert ? closed + 1 : closed, mine))
+      mine = top_slots_of(u);
   }
   credit(tips_v1_[static_cast<std::size_t>(u)], total);
   credit(tips_v2_[static_cast<std::size_t>(v)], total);

@@ -11,12 +11,20 @@
 // vectors of Eq. 19, which seed the k-tip peeling of §IV) current: each
 // butterfly is credited to its four vertices, as in ParButterfly's
 // per-vertex attribution, at no extra asymptotic cost.
+//
+// The walk's intersection N(u) ∩ N(w) is also the new wedge count of every
+// V1 pair (u, w) the update changes, and no other pair changes. So the
+// counter keeps the best K′ pairs of the wedge matrix B = AAᵀ exact, with a
+// floor key that certifies the rest (count::TopPairBuffer), the way
+// ParButterfly aggregates wedges per endpoint pair.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "count/top_pairs.hpp"
 #include "graph/bipartite_graph.hpp"
 #include "util/common.hpp"
 
@@ -44,6 +52,19 @@ class DynamicButterflyCounter {
     return tips_v2_;
   }
 
+  /// The top-pair buffer, sorted by pair_order. Every buffered count equals
+  /// |N(a) ∩ N(b)|, and no unbuffered connected pair ranks above the floor:
+  /// a pair whose new count ranks above it enters, evicting the lowest
+  /// buffered pair, whose key becomes the floor when it ranks higher; a
+  /// pair drained to 0 wedges leaves. Updates only raise the floor and can
+  /// let buffered counts fall below it, so certified(k) may stop holding;
+  /// rebuild_top_pairs() restores it for every k ≤ K′.
+  [[nodiscard]] TopPairBuffer top_pairs() const;
+
+  /// Replaces the buffer with TopPairBuffer::of(g) — one pass; `g` must be
+  /// this counter's current graph (to_graph()).
+  void rebuild_top_pairs(const graph::BipartiteGraph& g);
+
   [[nodiscard]] bool has_edge(vidx_t u, vidx_t v) const;
 
   /// Inserts (u, v); returns the number of butterflies created (0 if the
@@ -69,9 +90,21 @@ class DynamicButterflyCounter {
   /// Walks every butterfly through the present edge (u, v), given both
   /// adjacency lists current: for each w ∈ N(v)\{u}, every x ∈ N(u)∩N(w)
   /// other than v closes (u, w, v, x). Credits each one to the tips of its
-  /// four vertices (+1 on insert, −1 on remove) and returns how many it
+  /// four vertices (+1 on insert, −1 on remove), offers each pair (u, w)'s
+  /// count after the update to the top-pair buffer, and returns how many it
   /// walked — the edge's support, Σ_{w∈N(v)\{u}} (|N(u)∩N(w)| − 1).
   count_t support_of(vidx_t u, vidx_t v, bool insert);
+
+  /// Bit i set when buffer slot i holds a pair of V1 vertex u.
+  [[nodiscard]] std::uint64_t top_slots_of(vidx_t u) const;
+
+  /// Adds `delta` to top_degree_ at both ends of p.
+  void note_top_pair(const VertexPair& p, int delta);
+
+  /// Records that pair (u, w) now has c wedges (see top_pairs()); `mine` is
+  /// top_slots_of(u). Returns whether any slot of u moved, so that `mine`
+  /// must be recomputed.
+  bool offer_top_pair(vidx_t u, vidx_t w, count_t c, std::uint64_t mine);
 
   vidx_t n1_;
   vidx_t n2_;
@@ -79,6 +112,10 @@ class DynamicButterflyCounter {
   count_t butterflies_ = 0;
   std::vector<count_t> tips_v1_;  // u -> butterflies containing u
   std::vector<count_t> tips_v2_;  // v -> butterflies containing v
+  TopPairBuffer top_;             // pairs unsorted, one per slot
+  // u -> buffered pairs of u, so an update at a vertex the buffer does not
+  // hold skips the scan for its slots.
+  std::vector<std::uint8_t> top_degree_;
   // Sorted adjacency vectors: O(deg) insert/erase by shifting, but contiguous
   // memory makes the intersection walks (the dominant cost) cache-friendly,
   // and a galloping probe handles the skewed |N(u)| ≪ |N(w)| case in

@@ -82,6 +82,29 @@ std::vector<VertexPair> top_wedge_pairs_v2(const graph::BipartiteGraph& g,
   return top_pairs(g.csc(), g.csr(), k, CancelToken{}, "top_wedge_pairs_v2");
 }
 
+TopPairBuffer TopPairBuffer::of(const graph::BipartiteGraph& g) {
+  TopPairBuffer top;
+  top.pairs = top_wedge_pairs_v1(g, kCapacity + 1);
+  top.floor = VertexPair{};
+  if (top.pairs.size() > kCapacity) {
+    top.floor = top.pairs.back();
+    top.pairs.pop_back();
+  }
+  return top;
+}
+
+std::optional<std::span<const VertexPair>> TopPairBuffer::certified(
+    std::size_t k) const {
+  if (k > kCapacity) return std::nullopt;
+  if (k > pairs.size()) {
+    // Fewer pairs than asked for: exact only if none was left out.
+    if (floor.wedges != 0) return std::nullopt;
+    return std::span(pairs);
+  }
+  if (k != 0 && !pair_order(pairs[k - 1], floor)) return std::nullopt;
+  return std::span(pairs).first(k);
+}
+
 Biclique2 max_biclique_2xk(const graph::BipartiteGraph& g) {
   const auto best = top_wedge_pairs_v1(g, 1);
   Biclique2 result;

@@ -5,6 +5,10 @@
 // pair with k common neighbours.
 #pragma once
 
+#include <cstddef>
+#include <limits>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "graph/bipartite_graph.hpp"
@@ -43,6 +47,36 @@ struct VertexPair {
     const graph::BipartiteGraph& g, std::size_t k);
 [[nodiscard]] std::vector<VertexPair> top_wedge_pairs_v1(
     const graph::BipartiteGraph& g, std::size_t k, const CancelToken& cancel);
+
+/// The best V1 pairs of a changing graph with their exact wedge counts, plus
+/// a floor key that certifies the rest: no connected pair outside `pairs`
+/// ranks above `floor` under pair_order. count::DynamicButterflyCounter
+/// keeps one per update and a serving snapshot carries a sorted copy, so a
+/// top-pairs query is a lookup whenever certified(k) holds. The floor is a
+/// key, not a bare count: among tied counts it still separates the pairs
+/// the buffer holds from those it left out.
+struct TopPairBuffer {
+  /// K′, the number of pairs kept. A constant, not an option.
+  static constexpr std::size_t kCapacity = 64;
+
+  std::vector<VertexPair> pairs;  // at most kCapacity, every count > 0
+  // The default ranks above every pair, so it certifies nothing. A 0-wedge
+  // floor certifies that every connected pair is in `pairs`.
+  VertexPair floor{0, 0, std::numeric_limits<count_t>::max()};
+
+  /// The buffer one top_wedge_pairs_v1(g, kCapacity + 1) pass gives: the
+  /// best kCapacity pairs, with the next one as the floor (or a 0-wedge
+  /// floor when g has no more), so every k ≤ kCapacity certifies.
+  [[nodiscard]] static TopPairBuffer of(const graph::BipartiteGraph& g);
+
+  /// top_wedge_pairs_v1(g, k) when the buffer proves it, with `pairs`
+  /// sorted by pair_order: k ≤ kCapacity, and the k-th pair ranks above the
+  /// floor or the floor has 0 wedges. Otherwise nullopt.
+  [[nodiscard]] std::optional<std::span<const VertexPair>> certified(
+      std::size_t k) const;
+
+  bool operator==(const TopPairBuffer& other) const = default;
+};
 
 /// Same over V2 pairs.
 [[nodiscard]] std::vector<VertexPair> top_wedge_pairs_v2(

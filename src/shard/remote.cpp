@@ -17,6 +17,7 @@ svc::SnapshotPtr empty_snapshot(vidx_t n1, vidx_t n2) {
   empty->graph = graph::BipartiteGraph::from_edges(n1, n2, {});
   empty->tips_v1.assign(static_cast<std::size_t>(n1), 0);
   empty->tips_v2.assign(static_cast<std::size_t>(n2), 0);
+  empty->top_pairs.floor = count::VertexPair{};  // no pair is left out
   return empty;
 }
 

@@ -181,10 +181,11 @@ svc::SnapshotPtr decode_snapshot(std::string_view payload,
   snap->edges = static_cast<offset_t>(c.i64());
   std::istringstream blob(c.str(), std::ios::binary);
   snap->graph = graph::read_binary(blob, "<shard transport>");
-  // The tips are not on the wire: one pass each on the received graph,
-  // rather than per-vertex numbers taken from the host on trust.
+  // The tips and the top-pair buffer are not on the wire: one pass each on
+  // the received graph, rather than numbers taken from the host on trust.
   snap->tips_v1 = count::butterflies_per_v1(snap->graph);
   snap->tips_v2 = count::butterflies_per_v2(snap->graph);
+  snap->top_pairs = count::TopPairBuffer::of(snap->graph);
   return snap;
 }
 

@@ -93,6 +93,9 @@ void require_vertex(const shard::ShardView& view, vidx_t x, bool v1_side,
   require(x >= 0 && x < (v1_side ? g.n1() : g.n2()), what);
 }
 
+/// Microseconds since `since`, the query's entry.
+double elapsed_us(const Timer& since) { return since.seconds() * 1e6; }
+
 std::array<SloPolicy, kQueryKinds> slo_policies(const ServiceOptions& o) {
   std::array<SloPolicy, kQueryKinds> policies;
   for (std::size_t k = 0; k < kQueryKinds; ++k)
@@ -281,6 +284,7 @@ SnapshotPtr ButterflyService::snapshot() const {
   snap.edges = view->edges();
   snap.tips_v1 = agg->tips_v1;
   snap.tips_v2 = agg->tips_v2;
+  snap.top_pairs = count::TopPairBuffer::of(snap.graph);
   for (const SnapshotPtr& s : view->shards) {
     for (std::size_t u = 0; u < snap.tips_v1.size(); ++u)
       snap.tips_v1[u] = chk::checked_add(snap.tips_v1[u], s->tips_v1[u]);
@@ -312,16 +316,29 @@ std::optional<QueryResult<T>> ButterflyService::previous_generation(
   return QueryResult<T>{std::get<T>(*hit), ver, Fidelity::kStale};
 }
 
+template <typename T>
+std::future<QueryResult<T>> ButterflyService::answer_inline(
+    QueryKind kind, int owner, const shard::ShardView& view,
+    const Timer& since, const SpanPtr& span, T value) {
+  const std::uint64_t mask = answer_mask(view, owner);
+  observe_latency(kind, elapsed_us(since), owner);
+  if (mask) note_stale_mask(mask);
+  const Fidelity fidelity = mask ? Fidelity::kStale : Fidelity::kExact;
+  span_tag(span, "outcome", fidelity_name(fidelity));
+  return ready_future(
+      QueryResult<T>{std::move(value), view.version, fidelity, mask});
+}
+
 template <typename T, typename Exact, typename Lower>
 std::future<QueryResult<T>> ButterflyService::serve(
     QueryKind kind, std::int64_t a, std::int64_t b, int owner,
     const shard::ShardViewPtr& view, const Deadline& deadline,
-    const SpanPtr& span, Exact exact, Lower lower) {
+    const Timer& since, const SpanPtr& span, Exact exact, Lower lower) {
   const std::uint64_t mask = answer_mask(*view, owner);
   const Fidelity fidelity = mask ? Fidelity::kStale : Fidelity::kExact;
   const CacheKey key{view->signature, kind, a, b, view_tier()};
   if (const auto hit = cache_.get(key)) {
-    observe_latency(kind, 0.0, owner);
+    observe_latency(kind, elapsed_us(since), owner);
     if (mask) note_stale_mask(mask);
     span_tag(span, "cache", "hit");
     span_tag(span, "outcome", fidelity_name(fidelity));
@@ -365,11 +382,11 @@ std::future<QueryResult<T>> ButterflyService::serve(
     return d;
   };
   auto run = [this, key, kind, owner, view, mask, fidelity, degraded, exact,
-              deadline, span, trace = span_ctx(span), timer = Timer()] {
+              deadline, since, span, trace = span_ctx(span)] {
     try {
       T value = exact(deadline, trace);
       cache_.put(key, CacheValue{value});
-      observe_latency(kind, timer.seconds() * 1e6, owner);
+      observe_latency(kind, elapsed_us(since), owner);
       if (mask) note_stale_mask(mask);
       span_tag(span, "outcome", fidelity_name(fidelity));
       span_close(span);
@@ -400,21 +417,15 @@ std::future<QueryResult<T>> ButterflyService::serve(
 template <typename Compose>
 std::future<QueryResult<count_t>> ButterflyService::with_cross(
     QueryKind kind, std::int64_t a, int owner, const shard::ShardViewPtr& view,
-    const Deadline& deadline, const SpanPtr& span, Compose compose) {
+    const Deadline& deadline, const Timer& since, const SpanPtr& span,
+    Compose compose) {
   // The shards' numbers are maintained by the writers, so once the cross
   // aggregate is in hand the answer is one sum: answered inline, never
   // queued or degraded. With one shard the aggregate is always in hand.
-  if (const auto agg = scatter_.ready(*view)) {
-    const std::uint64_t mask = answer_mask(*view, owner);
-    observe_latency(kind, 0.0, owner);
-    if (mask) note_stale_mask(mask);
-    const Fidelity fidelity = mask ? Fidelity::kStale : Fidelity::kExact;
-    span_tag(span, "outcome", fidelity_name(fidelity));
-    return ready_future(
-        QueryResult<count_t>{compose(**agg), view->version, fidelity, mask});
-  }
+  if (const auto agg = scatter_.ready(*view))
+    return answer_inline(kind, owner, *view, since, span, compose(**agg));
   return serve<count_t>(
-      kind, a, 0, owner, view, deadline, span,
+      kind, a, 0, owner, view, deadline, since, span,
       [this, view, compose](const Deadline& d, const obs::TraceContext& trace) {
         return compose(*scatter_.cross(view, d.token(), trace));
       },
@@ -435,10 +446,12 @@ std::future<QueryResult<count_t>> ButterflyService::with_cross(
 }
 
 std::future<QueryResult<count_t>> ButterflyService::global_count(Request req) {
+  const Timer since;
   shard::ShardViewPtr view = resolve_view(req);
   const SpanPtr span = open_span(root_context(req), "svc.query.global");
   count_query(span, *view, QueryKind::kGlobalCount);
-  return with_cross(QueryKind::kGlobalCount, 0, -1, view, req.deadline, span,
+  return with_cross(QueryKind::kGlobalCount, 0, -1, view, req.deadline, since,
+                    span,
                     [view](const shard::CrossAggregate& agg) {
                       return shard::ScatterGather::global_count(*view, agg);
                     });
@@ -457,6 +470,7 @@ std::future<QueryResult<count_t>> ButterflyService::vertex_tip_v2(
 std::future<QueryResult<count_t>> ButterflyService::tip(vidx_t vertex,
                                                         bool v1_side,
                                                         Request req) {
+  const Timer since;
   shard::ShardViewPtr view = resolve_view(req);
   require_vertex(*view, vertex, v1_side,
                  v1_side ? "vertex_tip_v1: vertex out of range"
@@ -469,7 +483,7 @@ std::future<QueryResult<count_t>> ButterflyService::tip(vidx_t vertex,
       root_context(req), v1_side ? "svc.query.tip_v1" : "svc.query.tip_v2");
   count_query(span, *view, kind);
   return with_cross(
-      kind, vertex, owner, view, req.deadline, span,
+      kind, vertex, owner, view, req.deadline, since, span,
       [view, vertex, v1_side, owner](const shard::CrossAggregate& agg) {
         count_t value = v1_side ? agg.tip_v1(vertex) : agg.tip_v2(vertex);
         // The local part: the owner shard's tip, or the sum over every
@@ -488,6 +502,7 @@ std::future<QueryResult<count_t>> ButterflyService::tip(vidx_t vertex,
 std::future<QueryResult<count_t>> ButterflyService::edge_support(vidx_t u,
                                                                  vidx_t v,
                                                                  Request req) {
+  const Timer since;
   shard::ShardViewPtr view = resolve_view(req);
   require_vertex(*view, u, true, "edge_support: vertex out of range");
   require_vertex(*view, v, false, "edge_support: vertex out of range");
@@ -512,7 +527,7 @@ std::future<QueryResult<count_t>> ButterflyService::edge_support(vidx_t u,
         mask};
   };
   return serve<count_t>(
-      QueryKind::kEdgeSupport, u, v, owner, view, req.deadline, span,
+      QueryKind::kEdgeSupport, u, v, owner, view, req.deadline, since, span,
       [this, view, owner, u, v](const Deadline&, const obs::TraceContext&) {
         return support(*view, owner, u, v);
       },
@@ -521,23 +536,30 @@ std::future<QueryResult<count_t>> ButterflyService::edge_support(vidx_t u,
 
 std::future<QueryResult<TopPairsPtr>> ButterflyService::top_pairs(
     std::size_t k, Request req) {
+  const Timer since;
   shard::ShardViewPtr view = resolve_view(req);
   const SpanPtr span = open_span(root_context(req), "svc.query.top_pairs");
   count_query(span, *view, QueryKind::kTopPairs);
+  // Like global_count: when every pinned shard's buffer certifies k, the
+  // lists are lookups, so with the cross aggregate in hand (always, with
+  // one shard) the merge answers inline.
+  const bool buffered =
+      std::ranges::all_of(view->shards, [k](const SnapshotPtr& s) {
+        return s->top_pairs.certified(k).has_value();
+      });
+  if (buffered) {
+    if (const auto agg = scatter_.ready(*view))
+      return answer_inline(QueryKind::kTopPairs, -1, *view, since, span,
+                           top_list(*view, k, **agg, {}, {}));
+  }
   return serve<TopPairsPtr>(
       QueryKind::kTopPairs, static_cast<std::int64_t>(k), 0, -1, view,
-      req.deadline, span,
+      req.deadline, since, span,
       [this, view, k](const Deadline& deadline,
-                      const obs::TraceContext& trace) -> TopPairsPtr {
+                      const obs::TraceContext& trace) {
         const shard::CrossAggregatePtr agg =
             scatter_.cross(view, deadline.token(), trace);
-        std::vector<std::vector<count::VertexPair>> per_shard;
-        per_shard.reserve(view->shards.size());
-        for (int s = 0; s < view->shard_count(); ++s)
-          per_shard.push_back(
-              *shard_top_list(*view, s, k, deadline.token(), trace));
-        return std::make_shared<const std::vector<count::VertexPair>>(
-            shard::ScatterGather::merge_top_pairs(per_shard, agg->pairs, k));
+        return top_list(*view, k, *agg, deadline.token(), trace);
       },
       // No rung below the stale one: there is no cheap sampled substitute
       // for an exact top-k list, so with no stale list the query is shed.
@@ -570,36 +592,39 @@ count_t ButterflyService::support(const shard::ShardView& view, int owner,
       local, shard::ScatterGather::edge_support_cross(view, owner, u, v));
 }
 
-TopPairsPtr ButterflyService::shard_top_list(const shard::ShardView& view,
-                                             int s, std::size_t k,
-                                             const CancelToken& cancel,
-                                             const obs::TraceContext& trace) {
+TopPairsPtr ButterflyService::top_list(const shard::ShardView& view,
+                                       std::size_t k,
+                                       const shard::CrossAggregate& agg,
+                                       const CancelToken& cancel,
+                                       const obs::TraceContext& trace) {
+  std::vector<std::vector<count::VertexPair>> per_shard;
+  per_shard.reserve(view.shards.size());
+  for (int s = 0; s < view.shard_count(); ++s)
+    per_shard.push_back(shard_top_list(view, s, k, cancel, trace));
+  return std::make_shared<const std::vector<count::VertexPair>>(
+      shard::ScatterGather::merge_top_pairs(per_shard, agg.pairs, k));
+}
+
+std::vector<count::VertexPair> ButterflyService::shard_top_list(
+    const shard::ShardView& view, int s, std::size_t k,
+    const CancelToken& cancel, const obs::TraceContext& trace) {
   const SnapshotPtr& snap = view.shards[static_cast<std::size_t>(s)];
-  // Shard-local list, cached like support()'s component: in the shard's own
-  // tier under the shard epoch, and only with more than one shard.
-  const bool component = view.shard_count() > 1;
-  const CacheKey key{snap->epoch, QueryKind::kTopPairs,
-                     static_cast<std::int64_t>(k), 0, s, snap->lineage};
-  if (component) {
-    if (const auto hit = cache_.get(key)) {
-      publish_shard_gauge(s);
-      return std::get<TopPairsPtr>(*hit);
-    }
-  }
+  if (const auto top = snap->top_pairs.certified(k))
+    return {top->begin(), top->end()};
   obs::Span kernel_span(trace, "svc.kernel.top_pairs");
   if (kernel_span.armed()) {
     kernel_span.tag("epoch", std::to_string(snap->epoch));
     kernel_span.tag("shard", std::to_string(s));
   }
-  TopPairsPtr list;
+  std::vector<count::VertexPair> list;
   try {
     // Checked builds can inject latency here to force deadline expiry
     // mid-pass (fault::Point::kSlowKernel, param = milliseconds).
     if (fault::fires(fault::Point::kSlowKernel))
       std::this_thread::sleep_for(
           std::chrono::milliseconds(fault::param(fault::Point::kSlowKernel)));
-    list = std::make_shared<const std::vector<count::VertexPair>>(
-        count::top_wedge_pairs_v1(snap->graph, k, cancel));
+    list = count::top_wedge_pairs_v1(snap->graph, k, cancel);
+    BFC_COUNT_ADD("svc.top_pair_passes", 1);
     kernel_span.tag("outcome", "ok");
   } catch (const CancelledError&) {
     // A cancelled kernel still closes its span — tagged, not dropped — so
@@ -611,8 +636,6 @@ TopPairsPtr ButterflyService::shard_top_list(const shard::ShardView& view,
     kernel_span.tag("outcome", "error");
     throw;
   }
-  if (component) cache_.put(key, CacheValue{list});
-  publish_shard_gauge(s);
   return list;
 }
 

@@ -16,13 +16,13 @@
 //                   global_count, tip_v2 and top_pairs scatter across all
 //                   shards, and each adds the cross-shard correction from
 //                   shard/scatter_gather (empty, and free, with one shard);
-//   - caching       composed answers cache by view signature in the last
+//   - caching       queued answers cache by view signature in the last
 //                   ResultCache tier; a publish keeps the current and the
 //                   previous view generation. With more than one shard,
-//                   per-shard components (owner-shard support, per-shard
-//                   top-k lists) also cache in tier k under shard k's epoch,
-//                   so a publish on shard j leaves them warm; with one shard
-//                   the component is the answer and caches only as such;
+//                   owner-shard support also caches in tier k under shard
+//                   k's epoch, so a publish on shard j leaves it warm; with
+//                   one shard the component is the answer and caches only
+//                   as such. Inline answers are lookups and do not cache;
 //   - coalescing    concurrent scatter queries at one view signature share
 //                   ONE cross pass: the cross aggregate memoises per view
 //                   signature.
@@ -30,7 +30,12 @@
 // global_count and the tip queries answer inline whenever the view's cross
 // aggregate is ready (always, with one shard): the writers maintain every
 // shard's count and tip vectors (count::DynamicButterflyCounter), so the
-// answer is Σ of the pinned shards' numbers plus the aggregate's term.
+// answer is Σ of the pinned shards' numbers plus the aggregate's term. The
+// writers also keep each shard's best K′ = 64 pairs with a floor key that
+// certifies them (count::TopPairBuffer), so top_pairs(k) answers inline too
+// when every pinned shard certifies k. Every snapshot a store publishes
+// certifies each k ≤ K′; a top-pairs pass runs only for k > K′. Inline
+// answers are timed from the query's entry like every other answer.
 //
 // Fault tolerance (the robustness layer on top):
 //
@@ -44,8 +49,8 @@
 //                         row so it can give up mid-scan;
 //   - degraded answers    every query resolves to QueryResult{value,
 //                         epoch, fidelity}: under overload (queue depth or
-//                         p95 latency past the configured thresholds) the
-//                         service walks one ladder — the previous view
+//                         p95 latency past the configured thresholds) a
+//                         queued query walks one ladder — the previous view
 //                         generation's cached answer (kStale), then the
 //                         kind's own rungs: the freshest completed cross
 //                         aggregate plus the pinned shards' numbers (kStale)
@@ -60,7 +65,9 @@
 // svc.cache_misses / svc.cache_hit_rate, svc.queue_depth,
 // svc.epochs_published, svc.shed / svc.rejected / svc.deadline_expired,
 // svc.degraded / svc.stale_answers / svc.inline_answers,
-// svc.scatter_queries, one latency histogram per query kind
+// svc.scatter_queries, svc.top_pair_rebuilds (writer-side buffer rebuilds)
+// and svc.top_pair_passes (query-side passes), one latency histogram per
+// query kind
 // (svc.latency_us.<kind>), and — with more than one shard — the per-shard
 // family svc.shard.<k>.publishes / .cache_hit_rate / .degraded.
 //
@@ -98,6 +105,7 @@
 #include "svc/slo.hpp"
 #include "svc/snapshot_store.hpp"
 #include "util/common.hpp"
+#include "util/timer.hpp"
 
 namespace bfc::obs {
 class Counter;
@@ -225,10 +233,14 @@ class ButterflyService {
       vidx_t u, vidx_t v, Request req = {});
 
   /// The k V1-pairs with the most wedges at the pinned view: the exact
-  /// merge of per-shard top-k lists and the cross-shard pairs. The one
-  /// per-epoch pass a one-shard query queues for; it honours the request's
-  /// deadline. Degrades to the previous view generation's cached list; with
-  /// no stale list the future carries OverloadError.
+  /// merge of per-shard top-k lists and the cross-shard pairs. Inline
+  /// (never queued, never degraded) when every pinned shard's buffer
+  /// certifies k and the view's cross aggregate is ready — with one shard,
+  /// whenever k ≤ K′. Otherwise a queued query: the cross pass, and a
+  /// top-pairs pass on each shard whose buffer does not certify k; it
+  /// honours the request's deadline and degrades to the previous view
+  /// generation's cached list; with no stale list the future carries
+  /// OverloadError.
   [[nodiscard]] std::future<QueryResult<TopPairsPtr>> top_pairs(
       std::size_t k, Request req = {});
 
@@ -298,14 +310,24 @@ class ButterflyService {
   /// its value. Under overload, on rejection, on abandonment in the queue
   /// and on cancellation it walks the ladder instead: the previous view
   /// generation's answer, then `lower()`, the kind's own rungs. `owner` is
-  /// the routed shard, or -1 for a scattered query.
+  /// the routed shard, or -1 for a scattered query; `since` started at the
+  /// query's entry and times the answer.
   template <typename T, typename Exact, typename Lower>
   std::future<QueryResult<T>> serve(QueryKind kind, std::int64_t a,
                                     std::int64_t b, int owner,
                                     const shard::ShardViewPtr& view,
                                     const Deadline& deadline,
+                                    const Timer& since,
                                     const std::shared_ptr<obs::Span>& span,
                                     Exact exact, Lower lower);
+
+  /// An answer computed on the caller's thread: observes its latency since
+  /// the query's entry and tags its fidelity (stale only when the owner
+  /// range, or any range for owner -1, is dark).
+  template <typename T>
+  std::future<QueryResult<T>> answer_inline(
+      QueryKind kind, int owner, const shard::ShardView& view,
+      const Timer& since, const std::shared_ptr<obs::Span>& span, T value);
 
   /// Rung 1 of every ladder: the previous view generation's cached answer,
   /// when that generation is older than the pinned view.
@@ -323,7 +345,8 @@ class ButterflyService {
   std::future<QueryResult<count_t>> with_cross(
       QueryKind kind, std::int64_t a, int owner,
       const shard::ShardViewPtr& view, const Deadline& deadline,
-      const std::shared_ptr<obs::Span>& span, Compose compose);
+      const Timer& since, const std::shared_ptr<obs::Span>& span,
+      Compose compose);
 
   /// vertex_tip_v1/v2.
   std::future<QueryResult<count_t>> tip(vidx_t vertex, bool v1_side,
@@ -334,12 +357,22 @@ class ButterflyService {
   count_t support(const shard::ShardView& view, int owner, vidx_t u,
                   vidx_t v);
 
-  /// Shard s's top-k list at the view's pinned epoch. The pass runs under
-  /// a svc.kernel.top_pairs span parented to `trace`, checks `cancel` per
-  /// row, and closes its span tagged cancelled=true when the token fires.
-  TopPairsPtr shard_top_list(const shard::ShardView& view, int s,
-                             std::size_t k, const CancelToken& cancel,
-                             const obs::TraceContext& trace);
+  /// The exact top-k list of `view`: every shard's list merged with the
+  /// cross pairs of `agg`, the view's aggregate.
+  TopPairsPtr top_list(const shard::ShardView& view, std::size_t k,
+                       const shard::CrossAggregate& agg,
+                       const CancelToken& cancel,
+                       const obs::TraceContext& trace);
+
+  /// Shard s's top-k list at the view's pinned epoch: its buffer's when it
+  /// certifies k, else a pass (k > K′, rare enough to go uncached). The
+  /// pass runs under a svc.kernel.top_pairs span parented to `trace`,
+  /// checks `cancel` per row, and closes its span tagged cancelled=true
+  /// when the token fires.
+  std::vector<count::VertexPair> shard_top_list(const shard::ShardView& view,
+                                                int s, std::size_t k,
+                                                const CancelToken& cancel,
+                                                const obs::TraceContext& trace);
 
   /// After a shard publish: roll the (cur, prev) view-generation pair and
   /// prune the composed-answer tier down to those two signatures.

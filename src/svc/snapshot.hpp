@@ -11,6 +11,7 @@
 #include <memory>
 #include <vector>
 
+#include "count/top_pairs.hpp"
 #include "graph/bipartite_graph.hpp"
 #include "util/common.hpp"
 
@@ -45,6 +46,11 @@ struct GraphSnapshot {
   // a shard host recounts them, so a tip query is a lookup.
   std::vector<count_t> tips_v1;
   std::vector<count_t> tips_v2;
+  // The best K′ V1 pairs, sorted, and their floor: the writer's counter
+  // maintains them and rebuilds them when they stop certifying every
+  // k ≤ K′, and a decoded snapshot takes one pass, so a top-pairs query for
+  // k ≤ K′ is a lookup.
+  count::TopPairBuffer top_pairs;
 };
 
 /// A lineage number no other epoch sequence of this process has. A store

@@ -34,6 +34,28 @@ struct SnapMeta {
 };
 static_assert(sizeof(SnapMeta) == 24, "snapshot meta must pack to 24 bytes");
 
+/// The snapshot of `counter`, whose materialised graph is `g`. When the
+/// counter's top-pair buffer no longer certifies every k ≤ K′ it is rebuilt
+/// from `g` first (one pass), so every snapshot a store publishes does.
+std::shared_ptr<GraphSnapshot> snapshot_of(
+    count::DynamicButterflyCounter& counter, graph::BipartiteGraph g,
+    std::uint64_t epoch) {
+  auto snap = std::make_shared<GraphSnapshot>();
+  snap->epoch = epoch;
+  snap->butterflies = counter.butterflies();
+  snap->edges = counter.edge_count();
+  snap->tips_v1 = counter.tips_v1();
+  snap->tips_v2 = counter.tips_v2();
+  snap->top_pairs = counter.top_pairs();
+  if (!snap->top_pairs.certified(count::TopPairBuffer::kCapacity)) {
+    counter.rebuild_top_pairs(g);
+    snap->top_pairs = counter.top_pairs();
+    BFC_COUNT_ADD("svc.top_pair_rebuilds", 1);
+  }
+  snap->graph = std::move(g);
+  return snap;
+}
+
 template <typename T>
 void write_pod(std::ostream& out, const T& value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof value);
@@ -52,15 +74,7 @@ T read_pod(std::istream& in, const std::string& path, const char* what) {
 
 SnapshotStore::SnapshotStore(vidx_t n1, vidx_t n2, int shard_id)
     : n1_(n1), n2_(n2), shard_id_(shard_id), counter_(n1, n2) {
-  auto genesis = std::make_shared<GraphSnapshot>();
-  genesis->epoch = 0;
-  genesis->lineage = lineage_;
-  genesis->graph = counter_.to_graph();
-  genesis->butterflies = 0;
-  genesis->edges = 0;
-  genesis->tips_v1 = counter_.tips_v1();
-  genesis->tips_v2 = counter_.tips_v2();
-  head_store(std::move(genesis));
+  head_store(snapshot_of(counter_, counter_.to_graph(), 0));
 }
 
 SnapshotPtr SnapshotStore::head_load() const {
@@ -109,22 +123,16 @@ PublishResult SnapshotStore::apply_batch(std::span<const EdgeUpdate> batch) {
     }
   }
 
-  auto snap = std::make_shared<GraphSnapshot>();
-  snap->epoch = next_epoch_++;
+  auto snap = snapshot_of(counter_, counter_.to_graph(), next_epoch_++);
   snap->lineage = lineage_;
-  snap->graph = counter_.to_graph();
-  snap->butterflies = counter_.butterflies();
-  snap->edges = counter_.edge_count();
-  snap->tips_v1 = counter_.tips_v1();
-  snap->tips_v2 = counter_.tips_v2();
   result.epoch = snap->epoch;
 
   // Checked build: the batch just mutated the counter, so re-verify its
   // internal structure, the snapshot it materialised (including a recount
-  // of the incremental butterfly total and tips), and the epoch transition
-  // before any reader can pin the new head. The snapshot is the counter's
-  // graph, count and tips, so its check is the one recount the counter
-  // needs.
+  // of the incremental butterfly total, tips and top-pair buffer), and the
+  // epoch transition before any reader can pin the new head. The snapshot
+  // is the counter's graph, count, tips and buffer, so its check is the one
+  // recount the counter needs.
   if constexpr (chk::kCheckedEnabled) {
     chk::validate_structure(counter_);
     chk::validate(*snap);
@@ -240,13 +248,7 @@ void SnapshotStore::restore(const std::string& path) {
         std::to_string(meta.butterflies) + ", recount gives " +
         std::to_string(counter.butterflies()) + ")");
 
-  auto snap = std::make_shared<GraphSnapshot>();
-  snap->epoch = meta.epoch;
-  snap->graph = std::move(g);
-  snap->butterflies = meta.butterflies;
-  snap->edges = meta.edges;
-  snap->tips_v1 = counter.tips_v1();
-  snap->tips_v2 = counter.tips_v2();
+  auto snap = snapshot_of(counter, std::move(g), meta.epoch);
   if constexpr (chk::kCheckedEnabled) {
     chk::validate_structure(counter);  // validate(*snap) recounts its edges
     chk::validate(*snap);

@@ -185,6 +185,7 @@ svc::GraphSnapshot make_snapshot() {
   s.edges = c.edge_count();
   s.tips_v1 = c.tips_v1();
   s.tips_v2 = c.tips_v2();
+  s.top_pairs = c.top_pairs();
   return s;
 }
 
@@ -211,6 +212,22 @@ TEST(ChkSnapshot, FiresOnTipDrift) {
   EXPECT_THROW(chk::validate(s), chk::CheckError);
   s = make_snapshot();
   s.tips_v2.pop_back();  // a vector of the wrong length
+  EXPECT_THROW(chk::validate(s), chk::CheckError);
+}
+
+TEST(ChkSnapshot, FiresOnTopBufferDrift) {
+  auto s = make_snapshot();
+  // (0, 1) is the one connected pair; the 0-wedge floor says so.
+  ASSERT_EQ(s.top_pairs.pairs, std::vector<count::VertexPair>({{0, 1, 2}}));
+  ASSERT_EQ(s.top_pairs.floor.wedges, 0);
+  s.top_pairs.pairs[0].wedges += 1;  // a buffered count off by one
+  EXPECT_THROW(chk::validate(s), chk::CheckError);
+  s = make_snapshot();
+  // The floor still ranks below (0, 1), which is no longer buffered. The
+  // buffer still certifies every k (it claims to hold every pair), so only
+  // the floor check can fire.
+  s.top_pairs.pairs.clear();
+  ASSERT_TRUE(s.top_pairs.certified(count::TopPairBuffer::kCapacity));
   EXPECT_THROW(chk::validate(s), chk::CheckError);
 }
 

@@ -3,13 +3,16 @@
 // arbitrary update sequences / workspace budgets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "count/baselines.hpp"
 #include "count/bounded_memory.hpp"
 #include "count/dynamic.hpp"
 #include "count/local_counts.hpp"
+#include "count/top_pairs.hpp"
 #include "sparse/ops.hpp"
 #include "test_helpers.hpp"
 
@@ -131,6 +134,134 @@ TEST_P(DynamicRandomized, TracksExactCounterThroughMixedUpdates) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DynamicRandomized,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
+
+// ---- the top-pair buffer ---------------------------------------------------
+
+constexpr std::size_t kCapacity = TopPairBuffer::kCapacity;
+
+/// The buffer's contract on the counter's graph: every buffered count
+/// equals |N(a) ∩ N(b)|, no unbuffered connected pair ranks above the floor
+/// key (checked over every pair), and every certified list equals
+/// top_wedge_pairs_v1 for its k ≤ K′. Returns how many k certify.
+std::size_t expect_top_pairs_hold(const DynamicButterflyCounter& c,
+                                  int step) {
+  const graph::BipartiteGraph g = c.to_graph();
+  const TopPairBuffer top = c.top_pairs();
+  EXPECT_LE(top.pairs.size(), kCapacity) << "step " << step;
+  const auto wedges = [&](vidx_t a, vidx_t b) {
+    return static_cast<count_t>(
+        sparse::intersection_size(g.neighbors_of_v1(a), g.neighbors_of_v1(b)));
+  };
+  for (const VertexPair& p : top.pairs)
+    EXPECT_EQ(p.wedges, wedges(p.a, p.b))
+        << "step " << step << ": buffered (" << p.a << ", " << p.b << ")";
+  for (vidx_t a = 0; a < g.n1(); ++a) {
+    for (vidx_t b = a + 1; b < g.n1(); ++b) {
+      const VertexPair p{a, b, wedges(a, b)};
+      if (p.wedges == 0 || std::ranges::binary_search(top.pairs, p, pair_order))
+        continue;
+      EXPECT_FALSE(pair_order(p, top.floor))
+          << "step " << step << ": unbuffered (" << a << ", " << b
+          << ") with " << p.wedges << " wedges ranks above the floor ("
+          << top.floor.a << ", " << top.floor.b << ": " << top.floor.wedges
+          << ")";
+    }
+  }
+  const std::vector<VertexPair> best = top_wedge_pairs_v1(g, kCapacity);
+  std::size_t certified = 0;
+  for (std::size_t k = 0; k <= kCapacity; ++k) {
+    const auto list = top.certified(k);
+    if (!list) continue;
+    ++certified;
+    EXPECT_TRUE(std::ranges::equal(
+        *list, std::span(best).first(std::min(k, best.size()))))
+        << "step " << step << ": certified top " << k;
+  }
+  return certified;
+}
+
+class DynamicTopPairs : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(DynamicTopPairs, BufferHoldsThroughMixedUpdates) {
+  Rng rng(GetParam());
+  // 276 V1 pairs, most of them connected: far more than K′.
+  const vidx_t n1 = 24, n2 = 10;
+  DynamicButterflyCounter c(n1, n2);
+  std::size_t uncertified = 0;
+  for (int step = 0; step < 400; ++step) {
+    const auto u = static_cast<vidx_t>(rng.bounded(n1));
+    const auto v = static_cast<vidx_t>(rng.bounded(n2));
+    // Grow to about half density, then churn around it.
+    if (rng.bernoulli(step < 120 ? 0.9 : 0.5))
+      c.insert(u, v);
+    else
+      c.remove(u, v);
+    const std::size_t certified = expect_top_pairs_hold(c, step);
+    if (certified <= kCapacity) ++uncertified;
+    if (step % 50 == 49) {
+      // A rebuild certifies every k ≤ K′, ties at the floor included.
+      c.rebuild_top_pairs(c.to_graph());
+      ASSERT_EQ(expect_top_pairs_hold(c, step), kCapacity + 1)
+          << "step " << step;
+    }
+  }
+  // The walk took the buffer through states that certify only some k.
+  EXPECT_GT(uncertified, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DynamicTopPairs,
+                         ::testing::Values(1u, 2u, 3u, 4u));
+
+TEST(DynamicTopPairs, KeyFloorCertifiesTiedPairs) {
+  // Every V1 vertex on the one V2 vertex: each of the 190 pairs has exactly
+  // one wedge, the shape a bare count floor of 1 can never certify.
+  const vidx_t n1 = 20;
+  DynamicButterflyCounter c(n1, 1);
+  for (vidx_t u = 0; u < n1; ++u) {
+    c.insert(u, 0);
+    ASSERT_NO_FATAL_FAILURE(expect_top_pairs_hold(c, u));
+  }
+  const TopPairBuffer top = c.top_pairs();
+  ASSERT_EQ(top.pairs.size(), kCapacity);
+  EXPECT_EQ(top.pairs.back().wedges, 1);
+  EXPECT_EQ(top.floor.wedges, 1);  // tied with the last buffered pair
+  ASSERT_TRUE(top.certified(kCapacity));
+  EXPECT_EQ(c.top_pairs(), top);
+  c.rebuild_top_pairs(c.to_graph());
+  EXPECT_TRUE(c.top_pairs().certified(kCapacity));
+
+  // Draining vertex 0 takes its 19 buffered pairs to 0 wedges: they leave,
+  // and the buffer certifies only as deep as it still reaches.
+  c.remove(0, 0);
+  EXPECT_EQ(expect_top_pairs_hold(c, n1), kCapacity - (n1 - 1) + 1);
+  EXPECT_FALSE(c.top_pairs().certified(kCapacity));
+  c.rebuild_top_pairs(c.to_graph());
+  EXPECT_EQ(expect_top_pairs_hold(c, n1), kCapacity + 1);
+
+  // Down to the empty graph, then a rebuild certifies the empty list.
+  for (vidx_t u = 1; u < n1; ++u) {
+    c.remove(u, 0);
+    ASSERT_NO_FATAL_FAILURE(expect_top_pairs_hold(c, n1 + u));
+  }
+  EXPECT_TRUE(c.top_pairs().pairs.empty());
+  c.rebuild_top_pairs(c.to_graph());
+  EXPECT_EQ(expect_top_pairs_hold(c, 2 * n1), kCapacity + 1);
+}
+
+TEST(DynamicTopPairs, EmptyGraphCertifiesTheEmptyList) {
+  for (const vidx_t n : {0, 1, 5}) {
+    const DynamicButterflyCounter c(n, n);
+    const TopPairBuffer top = c.top_pairs();
+    EXPECT_EQ(top, TopPairBuffer::of(c.to_graph()));
+    for (std::size_t k = 0; k <= kCapacity; ++k) {
+      ASSERT_TRUE(top.certified(k)) << "k " << k;
+      EXPECT_TRUE(top.certified(k)->empty());
+    }
+    EXPECT_FALSE(top.certified(kCapacity + 1));  // above K′: a pass
+  }
+  // A default buffer knows nothing about any graph: it certifies no k > 0.
+  EXPECT_FALSE(TopPairBuffer{}.certified(1));
+}
 
 /// to_graph() concatenates the V2 adjacency into the CSC instead of
 /// transposing the CSR; both orientations must equal the transpose-built

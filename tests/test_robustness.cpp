@@ -557,7 +557,8 @@ TEST(PersistRestore, ServiceRestoreFlushesCachesAndContinues) {
   service.persist(file.str());
 
   (void)service.apply_updates(random_batch(3, 3, 12, 22));
-  (void)service.top_pairs(2).get();
+  // Above K′ the answer comes from a pass and is cached.
+  (void)service.top_pairs(count::TopPairBuffer::kCapacity + 1).get();
   ASSERT_GT(service.cache().size(), 0u);
 
   service.restore(file.str());
@@ -678,20 +679,31 @@ TEST_F(FaultGated, SaturationAnswersEdgeSupportInlineAndExact) {
 TEST_F(FaultGated, SaturationServesStaleTopPairsOrSheds) {
   svc::ButterflyService service(3, 3, svc::ServiceOptions{.threads = 1});
   (void)service.apply_updates(k33());  // epoch 1
-  const svc::QueryResult<svc::TopPairsPtr> exact = service.top_pairs(2).get();
-  ASSERT_EQ(exact.value->size(), 2u);
+  // Above K′ a top-pairs query needs the pass, so it queues.
+  constexpr std::size_t kPass = count::TopPairBuffer::kCapacity + 1;
+  const svc::QueryResult<svc::TopPairsPtr> exact =
+      service.top_pairs(kPass).get();
+  ASSERT_EQ(exact.value->size(), 3u);  // every pair of K_{3,3}
 
   (void)service.apply_updates({svc::EdgeUpdate::del(0, 0)});  // epoch 2
   const svc::fault::Scoped saturated(
       svc::fault::Point::kQueueSaturation, 0, kForever);
   // Same k: the retired epoch's list is the only rung — explicitly stale.
-  const svc::QueryResult<svc::TopPairsPtr> stale = service.top_pairs(2).get();
+  const svc::QueryResult<svc::TopPairsPtr> stale =
+      service.top_pairs(kPass).get();
   EXPECT_EQ(stale.epoch, 1u);
   EXPECT_EQ(stale.fidelity, svc::Fidelity::kStale);
   EXPECT_EQ(stale.value.get(), exact.value.get());  // shared, not recomputed
   // Different k: no stale list exists, so the query is shed outright.
-  std::future<svc::QueryResult<svc::TopPairsPtr>> shed = service.top_pairs(3);
+  std::future<svc::QueryResult<svc::TopPairsPtr>> shed =
+      service.top_pairs(kPass + 1);
   EXPECT_THROW((void)shed.get(), svc::OverloadError);
+  // At k ≤ K′ the buffer answers exact at epoch 2, saturation or not.
+  const svc::QueryResult<svc::TopPairsPtr> buffered =
+      service.top_pairs(2).get();
+  EXPECT_EQ(buffered.fidelity, svc::Fidelity::kExact);
+  EXPECT_EQ(buffered.epoch, 2u);
+  EXPECT_EQ(buffered.value->size(), 2u);
 }
 
 TEST_F(FaultGated, SlowKernelTripsDeadlineIntoDegradedAnswer) {
@@ -703,7 +715,10 @@ TEST_F(FaultGated, SlowKernelTripsDeadlineIntoDegradedAnswer) {
     for (const vidx_t v : g.csr().row(u))
       batch.push_back(svc::EdgeUpdate::add(u, v));
   (void)service.apply_updates(batch);                          // epoch 1
-  const svc::QueryResult<svc::TopPairsPtr> first = service.top_pairs(4).get();
+  // Above K′ a top-pairs query needs the pass, which the fault stalls.
+  constexpr std::size_t kPass = count::TopPairBuffer::kCapacity + 4;
+  const svc::QueryResult<svc::TopPairsPtr> first =
+      service.top_pairs(kPass).get();
   ASSERT_FALSE(first.degraded());
   (void)service.apply_updates({svc::EdgeUpdate::del(0, 0),
                                svc::EdgeUpdate::add(0, 0)});  // epoch 2
@@ -715,14 +730,15 @@ TEST_F(FaultGated, SlowKernelTripsDeadlineIntoDegradedAnswer) {
     const svc::fault::Scoped slow(svc::fault::Point::kSlowKernel, 0, 1, 80);
     const svc::Request req(service.snapshot(), svc::Deadline::after(5ms));
     const svc::QueryResult<svc::TopPairsPtr> result =
-        service.top_pairs(4, req).get();
+        service.top_pairs(kPass, req).get();
     EXPECT_TRUE(result.degraded());
     EXPECT_EQ(result.fidelity, svc::Fidelity::kStale);
     EXPECT_EQ(result.epoch, 1u);
     EXPECT_EQ(result.value.get(), first.value.get());
   }
   // The next query runs the pass and answers exact at epoch 2.
-  const svc::QueryResult<svc::TopPairsPtr> next = service.top_pairs(4).get();
+  const svc::QueryResult<svc::TopPairsPtr> next =
+      service.top_pairs(kPass).get();
   EXPECT_FALSE(next.degraded());
   EXPECT_EQ(next.epoch, 2u);
 }

@@ -5,8 +5,12 @@
 // count:: oracles built from an edge set this test keeps itself — never from
 // a snapshot the service hands out — and the two services are checked
 // against each other. A one-shard pin is handed in as a snapshot or as a
-// view. Checked builds also saturate the query queue at random
-// steps: kExact answers must still be exact, and one-shard kStale answers
+// view. Top-pairs queries ask for k ≤ K′, which the shards' top-pair
+// buffers answer, and for k > K′, which takes a pass. After each publish
+// every shard snapshot's maintained tips and certified top-pair lists are
+// checked against oracles on that shard's edges. Checked builds also
+// saturate the query queue at random steps: kExact answers must still be
+// exact, one-shard lookups must not degrade, and one-shard kStale answers
 // must equal the oracle at the epoch they report.
 //
 // A failing program names its seed; BFC_SERVING_DIFF_SEED=<seed> replays
@@ -16,6 +20,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <future>
@@ -24,6 +29,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -96,7 +102,6 @@ struct Query {
 struct Tally {
   std::int64_t exact = 0;
   std::int64_t stale = 0;
-  std::int64_t approx = 0;
   std::int64_t shed = 0;
 };
 
@@ -136,6 +141,18 @@ Answer ask(ButterflyService& s, const Query& q, const Request& req) {
       return take(s.top_pairs(static_cast<std::size_t>(q.a), req));
   }
   return {};
+}
+
+/// Whether a one-shard service answers q inline from the pinned snapshot:
+/// global counts, tips, and top pairs the buffer certifies. Such answers
+/// never queue, so they neither shed nor degrade.
+bool one_shard_lookup(const Query& q) {
+  switch (q.kind) {
+    case QueryKind::kEdgeSupport: return false;
+    case QueryKind::kTopPairs:
+      return static_cast<std::size_t>(q.a) <= count::TopPairBuffer::kCapacity;
+    default: return true;
+  }
 }
 
 std::string describe(const Query& q) {
@@ -258,13 +275,15 @@ class Program {
       fail(at.str() + "one-shard created-destroyed " +
            std::to_string(r1.created - r1.destroyed) + ", oracle delta " +
            std::to_string(after - before));
-    check_shard_tips(*one_, at.str());
-    check_shard_tips(*three_, at.str());
+    check_shards(*one_, at.str());
+    check_shards(*three_, at.str());
   }
 
-  /// Every published shard snapshot's maintained tips against the oracle on
-  /// the edges that shard owns (with one shard, all of them).
-  void check_shard_tips(const ButterflyService& s, const std::string& at) {
+  /// Every published shard snapshot's maintained tips and certified
+  /// top-pair lists against oracles on the edges that shard owns (with one
+  /// shard, all of them). A published snapshot certifies every k ≤ K′.
+  void check_shards(const ButterflyService& s, const std::string& at) {
+    constexpr std::size_t kCapacity = count::TopPairBuffer::kCapacity;
     const shard::RangePartition& part = s.shard_store().partition();
     for (int k = 0; k < s.shard_count(); ++k) {
       std::vector<std::pair<vidx_t, vidx_t>> owned;
@@ -272,11 +291,20 @@ class Program {
         if (part.owner(e.first) == k) owned.push_back(e);
       const auto g = graph::BipartiteGraph::from_edges(n1_, n2_, owned);
       const SnapshotPtr snap = s.shard_store().shard_snapshot(k);
+      const std::string shard = "shard " + std::to_string(k) + " of " +
+                                std::to_string(s.shard_count());
       if (snap->tips_v1 != count::butterflies_per_v1(g) ||
           snap->tips_v2 != count::butterflies_per_v2(g))
-        return fail(at + "shard " + std::to_string(k) + " of " +
-                    std::to_string(s.shard_count()) +
-                    ": maintained tips differ from the oracle");
+        return fail(at + shard + ": maintained tips differ from the oracle");
+      const std::vector<count::VertexPair> top =
+          count::top_wedge_pairs_v1(g, kCapacity);
+      for (std::size_t want = 0; want <= kCapacity; ++want) {
+        const auto got = snap->top_pairs.certified(want);
+        if (!got || !std::ranges::equal(
+                        *got, std::span(top).first(std::min(want, top.size()))))
+          return fail(at + shard + ": certified top " + std::to_string(want) +
+                      " pairs differ from the oracle");
+      }
     }
   }
 
@@ -347,7 +375,10 @@ class Program {
         }
         break;
       case QueryKind::kTopPairs:
-        q.a = static_cast<vidx_t>(1 + rng_.bounded(4));
+        // k ≤ K′ reads the shards' buffers; k > K′ takes the pass.
+        q.a = static_cast<vidx_t>(
+            1 + rng_.bounded(4) +
+            (rng_.bernoulli(0.5) ? count::TopPairBuffer::kCapacity : 0));
         break;
     }
     return q;
@@ -411,10 +442,8 @@ class Program {
         ++tally_.shed;
       else if (a->fidelity == Fidelity::kExact)
         ++tally_.exact;
-      else if (a->fidelity == Fidelity::kStale)
-        ++tally_.stale;
       else
-        ++tally_.approx;
+        ++tally_.stale;
     }
     const std::string at = describe(q) +
                            (pin ? " pinned at epoch " : " at epoch ") +
@@ -424,28 +453,24 @@ class Program {
                            show_value(want);
 
     // One shard: exact answers are exact at the pinned epoch; stale ones are
-    // exact at an older epoch they name; global and edge never go below
-    // exact-or-stale, and nothing sheds unless the queue is saturated.
+    // exact at an older epoch they name. Lookups never go below exact, edge
+    // support never sheds, and nothing degrades unless the queue is
+    // saturated.
+    const bool lookup = one_shard_lookup(q);
     if (one.shed) {
-      if (!saturated || q.kind == QueryKind::kGlobalCount ||
-          q.kind == QueryKind::kEdgeSupport)
+      if (!saturated || lookup || q.kind == QueryKind::kEdgeSupport)
         return fail(at + ": one-shard query shed");
     } else if (one.fidelity == Fidelity::kExact) {
       if (!same(one, want) || one.epoch != epoch)
         return fail(at + ": one-shard exact answer wrong");
-    } else if (!saturated || q.kind == QueryKind::kGlobalCount) {
+    } else if (!saturated || lookup) {
       return fail(at + ": one-shard answer degraded");
-    } else if (one.fidelity == Fidelity::kStale) {
+    } else {
       const auto h = history_.find(one.epoch);
       if (h == history_.end() || one.epoch > epoch)
         return fail(at + ": one-shard stale answer names an unknown epoch");
       if (!same(one, oracle(q, *h->second)))
         return fail(at + ": one-shard stale answer wrong at its epoch");
-    } else if (q.kind != QueryKind::kVertexTipV1 &&
-               q.kind != QueryKind::kVertexTipV2) {
-      return fail(at + ": one-shard estimate for a kind with no estimator");
-    } else if (one.epoch != epoch || one.value < 0) {
-      return fail(at + ": one-shard estimate at the wrong epoch");
     }
 
     // Three shards: exact answers equal the oracle and the one-shard answer.
@@ -516,12 +541,12 @@ TEST_P(ServingDiff, RandomProgramsMatchOracles) {
     }
   }
   remove_checkpoints(path);
-  std::printf(
-      "seeds %llu..%llu: %lld exact, %lld stale, %lld approx, %lld shed\n",
-      static_cast<unsigned long long>(first),
-      static_cast<unsigned long long>(first + programs - 1),
-      static_cast<long long>(tally.exact), static_cast<long long>(tally.stale),
-      static_cast<long long>(tally.approx), static_cast<long long>(tally.shed));
+  std::printf("seeds %llu..%llu: %lld exact, %lld stale, %lld shed\n",
+              static_cast<unsigned long long>(first),
+              static_cast<unsigned long long>(first + programs - 1),
+              static_cast<long long>(tally.exact),
+              static_cast<long long>(tally.stale),
+              static_cast<long long>(tally.shed));
 }
 
 INSTANTIATE_TEST_SUITE_P(Chunks, ServingDiff, ::testing::Range(0, kChunks));

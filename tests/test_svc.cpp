@@ -1,14 +1,17 @@
 // Tests for the serving subsystem (src/svc/): snapshot store epoch
-// semantics, LRU result cache, executor, one-shard tip queries answered as
-// snapshot lookups, range checks against the pinned view, dynamic-counter
+// semantics, LRU result cache, executor, one-shard tip and top-pairs
+// queries answered as snapshot lookups, the top-pair buffer's rebuild at
+// publish, range checks against the pinned view, dynamic-counter
 // parity with from-scratch recounts, and a TSan-friendly readers-vs-writer
 // stress test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <future>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -68,6 +71,36 @@ TEST(SnapshotStore, GenesisAndPublish) {
   EXPECT_TRUE(s1->graph.has_edge(1, 1));
   // Genesis is untouched.
   EXPECT_EQ(genesis->edges, 0);
+}
+
+TEST(SnapshotStore, PublishRebuildsAnUncertifiedTopPairBufferOnce) {
+  constexpr std::size_t kCapacity = count::TopPairBuffer::kCapacity;
+  const auto rebuilds = [] { return counter_value("svc.top_pair_rebuilds"); };
+  const std::int64_t rebuilds0 = rebuilds();
+  // Twenty V1 vertices on V2 vertex 0: 190 pairs, each with one wedge.
+  SnapshotStore store(20, 2);
+  std::vector<EdgeUpdate> star;
+  for (vidx_t u = 0; u < 20; ++u) star.push_back(EdgeUpdate::add(u, 0));
+  (void)store.apply_batch(star);
+  EXPECT_TRUE(store.current()->top_pairs.certified(kCapacity));
+  EXPECT_EQ(rebuilds(), rebuilds0);  // inserts alone keep it certified
+
+  // Draining vertex 0 takes its 19 pairs out of the buffer, which then
+  // certifies only k ≤ 45: the publish rebuilds it.
+  (void)store.apply_batch({EdgeUpdate::del(0, 0)});
+  const SnapshotPtr snap = store.current();
+  const auto top = snap->top_pairs.certified(kCapacity);
+  ASSERT_TRUE(top);
+  EXPECT_TRUE(std::ranges::equal(
+      *top, count::top_wedge_pairs_v1(snap->graph, kCapacity)));
+  if (obs::kMetricsEnabled) EXPECT_EQ(rebuilds(), rebuilds0 + 1);
+
+  // A key floor certifies every buffered pair right after the rebuild, the
+  // tied ones included, so the next publishes do not rebuild again.
+  (void)store.apply_batch({EdgeUpdate::add(0, 1)});
+  (void)store.apply_batch(std::span<const EdgeUpdate>{});
+  EXPECT_TRUE(store.current()->top_pairs.certified(kCapacity));
+  if (obs::kMetricsEnabled) EXPECT_EQ(rebuilds(), rebuilds0 + 1);
 }
 
 TEST(SnapshotStore, EpochIsolation) {
@@ -151,8 +184,12 @@ TEST(Service, TopPairsMatchesDirectComputation) {
   const SnapshotPtr snap = service.snapshot();
   const TopPairsPtr got = service.top_pairs(4, snap).get().value;
   EXPECT_EQ(*got, count::top_wedge_pairs_v1(snap->graph, 4));
-  // The repeat comes out of the LRU cache: same shared vector.
-  EXPECT_EQ(service.top_pairs(4, snap).get().value.get(), got.get());
+  // Above K′ the pass answers, and the repeat comes out of the LRU cache:
+  // same shared vector.
+  constexpr std::size_t kPass = count::TopPairBuffer::kCapacity + 1;
+  const TopPairsPtr passed = service.top_pairs(kPass, snap).get().value;
+  EXPECT_EQ(*passed, count::top_wedge_pairs_v1(snap->graph, kPass));
+  EXPECT_EQ(service.top_pairs(kPass, snap).get().value.get(), passed.get());
 }
 
 TEST(Service, OutOfRangeQueriesThrow) {
@@ -283,6 +320,55 @@ TEST(Service, ConcurrentOneShardTipQueriesAnswerWithoutQueueing) {
   EXPECT_EQ(
       counter_value("svc.cache_hits") + counter_value("svc.cache_misses"),
       lookups0);
+}
+
+TEST(Service, OneShardTopPairsAnswerFromTheBufferWithoutAPass) {
+  constexpr std::size_t kCapacity = count::TopPairBuffer::kCapacity;
+  ButterflyService service(40, 30, {.threads = 2});
+  service.apply_updates(inserts_of(random_graph(40, 30, 0.3, 13)));
+  const SnapshotPtr snap = service.snapshot();
+  const std::int64_t passes0 = counter_value("svc.top_pair_passes");
+  const std::int64_t lookups0 =
+      counter_value("svc.cache_hits") + counter_value("svc.cache_misses");
+  // Every k ≤ K′ is a lookup in the pinned snapshot's buffer: ready when the
+  // call returns, exact, and neither cached nor computed.
+  for (std::size_t k = 0; k <= kCapacity; ++k) {
+    std::future<QueryResult<TopPairsPtr>> f = service.top_pairs(k, snap);
+    EXPECT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready)
+        << "k " << k;
+    const QueryResult<TopPairsPtr> r = f.get();
+    EXPECT_EQ(*r.value, count::top_wedge_pairs_v1(snap->graph, k)) << "k " << k;
+    EXPECT_FALSE(r.degraded());
+    EXPECT_EQ(r.epoch, snap->epoch);
+  }
+  EXPECT_EQ(counter_value("svc.top_pair_passes"), passes0);
+  EXPECT_EQ(
+      counter_value("svc.cache_hits") + counter_value("svc.cache_misses"),
+      lookups0);
+  EXPECT_EQ(service.cache().size(), 0u);
+  // Above K′ the query takes one pass.
+  EXPECT_EQ(*service.top_pairs(kCapacity + 1, snap).get().value,
+            count::top_wedge_pairs_v1(snap->graph, kCapacity + 1));
+  if (obs::kMetricsEnabled)
+    EXPECT_EQ(counter_value("svc.top_pair_passes"), passes0 + 1);
+}
+
+TEST(Service, InlineAnswersObserveTheirLatency) {
+  ButterflyService service(16, 12, {.threads = 1});
+  service.apply_updates(inserts_of(random_graph(16, 12, 0.4, 17)));
+  EXPECT_EQ(service.latency_p95_us(), 0.0);  // nothing observed yet
+  const auto ready = [](const auto& f) {
+    return f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+  };
+  for (vidx_t x = 0; x < 12; ++x) {
+    EXPECT_TRUE(ready(service.global_count()));
+    EXPECT_TRUE(ready(service.vertex_tip_v1(x)));
+    EXPECT_TRUE(ready(service.vertex_tip_v2(x)));
+    EXPECT_TRUE(ready(service.top_pairs(static_cast<std::size_t>(x))));
+  }
+  // Every answer was a lookup, timed from the query's entry rather than
+  // recorded as 0 µs.
+  EXPECT_GT(service.latency_p95_us(), 0.0);
 }
 
 TEST(ResultCache, LruEvictionAndRecency) {
@@ -439,10 +525,11 @@ TEST(Service, SloBudgetExhaustionTripsOverloadedAndDegrades) {
   service.apply_updates(inserts_of(g));
   EXPECT_FALSE(service.overloaded());  // no observations yet
 
-  // Distinct k: cache hits (and inline lookups) observe ~0µs and would stay
-  // under even this target, so each query must reach the (slow, exact)
-  // top-pairs pass.
-  for (std::size_t k = 1; k <= 8; ++k) (void)service.top_pairs(k, {}).get();
+  // Distinct k above K′: each query reaches the (slow, exact) top-pairs
+  // pass, neither a cache hit nor a buffer lookup.
+  constexpr std::size_t kPass = count::TopPairBuffer::kCapacity + 1;
+  for (std::size_t k = kPass; k < kPass + 8; ++k)
+    (void)service.top_pairs(k, {}).get();
   EXPECT_TRUE(service.slo().budget_exhausted());
   EXPECT_GT(service.slo().burn_rate(QueryKind::kTopPairs), 1.0);
   EXPECT_TRUE(service.overloaded());
@@ -450,7 +537,7 @@ TEST(Service, SloBudgetExhaustionTripsOverloadedAndDegrades) {
   // With the budget exhausted the admission rung answers degraded: the
   // previous generation's list.
   service.apply_updates({EdgeUpdate::add(0, 0), EdgeUpdate::del(0, 0)});
-  const QueryResult<TopPairsPtr> degraded = service.top_pairs(1, {}).get();
+  const QueryResult<TopPairsPtr> degraded = service.top_pairs(kPass, {}).get();
   EXPECT_TRUE(degraded.degraded());
 }
 
@@ -466,7 +553,8 @@ TEST(Service, QuerySpanTreeLinksQueueAndKernel) {
 
   obs::SpanLog::clear();
   obs::SpanLog::set_enabled(true);
-  (void)service.top_pairs(5, {}).get();
+  // Above K′: the one top-pairs request that queues for a pass.
+  (void)service.top_pairs(count::TopPairBuffer::kCapacity + 5, {}).get();
   obs::SpanLog::set_enabled(false);
 
   const std::vector<obs::SpanRecord> spans = obs::SpanLog::snapshot();
@@ -504,6 +592,7 @@ TEST(Service, CancelledKernelStillClosesItsSpanTagged) {
   ButterflyService service(40, 40, {.threads = 1});
   service.apply_updates(inserts_of(g));
   const std::int64_t cancelled_before = counter_value("svc.kernels_cancelled");
+  constexpr std::size_t kPass = count::TopPairBuffer::kCapacity + 3;
 
   obs::SpanLog::clear();
   obs::SpanLog::set_enabled(true);
@@ -515,7 +604,7 @@ TEST(Service, CancelledKernelStillClosesItsSpanTagged) {
     const Request req(service.snapshot(),
                       Deadline::after(std::chrono::milliseconds(50)));
     try {
-      const QueryResult<TopPairsPtr> r = service.top_pairs(3, req).get();
+      const QueryResult<TopPairsPtr> r = service.top_pairs(kPass, req).get();
       EXPECT_TRUE(r.degraded());  // fell down the ladder, never exact
     } catch (const OverloadError&) {
       // Acceptable: no degraded tier could answer either.
@@ -546,9 +635,9 @@ TEST(Service, CancelledKernelStillClosesItsSpanTagged) {
 
   // The fault is spent and the cancelled pass cached nothing: the next
   // query runs the pass and answers exact.
-  const QueryResult<TopPairsPtr> next = service.top_pairs(3).get();
+  const QueryResult<TopPairsPtr> next = service.top_pairs(kPass).get();
   EXPECT_FALSE(next.degraded());
-  EXPECT_EQ(*next.value, count::top_wedge_pairs_v1(g, 3));
+  EXPECT_EQ(*next.value, count::top_wedge_pairs_v1(g, kPass));
 }
 
 }  // namespace

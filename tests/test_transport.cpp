@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -205,6 +206,10 @@ TEST(RemoteShardProto, ParityWithTheLocalShardItProxies) {
   EXPECT_EQ(got->tips_v2, count::butterflies_per_v2(got->graph));
   EXPECT_EQ(got->tips_v1, ref->tips_v1);
   EXPECT_EQ(got->tips_v2, ref->tips_v2);
+  // So is its top-pair buffer, one pass on the received graph.
+  EXPECT_EQ(got->top_pairs, count::TopPairBuffer::of(got->graph));
+  EXPECT_TRUE(std::ranges::equal(*got->top_pairs.certified(3),
+                                 *ref->top_pairs.certified(3)));
   EXPECT_EQ(remote.epoch(), 1u);
   EXPECT_TRUE(remote.healthy());
 
