@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "count/wedges.hpp"
 #include "gen/discrete_sampler.hpp"
 #include "sparse/ops.hpp"
 #include "util/rng.hpp"
@@ -30,27 +31,6 @@ ApproxResult finalize(const std::vector<double>& x, double scale) {
   return r;
 }
 
-/// Butterflies containing V1 vertex u: Σ_{j≠u} C(|N(u)∩N(j)|, 2) by wedge
-/// expansion with a dense accumulator.
-count_t butterflies_at_vertex(const graph::BipartiteGraph& g, vidx_t u,
-                              std::vector<count_t>& acc,
-                              std::vector<vidx_t>& touched) {
-  touched.clear();
-  for (const vidx_t k : g.csr().row(u)) {
-    for (const vidx_t j : g.csc().row(k)) {
-      if (j == u) continue;
-      if (acc[static_cast<std::size_t>(j)] == 0) touched.push_back(j);
-      ++acc[static_cast<std::size_t>(j)];
-    }
-  }
-  count_t total = 0;
-  for (const vidx_t j : touched) {
-    total = chk::checked_add(total, choose2(acc[static_cast<std::size_t>(j)]));
-    acc[static_cast<std::size_t>(j)] = 0;
-  }
-  return total;
-}
-
 }  // namespace
 
 ApproxResult approx_vertex_sampling(const graph::BipartiteGraph& g,
@@ -58,15 +38,15 @@ ApproxResult approx_vertex_sampling(const graph::BipartiteGraph& g,
   require(options.samples >= 1, "approx: samples must be >= 1");
   if (g.n1() == 0) return {};
   Rng rng(options.seed);
-  std::vector<count_t> acc(static_cast<std::size_t>(g.n1()), 0);
-  std::vector<vidx_t> touched;
+  WedgeAccumulator acc(g.n1());
   std::vector<double> x;
   x.reserve(static_cast<std::size_t>(options.samples));
   for (std::int64_t s = 0; s < options.samples; ++s) {
     const auto u = static_cast<vidx_t>(
         rng.bounded(static_cast<std::uint64_t>(g.n1())));
-    x.push_back(
-        static_cast<double>(butterflies_at_vertex(g, u, acc, touched)));
+    // Butterflies containing u: Σ_{j≠u} C(|N(u)∩N(j)|, 2).
+    acc.expand(g.csr().row(u), g.csc(), {}, [u](vidx_t j) { return j != u; });
+    x.push_back(static_cast<double>(acc.drain_butterflies()));
   }
   // E[x] = 2Ξ/|V1|  ->  Ξ = mean·|V1|/2.
   return finalize(x, static_cast<double>(g.n1()) / 2.0);

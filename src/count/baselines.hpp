@@ -1,6 +1,6 @@
 // Baseline butterfly counters from the literature the paper builds on:
 //  - exhaustive wedge aggregation per vertex pair (Wang et al. 2014 [14]),
-//  - vertex-priority counting (Wang et al. VLDB'19 [15]),
+//  - BFC-VP vertex-priority counting (Wang et al. VLDB'19 [15]),
 //  - batched wedge enumeration with sort/hash semisort aggregation
 //    (ParButterfly, Shi & Shun [12]).
 // They cross-validate the linear-algebra family and serve as comparison
@@ -23,9 +23,14 @@ namespace bfc::count {
 /// exact reference counter.
 [[nodiscard]] count_t wedge_reference(const graph::BipartiteGraph& g);
 
-/// Vertex-priority counting over the unified vertex set with degree-based
-/// ranks: every butterfly is charged to its highest-priority vertex, so
-/// high-degree hubs never fan out. The strongest sequential baseline.
+/// BFC-VP, vertex-priority counting (Wang et al. VLDB'19): rank V1 ∪ V2 by
+/// degree descending, then id ascending (a counting sort), relabel the graph
+/// into a rank-ordered adjacency in O(E), and for every u expand the wedges
+/// u – v – w with v and w ranked after u through count::WedgeAccumulator.
+/// Every butterfly is counted once, at its highest-priority vertex, so hubs
+/// never fan out: O(Σ_{(u,v)∈E} min(deg u, deg v)) wedges, added to the
+/// `count.vertex_priority.wedges` counter. The strongest sequential
+/// baseline.
 [[nodiscard]] count_t vertex_priority(const graph::BipartiteGraph& g);
 
 /// ParButterfly-style batch counting: materialise every wedge keyed by its

@@ -4,15 +4,14 @@
 #include <iterator>
 #include <queue>
 
+#include "count/wedges.hpp"
 #include "sparse/ops.hpp"
 
 namespace bfc::count {
 namespace {
 
 /// Keeps the k best pairs while streaming all connected pairs of the rows
-/// of `lines` (transpose in `lines_t`). One cancellation checkpoint per line:
-/// the accumulator is cleared between lines, so abandoning there leaks no
-/// partial state.
+/// of `lines` (transpose in `lines_t`), one cancellation checkpoint per line.
 std::vector<VertexPair> top_pairs(const sparse::CsrPattern& lines,
                                   const sparse::CsrPattern& lines_t,
                                   std::size_t k, const CancelToken& cancel,
@@ -22,37 +21,25 @@ std::vector<VertexPair> top_pairs(const sparse::CsrPattern& lines,
     return pair_order(x, y);
   };
   // Min-heap of the current best k under `better`.
-  auto heap_cmp = [&](const VertexPair& x, const VertexPair& y) {
-    return better(x, y);
-  };
-  std::priority_queue<VertexPair, std::vector<VertexPair>,
-                      decltype(heap_cmp)>
-      heap(heap_cmp);
+  std::priority_queue<VertexPair, std::vector<VertexPair>, decltype(better)>
+      heap(better);
 
-  const vidx_t n = lines.rows();
-  std::vector<count_t> acc(static_cast<std::size_t>(n), 0);
-  std::vector<vidx_t> touched;
-  for (vidx_t i = 0; i < n; ++i) {
-    cancel.checkpoint(where);
-    touched.clear();
-    for (const vidx_t x : lines.row(i)) {
-      for (const vidx_t j : lines_t.row(x)) {
-        if (j <= i) continue;
-        if (acc[static_cast<std::size_t>(j)] == 0) touched.push_back(j);
-        ++acc[static_cast<std::size_t>(j)];
-      }
-    }
-    for (const vidx_t j : touched) {
-      const VertexPair candidate{i, j, acc[static_cast<std::size_t>(j)]};
-      acc[static_cast<std::size_t>(j)] = 0;
-      if (heap.size() < k) {
-        heap.push(candidate);
-      } else if (better(candidate, heap.top())) {
-        heap.pop();
-        heap.push(candidate);
-      }
-    }
-  }
+  expand_wedges(
+      lines.rows(), lines.rows(),
+      [&](std::int64_t line, WedgeAccumulator& acc) {
+        const auto i = static_cast<vidx_t>(line);
+        acc.expand(lines.row(i), lines_t, PeerRange::after(i));
+        acc.drain([&](vidx_t j, count_t t) {
+          const VertexPair candidate{i, j, t};
+          if (heap.size() < k) {
+            heap.push(candidate);
+          } else if (better(candidate, heap.top())) {
+            heap.pop();
+            heap.push(candidate);
+          }
+        });
+      },
+      cancel, where);
 
   std::vector<VertexPair> out;
   out.reserve(heap.size());

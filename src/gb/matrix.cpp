@@ -50,6 +50,7 @@ sparse::CsrCounts mxm(const sparse::CsrCounts& a, const sparse::CsrCounts& b) {
       const RowView rb = row_view(b, k);
       for (std::size_t kb = 0; kb < rb.len; ++kb) {
         const vidx_t j = rb.idx[kb];
+        // bfc-analyze: wedge-loop-ok paper-faithful GraphBLAS mxm over values
         if (acc[static_cast<std::size_t>(j)] == 0) touched.push_back(j);
         acc[static_cast<std::size_t>(j)] = chk::checked_add(
             acc[static_cast<std::size_t>(j)],

@@ -47,6 +47,7 @@ struct PanelScratch {
       const std::size_t q =
           base + static_cast<std::size_t>(std::countr_zero(bits));
       bits &= bits - 1;
+      // bfc-analyze: wedge-loop-ok FLAME panel form, tallies mask bits
       if (t[q] == 0) touched.push_back(static_cast<vidx_t>(q));
       ++t[q];
     }

@@ -2,6 +2,7 @@
 
 #include "chk/validate.hpp"
 #include "chk/tsan_fence.hpp"
+#include "count/wedges.hpp"
 #include "la/kernels.hpp"
 #include "la/partition.hpp"
 #include "obs/metrics.hpp"
@@ -103,48 +104,25 @@ count_t count_wedge_parallel(const sparse::CsrPattern& lines,
   require(lines_t.rows() == lines.cols() && lines_t.cols() == lines.rows(),
           "count_wedge_parallel: lines_t is not the transpose of lines");
   if constexpr (chk::kCheckedEnabled) chk::validate_mirror(lines, lines_t);
-  const auto steps = traversal_steps(lines.rows(), direction, peer);
-  const auto n_steps = static_cast<std::int64_t>(steps.size());
-  const vidx_t n = lines.rows();
-  count_t total = 0;
-  chk::TsanOmpFence fence;
-
-#pragma omp parallel
-  {
-    std::vector<count_t> acc(static_cast<std::size_t>(n), 0);
-    std::vector<vidx_t> touched;
-    obs::ScopedTrace thread_span("kernel.wedge_parallel");
-    count_t my_lines = 0, my_wedges = 0;
-#pragma omp for schedule(dynamic, 64) reduction(+ : total)
-    for (std::int64_t s = 0; s < n_steps; ++s) {
-      const Step& step = steps[static_cast<std::size_t>(s)];
-      const auto pivot_line = lines.row(step.pivot);
-      if (pivot_line.size() < 2) continue;
-      touched.clear();
-      for (const vidx_t i : pivot_line) {
-        for (const vidx_t c : lines_t.row(i)) {
-          if (c < step.peer_lo || c >= step.peer_hi) continue;
-          if (acc[static_cast<std::size_t>(c)] == 0) touched.push_back(c);
-          ++acc[static_cast<std::size_t>(c)];
-        }
-      }
-      for (const vidx_t c : touched) {
-        if constexpr (obs::kMetricsEnabled)
-          my_wedges += acc[static_cast<std::size_t>(c)];
-        total += choose2(acc[static_cast<std::size_t>(c)]);
-        acc[static_cast<std::size_t>(c)] = 0;
-      }
-      if constexpr (obs::kMetricsEnabled) ++my_lines;
-    }
-    if constexpr (obs::kMetricsEnabled) {
-      BFC_COUNT_ADD("la.lines_processed", my_lines);
-      BFC_COUNT_ADD("la.wedges", my_wedges);
-      BFC_HIST_OBSERVE("la.thread_lines", my_lines);
-    }
-    fence.thread_done();
-  }
-  fence.join();
-  return total;
+  const std::vector<Step> steps =
+      traversal_steps(lines.rows(), direction, peer);
+  return count::expand_wedges_parallel(
+      static_cast<std::int64_t>(steps.size()), lines.rows(), num_threads(),
+      64,
+      [&](std::int64_t s, count::WedgeAccumulator& acc) {
+        const Step& step = steps[static_cast<std::size_t>(s)];
+        const auto pivot_line = lines.row(step.pivot);
+        if (pivot_line.size() < 2) return count_t{0};
+        acc.expand(pivot_line, lines_t, {step.peer_lo, step.peer_hi});
+        return acc.drain_butterflies();
+      },
+      // One work-histogram sample per thread, so imbalance across the
+      // dynamic schedule stays visible.
+      []([[maybe_unused]] const count::WedgeWork& work) {
+        BFC_COUNT_ADD("la.lines_processed", work.lines);
+        BFC_COUNT_ADD("la.wedges", work.wedges);
+        BFC_HIST_OBSERVE("la.thread_lines", work.lines);
+      });
 }
 
 }  // namespace bfc::la

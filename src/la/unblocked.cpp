@@ -109,6 +109,7 @@ count_t count_mismatched(const sparse::CsrPattern& other, Direction direction,
     for (const vidx_t i : pivot_line) {
       for (const vidx_t c : other.row(i)) {
         if (c < step.peer_lo || c >= step.peer_hi) continue;
+        // bfc-analyze: wedge-loop-ok A4 ablation, wrong-orientation scan
         if (acc[static_cast<std::size_t>(c)] == 0) touched.push_back(c);
         ++acc[static_cast<std::size_t>(c)];
       }

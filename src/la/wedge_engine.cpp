@@ -1,4 +1,5 @@
 #include "chk/validate.hpp"
+#include "count/wedges.hpp"
 #include "la/kernels.hpp"
 #include "la/partition.hpp"
 #include "obs/metrics.hpp"
@@ -11,39 +12,22 @@ count_t count_wedge(const sparse::CsrPattern& lines,
   require(lines_t.rows() == lines.cols() && lines_t.cols() == lines.rows(),
           "count_wedge: lines_t is not the transpose of lines");
   if constexpr (chk::kCheckedEnabled) chk::validate_mirror(lines, lines_t);
-  const vidx_t n = lines.rows();
-  std::vector<count_t> acc(static_cast<std::size_t>(n), 0);
-  std::vector<vidx_t> touched;
+  const std::vector<Step> steps =
+      traversal_steps(lines.rows(), direction, peer);
   count_t total = 0;
-  count_t obs_lines = 0, obs_wedges = 0;
-
-  for (const Step& step : traversal_steps(n, direction, peer)) {
-    const auto pivot_line = lines.row(step.pivot);
-    if (pivot_line.size() < 2) continue;
-    touched.clear();
-    // Expand only the pivot's wedges: i is a shared endpoint, c a peer line
-    // containing it, so after the loop acc[c] = t_c.
-    for (const vidx_t i : pivot_line) {
-      for (const vidx_t c : lines_t.row(i)) {
-        if (c < step.peer_lo || c >= step.peer_hi) continue;
-        if (acc[static_cast<std::size_t>(c)] == 0) touched.push_back(c);
-        ++acc[static_cast<std::size_t>(c)];
-      }
-    }
-    for (const vidx_t c : touched) {
-      // acc[c] = t_c, so summing it here counts every expanded wedge
-      // without touching the inner expansion loop.
-      if constexpr (obs::kMetricsEnabled)
-        obs_wedges += acc[static_cast<std::size_t>(c)];
-      total += choose2(acc[static_cast<std::size_t>(c)]);
-      acc[static_cast<std::size_t>(c)] = 0;
-    }
-    if constexpr (obs::kMetricsEnabled) ++obs_lines;
-  }
-  if constexpr (obs::kMetricsEnabled) {
-    BFC_COUNT_ADD("la.lines_processed", obs_lines);
-    BFC_COUNT_ADD("la.wedges", obs_wedges);
-  }
+  // Expand only the pivot's wedges: i is a shared endpoint, c a peer line
+  // containing it, so the drain sees t_c and adds C(t_c, 2).
+  [[maybe_unused]] const count::WedgeWork work = count::expand_wedges(
+      static_cast<std::int64_t>(steps.size()), lines.rows(),
+      [&](std::int64_t s, count::WedgeAccumulator& acc) {
+        const Step& step = steps[static_cast<std::size_t>(s)];
+        const auto pivot_line = lines.row(step.pivot);
+        if (pivot_line.size() < 2) return;
+        acc.expand(pivot_line, lines_t, {step.peer_lo, step.peer_hi});
+        total = chk::checked_add(total, acc.drain_butterflies());
+      });
+  BFC_COUNT_ADD("la.lines_processed", work.lines);
+  BFC_COUNT_ADD("la.wedges", work.wedges);
   return total;
 }
 

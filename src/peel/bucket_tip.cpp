@@ -1,6 +1,7 @@
 #include <queue>
 
 #include "count/local_counts.hpp"
+#include "count/wedges.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "peel/decompose.hpp"
@@ -26,8 +27,7 @@ TipDecomposition tip_decomposition(const graph::BipartiteGraph& g, Side side) {
     heap.emplace(b[static_cast<std::size_t>(u)], u);
 
   std::vector<std::uint8_t> removed(static_cast<std::size_t>(n), 0);
-  std::vector<count_t> acc(static_cast<std::size_t>(n), 0);
-  std::vector<vidx_t> touched;
+  count::WedgeAccumulator acc(n);
   count_t running_k = 0;
   // Bucket moves = re-pushed heap entries (the lazy-invalidation analogue of
   // moving a vertex between peel buckets); decrements = butterflies removed
@@ -48,26 +48,21 @@ TipDecomposition tip_decomposition(const graph::BipartiteGraph& g, Side side) {
 
     // Removing u deletes, for every surviving peer j, exactly the
     // butterflies whose two peeled-side vertices are {u, j}: C(w_uj, 2)
-    // where w_uj counts their common neighbours.
-    touched.clear();
-    for (const vidx_t k : lines.row(u)) {
-      for (const vidx_t j : lines_t.row(k)) {
-        const auto ji = static_cast<std::size_t>(j);
-        if (j == u || removed[ji]) continue;
-        if (acc[ji] == 0) touched.push_back(j);
-        ++acc[ji];
-      }
-    }
-    for (const vidx_t j : touched) {
+    // where w_uj counts their common neighbours. u is already marked
+    // removed, so the filter also drops j == u.
+    acc.expand(lines.row(u), lines_t, {},
+               [&removed](vidx_t j) {
+                 return removed[static_cast<std::size_t>(j)] == 0;
+               });
+    acc.drain([&](vidx_t j, count_t t) {
       const auto ji = static_cast<std::size_t>(j);
       if constexpr (obs::kMetricsEnabled) {
-        obs_decrements += choose2(acc[ji]);
+        obs_decrements += choose2(t);
         ++obs_moves;
       }
-      b[ji] -= choose2(acc[ji]);
-      acc[ji] = 0;
+      b[ji] -= choose2(t);
       heap.emplace(b[ji], j);
-    }
+    });
   }
   if constexpr (obs::kMetricsEnabled) {
     BFC_COUNT_ADD("peel.vertices_peeled", n);

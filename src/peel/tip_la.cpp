@@ -1,4 +1,5 @@
 #include "count/local_counts.hpp"
+#include "count/wedges.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "peel/peeling.hpp"
@@ -17,24 +18,16 @@ std::vector<count_t> tip_vector_lookahead(const sparse::CsrPattern& lines,
                                           const sparse::CsrPattern& lines_t) {
   const vidx_t n = lines.rows();
   std::vector<count_t> s(static_cast<std::size_t>(n), 0);
-  std::vector<count_t> acc(static_cast<std::size_t>(n), 0);
-  std::vector<vidx_t> touched;
-  for (vidx_t u = 0; u < n; ++u) {
-    touched.clear();
-    for (const vidx_t k : lines.row(u)) {
-      for (const vidx_t j : lines_t.row(k)) {
-        if (j <= u) continue;  // A2 partition only
-        if (acc[static_cast<std::size_t>(j)] == 0) touched.push_back(j);
-        ++acc[static_cast<std::size_t>(j)];
-      }
-    }
-    for (const vidx_t j : touched) {
-      const count_t pair_butterflies = choose2(acc[static_cast<std::size_t>(j)]);
-      s[static_cast<std::size_t>(u)] += pair_butterflies;
-      s[static_cast<std::size_t>(j)] += pair_butterflies;
-      acc[static_cast<std::size_t>(j)] = 0;
-    }
-  }
+  count::expand_wedges(
+      n, n, [&](std::int64_t line, count::WedgeAccumulator& acc) {
+        const auto u = static_cast<vidx_t>(line);
+        acc.expand(lines.row(u), lines_t, count::PeerRange::after(u));
+        acc.drain([&](vidx_t j, count_t t) {
+          const count_t pair_butterflies = choose2(t);
+          s[static_cast<std::size_t>(u)] += pair_butterflies;
+          s[static_cast<std::size_t>(j)] += pair_butterflies;
+        });
+      });
   return s;
 }
 

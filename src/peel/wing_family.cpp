@@ -1,5 +1,6 @@
 #include "peel/wing_family.hpp"
 
+#include "count/wedges.hpp"
 #include "la/partition.hpp"
 #include "sparse/ops.hpp"
 
@@ -20,8 +21,7 @@ std::vector<count_t> support_rows(const graph::BipartiteGraph& g,
   const std::vector<offset_t> csc_eid = sparse::transpose_entry_ids(a, at);
 
   std::vector<count_t> support(static_cast<std::size_t>(a.nnz()), 0);
-  std::vector<count_t> acc(static_cast<std::size_t>(a.rows()), 0);
-  std::vector<vidx_t> touched;
+  count::WedgeAccumulator acc(a.rows());
 
   for (const la::Step& step :
        la::traversal_steps(a.rows(), direction, peer)) {
@@ -30,14 +30,7 @@ std::vector<count_t> support_rows(const graph::BipartiteGraph& g,
     if (pivot_cols.size() < 2) continue;
 
     // Pass 1: t_c for every peer row c sharing a column with p.
-    touched.clear();
-    for (const vidx_t v : pivot_cols) {
-      for (const vidx_t c : at.row(v)) {
-        if (c < step.peer_lo || c >= step.peer_hi) continue;
-        if (acc[static_cast<std::size_t>(c)] == 0) touched.push_back(c);
-        ++acc[static_cast<std::size_t>(c)];
-      }
-    }
+    acc.expand(pivot_cols, at, {step.peer_lo, step.peer_hi});
 
     // Pass 2: charge the (t − 1) butterflies of each (pivot, peer, shared
     // column) triple onto both incident edges.
@@ -50,7 +43,7 @@ std::vector<count_t> support_rows(const graph::BipartiteGraph& g,
       for (std::size_t k = 0; k < v_rows.size(); ++k) {
         const vidx_t c = v_rows[k];
         if (c < step.peer_lo || c >= step.peer_hi) continue;
-        const count_t t = acc[static_cast<std::size_t>(c)];
+        const count_t t = acc[c];
         if (t < 2) continue;
         support[static_cast<std::size_t>(eid_pv)] += t - 1;
         support[static_cast<std::size_t>(
@@ -58,7 +51,7 @@ std::vector<count_t> support_rows(const graph::BipartiteGraph& g,
       }
     }
 
-    for (const vidx_t c : touched) acc[static_cast<std::size_t>(c)] = 0;
+    acc.clear();
   }
   return support;
 }

@@ -63,6 +63,7 @@ CrossAggregate ScatterGather::compute(const ShardView& view,
         for (const vidx_t v : row) {
           for (const svc::SnapshotPtr& peer : peers) {
             for (const vidx_t u2 : peer->graph.neighbors_of_v2(v)) {
+              // bfc-analyze: wedge-loop-ok peers span several shard graphs
               if (acc[static_cast<std::size_t>(u2)] == 0) touched.push_back(u2);
               ++acc[static_cast<std::size_t>(u2)];
             }
@@ -257,19 +258,22 @@ count_t ScatterGather::edge_support_cross(const ShardView& view, int owner,
 }
 
 std::vector<count::VertexPair> ScatterGather::merge_top_pairs(
-    const std::vector<std::vector<count::VertexPair>>& per_shard,
+    std::span<const std::span<const count::VertexPair>> per_shard,
     std::span<const count::VertexPair> cross_pairs, std::size_t k) {
   BFC_COUNT_ADD("svc.gather_merges", 1);
   // Every input is ranked by count::pair_order, so the global top k lies
   // within the first k entries of each.
-  std::vector<count::VertexPair> top;
-  const auto take = [&](std::span<const count::VertexPair> list) {
-    top.insert(top.end(), list.begin(),
-               list.begin() + static_cast<std::ptrdiff_t>(
-                                  std::min(k, list.size())));
+  const auto head = [k](std::span<const count::VertexPair> list) {
+    return list.first(std::min(k, list.size()));
   };
-  for (const auto& list : per_shard) take(list);
-  take(cross_pairs);
+  if (per_shard.size() == 1 && cross_pairs.empty()) {
+    const std::span<const count::VertexPair> only = head(per_shard[0]);
+    return {only.begin(), only.end()};
+  }
+  std::vector<count::VertexPair> top;
+  for (const std::span<const count::VertexPair> list : per_shard)
+    top.insert(top.end(), head(list).begin(), head(list).end());
+  top.insert(top.end(), head(cross_pairs).begin(), head(cross_pairs).end());
   std::ranges::sort(top, count::pair_order);
   if (top.size() > k) top.resize(k);
   return top;

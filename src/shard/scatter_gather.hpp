@@ -135,9 +135,10 @@ class ScatterGather {
   /// Exact top-k merge of per-shard top-k lists and the cross pairs. Each
   /// input must be sorted by count::pair_order; the global top k then lies
   /// within the first k entries of each, and the merge reads at most k
-  /// entries of each input.
+  /// entries of each input. One list and no cross pairs (one shard) is a
+  /// copy of its first k.
   [[nodiscard]] static std::vector<count::VertexPair> merge_top_pairs(
-      const std::vector<std::vector<count::VertexPair>>& per_shard,
+      std::span<const std::span<const count::VertexPair>> per_shard,
       std::span<const count::VertexPair> cross_pairs, std::size_t k);
 
  private:

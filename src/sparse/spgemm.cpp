@@ -22,6 +22,7 @@ CsrCounts spgemm(const CsrPattern& a, const CsrPattern& b) {
     touched.clear();
     for (const vidx_t k : a.row(i)) {
       for (const vidx_t j : b.row(k)) {
+        // bfc-analyze: wedge-loop-ok general SpGEMM, emits sorted rows of C
         if (acc[static_cast<std::size_t>(j)] == 0) touched.push_back(j);
         ++acc[static_cast<std::size_t>(j)];
       }
@@ -58,6 +59,7 @@ count_t gram_pairwise_butterflies(const CsrPattern& a, const CsrPattern& at) {
         // Only pairs (i, j) with j > i contribute; each unordered pair is
         // visited exactly once this way.
         if (j <= i) continue;
+        // bfc-analyze: wedge-loop-ok wedge_reference, the perfbench oracle
         if (acc[static_cast<std::size_t>(j)] == 0) touched.push_back(j);
         ++acc[static_cast<std::size_t>(j)];
       }

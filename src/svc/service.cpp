@@ -597,33 +597,46 @@ TopPairsPtr ButterflyService::top_list(const shard::ShardView& view,
                                        const shard::CrossAggregate& agg,
                                        const CancelToken& cancel,
                                        const obs::TraceContext& trace) {
-  std::vector<std::vector<count::VertexPair>> per_shard;
-  per_shard.reserve(view.shards.size());
+  // The lists are read in place; only a pass fallback owns one. With one
+  // shard no list of lists is built: the merge copies k pairs.
+  std::vector<std::vector<count::VertexPair>> passes;
+  const auto merge = [&](std::span<const std::span<const count::VertexPair>>
+                             lists) {
+    return std::make_shared<const std::vector<count::VertexPair>>(
+        shard::ScatterGather::merge_top_pairs(lists, agg.pairs, k));
+  };
+  if (view.shard_count() == 1) {
+    const std::span<const count::VertexPair> list =
+        shard_top_list(view, 0, k, cancel, trace, passes);
+    return merge({&list, 1});
+  }
+  std::vector<std::span<const count::VertexPair>> lists;
+  lists.reserve(view.shards.size());
   for (int s = 0; s < view.shard_count(); ++s)
-    per_shard.push_back(shard_top_list(view, s, k, cancel, trace));
-  return std::make_shared<const std::vector<count::VertexPair>>(
-      shard::ScatterGather::merge_top_pairs(per_shard, agg.pairs, k));
+    lists.push_back(shard_top_list(view, s, k, cancel, trace, passes));
+  return merge(lists);
 }
 
-std::vector<count::VertexPair> ButterflyService::shard_top_list(
+std::span<const count::VertexPair> ButterflyService::shard_top_list(
     const shard::ShardView& view, int s, std::size_t k,
-    const CancelToken& cancel, const obs::TraceContext& trace) {
+    const CancelToken& cancel, const obs::TraceContext& trace,
+    std::vector<std::vector<count::VertexPair>>& passes) {
   const SnapshotPtr& snap = view.shards[static_cast<std::size_t>(s)];
-  if (const auto top = snap->top_pairs.certified(k))
-    return {top->begin(), top->end()};
+  if (const auto top = snap->top_pairs.certified(k)) return *top;
   obs::Span kernel_span(trace, "svc.kernel.top_pairs");
   if (kernel_span.armed()) {
     kernel_span.tag("epoch", std::to_string(snap->epoch));
     kernel_span.tag("shard", std::to_string(s));
   }
-  std::vector<count::VertexPair> list;
   try {
     // Checked builds can inject latency here to force deadline expiry
     // mid-pass (fault::Point::kSlowKernel, param = milliseconds).
     if (fault::fires(fault::Point::kSlowKernel))
       std::this_thread::sleep_for(
           std::chrono::milliseconds(fault::param(fault::Point::kSlowKernel)));
-    list = count::top_wedge_pairs_v1(snap->graph, k, cancel);
+    // A moved inner vector keeps its buffer, so spans into earlier passes
+    // stay valid as `passes` grows.
+    passes.push_back(count::top_wedge_pairs_v1(snap->graph, k, cancel));
     BFC_COUNT_ADD("svc.top_pair_passes", 1);
     kernel_span.tag("outcome", "ok");
   } catch (const CancelledError&) {
@@ -636,7 +649,7 @@ std::vector<count::VertexPair> ButterflyService::shard_top_list(
     kernel_span.tag("outcome", "error");
     throw;
   }
-  return list;
+  return passes.back();
 }
 
 // ---- shared plumbing -------------------------------------------------------

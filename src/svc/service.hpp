@@ -364,15 +364,15 @@ class ButterflyService {
                        const CancelToken& cancel,
                        const obs::TraceContext& trace);
 
-  /// Shard s's top-k list at the view's pinned epoch: its buffer's when it
-  /// certifies k, else a pass (k > K′, rare enough to go uncached). The
-  /// pass runs under a svc.kernel.top_pairs span parented to `trace`,
-  /// checks `cancel` per row, and closes its span tagged cancelled=true
-  /// when the token fires.
-  std::vector<count::VertexPair> shard_top_list(const shard::ShardView& view,
-                                                int s, std::size_t k,
-                                                const CancelToken& cancel,
-                                                const obs::TraceContext& trace);
+  /// Shard s's top-k list at the view's pinned epoch: its buffer's
+  /// certified span when it certifies k, else a pass (k > K′, rare enough
+  /// to go uncached) whose list `passes` keeps. The pass runs under a
+  /// svc.kernel.top_pairs span parented to `trace`, checks `cancel` per
+  /// row, and closes its span tagged cancelled=true when the token fires.
+  std::span<const count::VertexPair> shard_top_list(
+      const shard::ShardView& view, int s, std::size_t k,
+      const CancelToken& cancel, const obs::TraceContext& trace,
+      std::vector<std::vector<count::VertexPair>>& passes);
 
   /// After a shard publish: roll the (cur, prev) view-generation pair and
   /// prune the composed-answer tier down to those two signatures.

@@ -399,6 +399,54 @@ TEST(AnalyzeEagerMessage, SuppressionWithRationaleSilences) {
   EXPECT_TRUE(of_rule(all, "suppression").empty());
 }
 
+// ----------------------------------------------------------------- wedge-loop
+
+// A hand-copied expansion loop seeded into a kernel: exactly one finding, at
+// the first-touch `if`, whatever the other lines of the loop look like.
+TEST(AnalyzeWedgeLoop, FiresOnceOnHandCopiedLoop) {
+  const std::string code =
+      "count_t per_row(const Csr& a, const Csr& at, vidx_t i) {\n"
+      "  std::vector<count_t> acc(a.rows(), 0);\n"
+      "  std::vector<vidx_t> touched;\n"
+      "  for (const vidx_t k : a.row(i)) {\n"
+      "    for (const vidx_t j : at.row(k)) {\n"
+      "      if (acc[static_cast<std::size_t>(j)] == 0) touched.push_back(j);\n"
+      "      ++acc[static_cast<std::size_t>(j)];\n"
+      "    }\n"
+      "  }\n"
+      "  return drain(acc, touched);\n"
+      "}\n";
+  const auto fs = of_rule(analyze_one("src/count/foo.cpp", code), "wedge-loop");
+  ASSERT_EQ(fs.size(), 1u);
+  EXPECT_EQ(fs[0].line, 6);
+  EXPECT_NE(fs[0].message.find("WedgeAccumulator"), std::string::npos);
+}
+
+TEST(AnalyzeWedgeLoop, QuietInThePrimitiveOnOtherShapesAndWhenSuppressed) {
+  const std::string loop =
+      "void f() {\n"
+      "  if (t == 0) touched_.push_back(c);\n"
+      "}\n";
+  EXPECT_TRUE(
+      of_rule(analyze_one("src/count/wedges.hpp", loop), "wedge-loop").empty());
+  const std::string other =
+      "void g() {\n"
+      "  if (removed.count(k) == 0) stable.push_back(k);\n"
+      "  if (acc[j] != 0) touched.push_back(j);\n"
+      "  if (n == 1) out.push_back(',');\n"
+      "}\n";
+  EXPECT_TRUE(
+      of_rule(analyze_one("src/count/foo.cpp", other), "wedge-loop").empty());
+  const std::string kept =
+      "void h() {\n"
+      "  // bfc-analyze: wedge-loop-ok paper-faithful layer keeps its loop\n"
+      "  if (acc[j] == 0) touched.push_back(j);\n"
+      "}\n";
+  const auto all = analyze_one("src/gb/foo.cpp", kept);
+  EXPECT_TRUE(of_rule(all, "wedge-loop").empty());
+  EXPECT_TRUE(of_rule(all, "suppression").empty());
+}
+
 // ---------------------------------------------------------------- suppression
 
 TEST(AnalyzeSuppression, MalformedMarkersAreFindings) {

@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <barrier>
 #include <chrono>
 #include <cstdio>
 #include <iterator>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -249,6 +251,12 @@ TEST(ScatterGather, CrossPassMatchesBruteForce) {
   EXPECT_GT(tied, 100u) << "the dense shapes must tie many pairs at w >= 2";
 }
 
+/// Spans over each list, the form merge_top_pairs reads.
+std::vector<std::span<const count::VertexPair>> spans_of(
+    const std::vector<std::vector<count::VertexPair>>& lists) {
+  return {lists.begin(), lists.end()};
+}
+
 // The merge against "sort everything, then truncate": per-shard and cross
 // lists longer than k, ties at one wedge count straddling lists, k = 0 and
 // k above the total.
@@ -285,7 +293,8 @@ TEST(ScatterGather, MergeTopPairsEqualsSortAllThenTruncate) {
       const std::vector<count::VertexPair> want(
           all.begin(),
           all.begin() + static_cast<std::ptrdiff_t>(std::min(k, all.size())));
-      EXPECT_EQ(shard::ScatterGather::merge_top_pairs(per_shard, cross, k),
+      EXPECT_EQ(shard::ScatterGather::merge_top_pairs(spans_of(per_shard),
+                                                      cross, k),
                 want);
     }
   }
@@ -299,10 +308,41 @@ TEST(ScatterGather, MergeTopPairsReadsAtMostKOfEachList) {
   const std::vector<std::vector<count::VertexPair>> per_shard = {
       {{1, 2, 5}, {1, 3, 4}, planted}, {{2, 3, 6}, {2, 4, 1}, planted}};
   const std::vector<count::VertexPair> cross = {{1, 5, 5}, {2, 5, 2}, planted};
-  EXPECT_EQ(shard::ScatterGather::merge_top_pairs(per_shard, cross, 2),
+  const auto lists = spans_of(per_shard);
+  EXPECT_EQ(shard::ScatterGather::merge_top_pairs(lists, cross, 2),
             (std::vector<count::VertexPair>{{2, 3, 6}, {1, 2, 5}}));
-  EXPECT_EQ(shard::ScatterGather::merge_top_pairs(per_shard, cross, 1),
+  EXPECT_EQ(shard::ScatterGather::merge_top_pairs(lists, cross, 1),
             (std::vector<count::VertexPair>{{2, 3, 6}}));
+}
+
+// The merge reads the lists in place: ties at one count across shards rank
+// by (a, b), a k above every list's size returns the whole union, an empty
+// cross list and an empty shard list add nothing, and one list without
+// cross pairs is its own first k.
+TEST(ScatterGather, MergeTopPairsOverSpans) {
+  using Pairs = std::vector<count::VertexPair>;
+  const Pairs s0 = {{0, 4, 3}, {2, 3, 2}, {1, 5, 1}};
+  const Pairs s1 = {{0, 2, 3}, {1, 2, 2}};
+  const Pairs s2;
+  const std::array<std::span<const count::VertexPair>, 3> lists = {s0, s1,
+                                                                    s2};
+  const std::span<const count::VertexPair> no_cross;
+  const auto merge = [](std::span<const std::span<const count::VertexPair>> l,
+                        std::span<const count::VertexPair> cross,
+                        std::size_t k) {
+    return shard::ScatterGather::merge_top_pairs(l, cross, k);
+  };
+  EXPECT_EQ(merge(lists, no_cross, 2), (Pairs{{0, 2, 3}, {0, 4, 3}}));
+  EXPECT_EQ(merge(lists, no_cross, 4),
+            (Pairs{{0, 2, 3}, {0, 4, 3}, {1, 2, 2}, {2, 3, 2}}));
+  EXPECT_EQ(merge(lists, no_cross, 99),
+            (Pairs{{0, 2, 3}, {0, 4, 3}, {1, 2, 2}, {2, 3, 2}, {1, 5, 1}}));
+  const std::span<const std::span<const count::VertexPair>> one =
+      std::span(lists).first(1);
+  EXPECT_EQ(merge(one, no_cross, 2), (Pairs{{0, 4, 3}, {2, 3, 2}}));
+  EXPECT_EQ(merge(one, no_cross, 99), s0);
+  const Pairs cross = {{0, 1, 3}};
+  EXPECT_EQ(merge(one, cross, 2), (Pairs{{0, 1, 3}, {0, 4, 3}}));
 }
 
 // The tentpole invariant: every query kind, every vertex (boundaries

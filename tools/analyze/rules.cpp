@@ -585,6 +585,39 @@ void rule_eager_message(const SourceFile& f, const RuleContext&,
   }
 }
 
+// ----------------------------------------------------------------- wedge-loop
+
+/// The first touch of a dense accumulator, `if (acc[x] == 0)
+/// touched.push_back(x);`, marks a hand-copied wedge-expansion loop.
+/// count/wedges.hpp is the one copy that kernels expand through; a
+/// paper-faithful layer that keeps its own loop says why in a suppression.
+void rule_wedge_loop(const SourceFile& f, const RuleContext&,
+                     std::vector<Finding>& out) {
+  if (f.path == "src/count/wedges.hpp") return;  // the primitive itself
+  const Tokens& t = f.lex.tokens;
+  for (std::size_t i = 0; i + 2 < t.size(); ++i) {
+    if (!t[i].ident("if") || !t[i + 1].punct("(") ||
+        t[i + 2].kind != Tok::kIdent)
+      continue;
+    const std::size_t eq = skip_subscripts(t, i + 2);
+    if (eq + 3 >= t.size() || !t[eq].punct("==") ||
+        !t[eq + 1].is(Tok::kNumber, "0") || !t[eq + 2].punct(")"))
+      continue;
+    std::size_t k = eq + 3;
+    if (t[k].punct("{")) ++k;
+    if (k + 2 < t.size() && t[k].kind == Tok::kIdent &&
+        (t[k + 1].punct(".") || t[k + 1].punct("->")) &&
+        t[k + 2].ident("push_back")) {
+      emit(f, "wedge-loop", t[i],
+           "hand-copied wedge-expansion loop (first touch of a dense "
+           "accumulator); expand through count::WedgeAccumulator "
+           "(count/wedges.hpp), or say why this loop stays "
+           "(// bfc-analyze: wedge-loop-ok <why>)",
+           out);
+    }
+  }
+}
+
 // ---------------------------------------------------------------- suppression
 
 /// The meta-rule: a suppression that cannot work (no rationale, unknown rule
@@ -657,6 +690,9 @@ const std::vector<Rule>& all_rules() {
       {"eager-message",
        "computed require()/enforce() messages inside loop bodies",
        rule_eager_message},
+      {"wedge-loop",
+       "hand-copied wedge-expansion loops outside count/wedges.hpp",
+       rule_wedge_loop},
       {"suppression", "malformed or unknown suppression markers",
        rule_suppression},
     };

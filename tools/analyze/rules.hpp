@@ -11,6 +11,7 @@
 //   metric-registry         metric literals must exist in metrics.registry
 //   span-pairing            span/tag literals: lifetime + registry contract
 //   eager-message           computed require/enforce messages in loop bodies
+//   wedge-loop              dense-accumulator wedge loops outside the primitive
 //   suppression             malformed or unknown suppression markers
 // Flow-sensitive families (rules_flow.cpp, built on flow.hpp):
 //   lifetime-escape         views bound to temporaries / escaping locals
