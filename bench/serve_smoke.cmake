@@ -71,19 +71,29 @@ elseif(MODE STREQUAL "shard")
   # shed evidence the span check demands) is structural rather than a race —
   # on a single-core runner the depth-1 default sheds only when reader
   # submissions happen to interleave, which misses ~1 run in 8.
-  # The mix and the query count as for MODE=overload: a tip or global query
-  # whose view already has its cross aggregate answers inline.
+  # The mix, the query count and --top-k as for MODE=overload: every view
+  # carries its cross aggregate, so tip, global and top-64 queries answer
+  # inline. A degraded answer is then a queued read that finds an earlier
+  # view generation's answer, and with the default 5 ms deadline those came
+  # only from the burst of queued reads after the first pin: 21 of 30 idle
+  # runs saw none. A 10 us deadline abandons many queued reads at dequeue
+  # in every generation; an abandoned edge-support read answers inline and
+  # caches, so the next round's abandoned reads of the same hot keys find
+  # it, and abandoned top-pairs reads above K' shed.
   set(load --shards 4 --zipf 0.9 --overload --scale 0.02 --readers 6
            --epochs 3 --batch 60 --queries 400 --mix tip:3,global:1,edge:3,top:3
-           --pool 1 --max-queue 2 --degrade-depth 64
+           --top-k 65 --pool 1 --max-queue 2 --degrade-depth 64
+           --deadline-ms 0.01
            --metrics-file "${OUT}/metrics.txt"
            --spans-out "${OUT}/spans.json")
 elseif(MODE STREQUAL "chaos")
   if(NOT DEFINED HOST)
     message(FATAL_ERROR "MODE=chaos needs -DHOST=<path to bfc-shard-host>")
   endif()
+  # --top-k 65 for the cache hits the bench demands: tip, global and
+  # top-64 reads answer inline and cache nothing.
   set(load --shards 4 --kill-shard 2@mid --host-bin "${HOST}" --scale 0.02
-           --readers 4 --epochs 6 --batch 60 --queries 200 --pool 2
+           --readers 4 --epochs 6 --batch 60 --queries 200 --pool 2 --top-k 65
            --metrics-file "${OUT}/metrics.txt")
 elseif(MODE STREQUAL "telemetry")
   # --degrade-depth 64, the mix and the query count for the same reasons

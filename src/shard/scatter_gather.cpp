@@ -1,13 +1,15 @@
 #include "shard/scatter_gather.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
-#include <exception>
+#include <cstdint>
 #include <string>
 #include <thread>
-#include <utility>
 
+#include "chk/check.hpp"
 #include "chk/checked_math.hpp"
+#include "count/wedges.hpp"
 #include "obs/metrics.hpp"
 #include "sparse/ops.hpp"
 #include "svc/fault.hpp"
@@ -15,20 +17,90 @@
 namespace bfc::shard {
 namespace {
 
-/// The aggregate of every one-shard view: no cross pairs.
-const CrossAggregatePtr& no_cross_pairs() {
-  static const CrossAggregatePtr empty =
-      std::make_shared<const CrossAggregate>();
-  return empty;
+using Peers = std::vector<const graph::BipartiteGraph*>;
+constexpr std::size_t kCapacity = count::TopPairBuffer::kCapacity;
+
+/// x + n, or x − n when `add` is false.
+void credit(count_t& x, count_t n, bool add) {
+  x = add ? chk::checked_add(x, n) : chk::checked_sub(x, n);
+}
+
+/// The row kernel (see the file comment): the cross wedges u – v – u2 of
+/// `row`, the neighbours of u, whose far end u2 is a vertex of a `peers`
+/// graph. Credits w − 1 per wedge to tips_v2[v] and C(w, 2) per pair to the
+/// count and to both ends' tips — or takes them back when `add` is false —
+/// where w = |row ∩ N(u2)|, then calls pair(u2, w).
+template <class Pair>
+void cross_row(CrossAggregate& agg, count::WedgeAccumulator& acc, vidx_t u,
+               std::span<const vidx_t> row, const Peers& peers, bool add,
+               Pair&& pair) {
+  for (const graph::BipartiteGraph* g : peers) acc.expand(row, g->csc());
+  // Each cross wedge (u, u2) at v closes into a butterfly with every OTHER
+  // common neighbour of the pair: w − 1 of them. This sweep needs the full
+  // multiplicities, so it cannot fuse into the expansion.
+  for (const vidx_t v : row) {
+    count_t closed = 0;
+    for (const graph::BipartiteGraph* g : peers)
+      for (const vidx_t u2 : g->neighbors_of_v2(v))
+        closed = chk::checked_add(closed, acc[u2] - 1);
+    credit(agg.tips_v2[static_cast<std::size_t>(v)], closed, add);
+  }
+  acc.drain([&](vidx_t u2, count_t w) {
+    if (const count_t bf = chk::checked_choose2(w); bf != 0) {
+      credit(agg.butterflies, bf, add);
+      credit(agg.tips_v1[static_cast<std::size_t>(u)], bf, add);
+      credit(agg.tips_v1[static_cast<std::size_t>(u2)], bf, add);
+    }
+    pair(u2, w);
+  });
+}
+
+/// Bit i set when buffer slot i holds a pair of u.
+std::uint64_t slots_of(const std::vector<count::VertexPair>& pairs, vidx_t u) {
+  static_assert(kCapacity <= 64, "one bit per buffer slot");
+  std::uint64_t slots = 0;
+  for (std::size_t i = 0; i < pairs.size(); ++i)
+    if (pairs[i].a == u || pairs[i].b == u) slots |= std::uint64_t{1} << i;
+  return slots;
+}
+
+/// Records that cross pair (u, u2) now has w > 0 wedges, `mine` being u's
+/// slots: in place when the buffer holds the pair; else it enters when it
+/// ranks above the floor, evicting the lowest pair beyond K′, whose key
+/// becomes the floor when it ranks higher (count::DynamicButterflyCounter's
+/// rule).
+void offer(CrossAggregate& agg, vidx_t u, vidx_t u2, count_t w,
+           std::uint64_t& mine) {
+  std::vector<count::VertexPair>& pairs = agg.pairs;
+  for (std::uint64_t bits = mine; bits != 0; bits &= bits - 1) {
+    count::VertexPair& slot =
+        pairs[static_cast<std::size_t>(std::countr_zero(bits))];
+    if (slot.a == u2 || slot.b == u2) {
+      slot.wedges = w;
+      return;
+    }
+  }
+  const count::VertexPair pair{std::min(u, u2), std::max(u, u2), w};
+  if (!count::pair_order(pair, agg.floor)) return;
+  pairs.push_back(pair);
+  if (pairs.size() > kCapacity) {
+    const auto lowest = std::ranges::max_element(pairs, count::pair_order);
+    if (count::pair_order(*lowest, agg.floor)) agg.floor = *lowest;
+    *lowest = pairs.back();
+    pairs.pop_back();
+  }
+  mine = slots_of(pairs, u);
 }
 
 }  // namespace
 
 CrossAggregate ScatterGather::compute(const ShardView& view,
                                       const CancelToken& cancel,
-                                      const obs::TraceContext& trace) {
+                                      const obs::TraceContext& trace,
+                                      std::size_t depth) {
   CrossAggregate agg;
   agg.signature = view.signature;
+  agg.floor = count::VertexPair{};  // certifies every pair it holds
   const int shards = view.shard_count();
   if (shards < 2) return agg;  // no cross pairs can exist
   // Checked builds can stall the pass to force a deadline to expire
@@ -37,196 +109,107 @@ CrossAggregate ScatterGather::compute(const ShardView& view,
     std::this_thread::sleep_for(std::chrono::milliseconds(
         svc::fault::param(svc::fault::Point::kSlowKernel)));
   const vidx_t n1 = view.shards[0]->graph.n1();
-  const vidx_t n2 = view.shards[0]->graph.n2();
   agg.tips_v1.assign(static_cast<std::size_t>(n1), 0);
-  agg.tips_v2.assign(static_cast<std::size_t>(n2), 0);
-
-  std::vector<count_t> acc(static_cast<std::size_t>(n1), 0);  // w(u1, ·)
-  std::vector<vidx_t> touched;          // u2 with acc[u2] != 0
-  std::vector<count::VertexPair> ties;  // pairs with w ≥ 2
-  count_t wedges = 0;
+  agg.tips_v2.assign(static_cast<std::size_t>(view.shards[0]->graph.n2()), 0);
+  count::WedgeAccumulator acc(n1);
+  // The best depth + 1 pairs so far: a heap whose front ranks lowest.
+  std::vector<count::VertexPair> best;
+  [[maybe_unused]] count_t connected = 0;
 
   {
-    // Scatter: every cross wedge u1 – v – u2 with owner(u2) > owner(u1) = i,
-    // one V1 row at a time; the peer filter sees each cross pair once.
+    // Scatter: the rows of shard i against the later shards, so the peer
+    // filter owner(u2) > owner(u) = i sees each cross pair once.
+    // Contiguous ascending ranges make u < u2, a canonical pair.
     obs::Span span(trace, "svc.scatter");
     span.tag("shards", std::to_string(shards));
     for (int i = 0; i + 1 < shards; ++i) {
-      const auto peers = std::span(view.shards).subspan(
-          static_cast<std::size_t>(i) + 1);
-      for (vidx_t u1 = 0; u1 < n1; ++u1) {
+      Peers peers;
+      for (int j = i + 1; j < shards; ++j)
+        peers.push_back(&view.shards[static_cast<std::size_t>(j)]->graph);
+      const graph::BipartiteGraph& g =
+          view.shards[static_cast<std::size_t>(i)]->graph;
+      for (vidx_t u = 0; u < n1; ++u) {
         cancel.checkpoint("shard::ScatterGather::compute");
-        const std::span<const vidx_t> row =
-            view.shards[static_cast<std::size_t>(i)]->graph.neighbors_of_v1(
-                u1);
-        touched.clear();
-        for (const vidx_t v : row) {
-          for (const svc::SnapshotPtr& peer : peers) {
-            for (const vidx_t u2 : peer->graph.neighbors_of_v2(v)) {
-              // bfc-analyze: wedge-loop-ok peers span several shard graphs
-              if (acc[static_cast<std::size_t>(u2)] == 0) touched.push_back(u2);
-              ++acc[static_cast<std::size_t>(u2)];
-            }
-          }
-        }
-        // Each cross wedge (u1, u2) at v closes into a butterfly with every
-        // OTHER common neighbor of the pair: w − 1 of them. This sweep needs
-        // the full multiplicities, so it cannot fuse into the first.
-        for (const vidx_t v : row) {
-          count_t& tv = agg.tips_v2[static_cast<std::size_t>(v)];
-          for (const svc::SnapshotPtr& peer : peers)
-            for (const vidx_t u2 : peer->graph.neighbors_of_v2(v))
-              tv = chk::checked_add(tv, acc[static_cast<std::size_t>(u2)] - 1);
-        }
-        // Contiguous ascending ranges make u1 < u2, so the sorted touched
-        // list emits this row's pairs in ascending (u1, u2) order.
-        std::sort(touched.begin(), touched.end());
-        for (const vidx_t u2 : touched) {
-          count_t& w = acc[static_cast<std::size_t>(u2)];
-          const count_t bf = chk::checked_choose2(w);
-          if (bf != 0) {
-            agg.butterflies = chk::checked_add(agg.butterflies, bf);
-            agg.tips_v1[static_cast<std::size_t>(u1)] = chk::checked_add(
-                agg.tips_v1[static_cast<std::size_t>(u1)], bf);
-            agg.tips_v1[static_cast<std::size_t>(u2)] = chk::checked_add(
-                agg.tips_v1[static_cast<std::size_t>(u2)], bf);
-          }
-          (w >= 2 ? ties : agg.pairs).push_back(count::VertexPair{u1, u2, w});
-          if constexpr (obs::kMetricsEnabled)
-            wedges = chk::checked_add(wedges, w);
-          w = 0;
-        }
+        cross_row(agg, acc, u, g.neighbors_of_v1(u), peers, true,
+                  [&](vidx_t u2, count_t w) {
+                    if constexpr (obs::kMetricsEnabled) ++connected;
+                    const count::VertexPair p{u, u2, w};
+                    if (best.size() <= depth) {
+                      best.push_back(p);
+                      std::ranges::push_heap(best, count::pair_order);
+                    } else if (count::pair_order(p, best.front())) {
+                      std::ranges::pop_heap(best, count::pair_order);
+                      best.back() = p;
+                      std::ranges::push_heap(best, count::pair_order);
+                    }
+                  });
       }
     }
   }
 
   {
-    // Gather: rank the pairs by count::pair_order. The w = 1 pairs came out
-    // in ascending (a, b) order, already their rank among themselves, so
-    // only the pairs with w ≥ 2 are sorted, and they go first.
+    // Gather: rank the kept pairs; the one past `depth` is the floor.
     obs::Span span(trace, "svc.gather");
-    std::ranges::sort(ties, count::pair_order);
-    agg.pairs.insert(agg.pairs.begin(), ties.begin(), ties.end());
-    span.tag("pairs", std::to_string(agg.pairs.size()));
+    std::ranges::sort_heap(best, count::pair_order);
+    if (best.size() > depth) {
+      agg.floor = best.back();
+      best.pop_back();
+    }
+    agg.pairs = std::move(best);
+    span.tag("pairs", std::to_string(connected));
   }
 
   BFC_COUNT_ADD("svc.cross_passes", 1);
-  BFC_COUNT_ADD("svc.cross_wedges", wedges);
-  BFC_GAUGE_SET("svc.cross_pairs", static_cast<double>(agg.pairs.size()));
+  BFC_COUNT_ADD("svc.cross_wedges", acc.work().wedges);
+  BFC_GAUGE_SET("svc.cross_pairs", static_cast<double>(connected));
   return agg;
 }
 
-CrossAggregatePtr ScatterGather::cross(const ShardViewPtr& view,
-                                       const CancelToken& cancel,
-                                       const obs::TraceContext& trace) {
-  if (view->shard_count() < 2) return no_cross_pairs();
-  const std::uint64_t sig = view->signature;
-  // The entry this call evicts. It is released when the call returns, after
-  // this pass has published its aggregate and outside mu_ (which every
-  // inline tip and count query takes): dropping the last reference frees a
-  // pair list of megabytes, which took 0.4–1.8 ms in about half the passes
-  // of a 4-shard service on a 4-vCPU VM — in front of the pass and its
-  // waiters.
-  std::optional<MemoEntry> evicted;
-  std::shared_future<CrossAggregatePtr> fut;
-  std::promise<CrossAggregatePtr> mine;
-  bool computer = false;
-  std::uint64_t my_pass = 0;
-  {
-    const MutexLock lock(mu_);
-    for (const MemoEntry& e : memo_)
-      if (e.signature == sig) fut = e.result;
-    if (!fut.valid()) {
-      fut = mine.get_future().share();
-      my_pass = ++next_pass_id_;
-      memo_.push_back(MemoEntry{sig, my_pass, fut});
-      if (memo_.size() > 2) {
-        // Evict the oldest COMPLETED entry only. An in-flight compute keeps
-        // its slot so late callers for its signature still coalesce instead
-        // of launching a duplicate pass; the memo may transiently exceed
-        // two entries while several signatures are in flight at once.
-        for (auto it = memo_.begin(); it != memo_.end(); ++it) {
-          if (it->result.wait_for(std::chrono::seconds(0)) ==
-              std::future_status::ready) {
-            evicted = std::move(*it);
-            memo_.erase(it);
-            break;
-          }
-        }
-      }
-      computer = true;
+CrossAggregate ScatterGather::compose(const ShardView& base,
+                                      const ShardView& view,
+                                      const RangePartition& part) {
+  require(base.cross != nullptr && base.shard_count() == view.shard_count() &&
+              part.shards() == view.shard_count(),
+          "ScatterGather::compose: base of another layout, or no aggregate");
+  CrossAggregate agg = *base.cross;
+  agg.signature = view.signature;
+  count::WedgeAccumulator acc(view.shards[0]->graph.n1());
+  // The graph of each shard the deltas have reached: shard k's moves from
+  // base to view once its delta ends, so a pair with one end in each of two
+  // changed shards changes in exactly one delta, against the other's state.
+  Peers at;
+  for (const svc::SnapshotPtr& s : base.shards) at.push_back(&s->graph);
+  for (int k = 0; k < view.shard_count(); ++k) {
+    const auto kk = static_cast<std::size_t>(k);
+    if (base.shards[kk] == view.shards[kk]) continue;
+    const graph::BipartiteGraph& now = view.shards[kk]->graph;
+    Peers peers = at;
+    peers.erase(peers.begin() + k);
+    for (vidx_t u = part.begin(k); u < part.end(k); ++u) {
+      const std::span<const vidx_t> was = at[kk]->neighbors_of_v1(u);
+      const std::span<const vidx_t> row = now.neighbors_of_v1(u);
+      if (std::ranges::equal(was, row)) continue;
+      cross_row(agg, acc, u, was, peers, false, [](vidx_t, count_t) {});
+      // u's buffered pairs drop to 0 until the new row's walk recounts
+      // them; those it does not reach leave the buffer.
+      std::uint64_t mine = slots_of(agg.pairs, u);
+      for (std::uint64_t bits = mine; bits != 0; bits &= bits - 1)
+        agg.pairs[static_cast<std::size_t>(std::countr_zero(bits))].wedges = 0;
+      cross_row(agg, acc, u, row, peers, true, [&](vidx_t u2, count_t w) {
+        offer(agg, u, u2, w, mine);
+      });
+      std::erase_if(agg.pairs,
+                    [](const count::VertexPair& p) { return p.wedges == 0; });
     }
+    at[kk] = &now;
   }
-  if (computer) {
-    try {
-      mine.set_value(
-          std::make_shared<const CrossAggregate>(compute(*view, cancel,
-                                                         trace)));
-    } catch (...) {
-      // Drop the failed entry so the next caller retries, then let every
-      // coalesced waiter see the same exception (CancelledError included —
-      // each degrades independently). Erase ONLY our own entry (pass_id
-      // match): a clear() racing this failure may already have installed a
-      // fresh in-flight pass under this signature, and that pass — and the
-      // waiters coalesced onto it — must survive.
-      {
-        const MutexLock lock(mu_);
-        std::erase_if(memo_, [&](const MemoEntry& e) {
-          return e.signature == sig && e.pass_id == my_pass;
-        });
-      }
-      mine.set_exception(std::current_exception());
-    }
-  }
-  return fut.get();
-}
-
-void ScatterGather::clear() {
-  // Dropping an in-flight entry is safe: the computing thread holds its own
-  // promise/future and its failure-path erase-by-signature simply finds
-  // nothing; already-coalesced waiters still get that compute's outcome.
-  const MutexLock lock(mu_);
-  memo_.clear();
-}
-
-std::optional<CrossAggregatePtr> ScatterGather::cached(
-    std::uint64_t signature) const {
-  const MutexLock lock(mu_);
-  for (const MemoEntry& e : memo_) {
-    if (e.signature != signature) continue;
-    if (e.result.wait_for(std::chrono::seconds(0)) !=
-        std::future_status::ready)
-      continue;
-    // A ready future may still hold an exception (cancelled compute whose
-    // erase raced with this probe); a stale rung must never throw.
-    try {
-      return e.result.get();
-    } catch (...) {
-      return std::nullopt;
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<CrossAggregatePtr> ScatterGather::ready(
-    const ShardView& view) const {
-  if (view.shard_count() < 2) return no_cross_pairs();
-  return cached(view.signature);
-}
-
-std::optional<CrossAggregatePtr> ScatterGather::latest_ready() const {
-  const MutexLock lock(mu_);
-  for (auto it = memo_.rbegin(); it != memo_.rend(); ++it) {
-    if (it->result.wait_for(std::chrono::seconds(0)) !=
-        std::future_status::ready)
-      continue;
-    try {
-      return it->result.get();
-    } catch (...) {
-      continue;
-    }
-  }
-  return std::nullopt;
+  std::ranges::sort(agg.pairs, count::pair_order);
+  BFC_COUNT_ADD("svc.cross_composes", 1);
+  BFC_COUNT_ADD("svc.cross_delta_wedges", acc.work().wedges);
+  if (!agg.certified(kCapacity)) return compute(view);
+  BFC_CHECK_MSG(agg.answers_like(compute(view)),
+                "composed cross aggregate differs from a full pass");
+  return agg;
 }
 
 count_t ScatterGather::global_count(const ShardView& view,

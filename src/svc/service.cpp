@@ -133,10 +133,7 @@ ButterflyService::ButterflyService(vidx_t n1, vidx_t n2,
       }
     }
   }
-  const shard::ShardViewPtr v = store_.view();
-  const MutexLock lock(view_mu_);
-  cur_sig_ = prev_sig_ = v->signature;
-  cur_version_ = prev_version_ = v->version;
+  forget_views();
 }
 
 PublishResult ButterflyService::apply_updates(
@@ -195,21 +192,30 @@ PublishResult ButterflyService::apply_updates_shard(
 
 void ButterflyService::refresh_view_generation() {
   const shard::ShardViewPtr v = store_.view();  // pin BEFORE locking
-  std::array<std::uint64_t, 2> keep{};
+  std::vector<std::uint64_t> keep;
   {
     const MutexLock lock(view_mu_);
-    // A concurrent writer may have rolled the pair past this publish's
-    // signature already; the pair only ever needs to be "two recent
+    // A concurrent writer may have rolled the generations past this
+    // publish's signature already; they only ever need to be "recent
     // signatures" (signature-keyed entries can never be wrong, only
     // unreachable), so skipping is harmless.
-    if (v->signature == cur_sig_) return;
-    prev_sig_ = cur_sig_;
-    prev_version_ = cur_version_;
-    cur_sig_ = v->signature;
-    cur_version_ = v->version;
-    keep = {cur_sig_, prev_sig_};
+    if (v->signature == generations_.front().first) return;
+    generations_.insert(generations_.begin(), {v->signature, v->version});
+    if (generations_.size() > static_cast<std::size_t>(shards_) + 1)
+      generations_.pop_back();
+    for (const auto& [sig, version] : generations_) keep.push_back(sig);
   }
   cache_.invalidate_tier_keep(view_tier(), keep);
+}
+
+void ButterflyService::forget_views() {
+  {
+    const MutexLock lock(cross_mu_);
+    composed_.reset();
+  }
+  const shard::ShardViewPtr v = store_.view();
+  const MutexLock lock(view_mu_);
+  generations_.assign(1, {v->signature, v->version});
 }
 
 void ButterflyService::persist(const std::string& path) const {
@@ -232,18 +238,14 @@ void ButterflyService::restore(const std::string& path) {
   }
   obs::FlightRecorder::record("restore", path.c_str(),
                               static_cast<std::int64_t>(store_.epoch()));
-  // The epoch sequence restarted under a new lineage. Every cache and memo
-  // keys by lineage as well as epoch, so no entry can answer for the new
-  // state (a view pinned before the restore keeps its own answers); the
-  // flush only drops entries the latest view can no longer reach.
+  // The epoch sequence restarted under a new lineage. Every cache keys by
+  // lineage as well as epoch, so no entry can answer for the new state (a
+  // view pinned before the restore keeps its own answers); the flush only
+  // drops entries the latest view can no longer reach. The next pin takes
+  // a full cross pass, and the stale-view rung stays empty until the first
+  // post-restore publish.
   cache_.invalidate_all();
-  scatter_.clear();
-  const shard::ShardViewPtr v = store_.view();
-  const MutexLock lock(view_mu_);
-  // cur == prev: no previous generation — the stale-view rung stays empty
-  // until the first post-restore publish.
-  cur_sig_ = prev_sig_ = v->signature;
-  cur_version_ = prev_version_ = v->version;
+  forget_views();
 }
 
 void ButterflyService::swap_shard(int k, shard::ShardHandlePtr handle) {
@@ -252,15 +254,11 @@ void ButterflyService::swap_shard(int k, shard::ShardHandlePtr handle) {
   // host starts at its own epoch), so every epoch/signature-keyed tier is
   // meaningless — same flush discipline as restore().
   cache_.invalidate_all();
-  scatter_.clear();
-  const shard::ShardViewPtr v = store_.view();
-  const MutexLock lock(view_mu_);
-  cur_sig_ = prev_sig_ = v->signature;
-  cur_version_ = prev_version_ = v->version;
+  forget_views();
 }
 
 SnapshotPtr ButterflyService::snapshot() const {
-  const shard::ShardViewPtr view = store_.view();
+  const shard::ShardViewPtr view = this->view();
   if (view->shard_count() == 1) return view->shards[0];
   // Materialise the union graph of one pinned view. Owned ranges are
   // disjoint, so concatenating each shard's owned rows rebuilds the exact
@@ -275,15 +273,15 @@ SnapshotPtr ButterflyService::snapshot() const {
     for (vidx_t u = part.begin(k); u < part.end(k); ++u)
       for (const vidx_t v : g.neighbors_of_v1(u)) edges.emplace_back(u, v);
   }
-  const shard::CrossAggregatePtr agg = scatter_.cross(view);
+  const shard::CrossAggregate& agg = *view->cross;
   GraphSnapshot snap;
   snap.epoch = view->version;
   snap.graph =
       graph::BipartiteGraph::from_edges(store_.n1(), store_.n2(), edges);
-  snap.butterflies = shard::ScatterGather::global_count(*view, *agg);
+  snap.butterflies = shard::ScatterGather::global_count(*view, agg);
   snap.edges = view->edges();
-  snap.tips_v1 = agg->tips_v1;
-  snap.tips_v2 = agg->tips_v2;
+  snap.tips_v1 = agg.tips_v1;
+  snap.tips_v2 = agg.tips_v2;
   snap.top_pairs = count::TopPairBuffer::of(snap.graph);
   for (const SnapshotPtr& s : view->shards) {
     for (std::size_t u = 0; u < snap.tips_v1.size(); ++u)
@@ -300,20 +298,18 @@ template <typename T>
 std::optional<QueryResult<T>> ButterflyService::previous_generation(
     const shard::ShardView& view, QueryKind kind, std::int64_t a,
     std::int64_t b) {
-  std::uint64_t sig = 0;
-  std::uint64_t ver = 0;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> older;
   {
     const MutexLock lock(view_mu_);
-    // No older generation (none yet, or just restored), or the pinned view
-    // is itself no newer than it: nothing stale to offer.
-    if (prev_sig_ == cur_sig_ || prev_version_ >= view.version)
-      return std::nullopt;
-    sig = prev_sig_;
-    ver = prev_version_;
+    older.assign(generations_.begin() + 1, generations_.end());
   }
-  const auto hit = cache_.get(CacheKey{sig, kind, a, b, view_tier()});
-  if (!hit) return std::nullopt;
-  return QueryResult<T>{std::get<T>(*hit), ver, Fidelity::kStale};
+  // Newest first; a generation no older than the pinned view is not stale.
+  for (const auto& [sig, version] : older) {
+    if (version >= view.version) continue;
+    if (const auto hit = cache_.get(CacheKey{sig, kind, a, b, view_tier()}))
+      return QueryResult<T>{std::get<T>(*hit), version, Fidelity::kStale};
+  }
+  return std::nullopt;
 }
 
 template <typename T>
@@ -414,35 +410,23 @@ std::future<QueryResult<T>> ButterflyService::serve(
   return overload_future<QueryResult<T>>(OverloadError::Reason::kRejected);
 }
 
-template <typename Compose>
-std::future<QueryResult<count_t>> ButterflyService::with_cross(
-    QueryKind kind, std::int64_t a, int owner, const shard::ShardViewPtr& view,
-    const Deadline& deadline, const Timer& since, const SpanPtr& span,
-    Compose compose) {
-  // The shards' numbers are maintained by the writers, so once the cross
-  // aggregate is in hand the answer is one sum: answered inline, never
-  // queued or degraded. With one shard the aggregate is always in hand.
-  if (const auto agg = scatter_.ready(*view))
-    return answer_inline(kind, owner, *view, since, span, compose(**agg));
-  return serve<count_t>(
-      kind, a, 0, owner, view, deadline, since, span,
-      [this, view, compose](const Deadline& d, const obs::TraceContext& trace) {
-        return compose(*scatter_.cross(view, d.token(), trace));
-      },
-      [this, a, owner, view, compose]() -> std::optional<QueryResult<count_t>> {
-        // The freshest COMPLETED cross aggregate of any signature plus the
-        // pinned shards' numbers — mixed freshness, honestly tagged stale.
-        const auto agg = scatter_.latest_ready();
-        if (!agg) return std::nullopt;
-        BFC_COUNT_ADD("svc.degraded", 1);
-        BFC_COUNT_ADD("svc.stale_answers", 1);
-        note_degraded(owner);
-        obs::FlightRecorder::record("degrade", "stale_cross",
-                                    static_cast<std::int64_t>(view->version),
-                                    a);
-        return QueryResult<count_t>{compose(**agg), view->version,
-                                    Fidelity::kStale};
-      });
+shard::ShardViewPtr ButterflyService::with_cross(
+    shard::ShardViewPtr view) const {
+  if (view->cross) return view;  // one shard: the shared empty aggregate
+  const MutexLock lock(cross_mu_);
+  shard::CrossAggregatePtr agg;
+  if (composed_ && std::ranges::equal(composed_->shards, view->shards))
+    agg = composed_->cross;  // the same snapshot objects, not just epochs
+  else if (composed_)
+    agg = std::make_shared<const shard::CrossAggregate>(
+        shard::ScatterGather::compose(*composed_, *view, store_.partition()));
+  else
+    agg = std::make_shared<const shard::CrossAggregate>(
+        shard::ScatterGather::compute(*view));
+  auto pinned = std::make_shared<shard::ShardView>(*view);
+  pinned->cross = std::move(agg);
+  composed_ = pinned;
+  return pinned;
 }
 
 std::future<QueryResult<count_t>> ButterflyService::global_count(Request req) {
@@ -450,11 +434,9 @@ std::future<QueryResult<count_t>> ButterflyService::global_count(Request req) {
   shard::ShardViewPtr view = resolve_view(req);
   const SpanPtr span = open_span(root_context(req), "svc.query.global");
   count_query(span, *view, QueryKind::kGlobalCount);
-  return with_cross(QueryKind::kGlobalCount, 0, -1, view, req.deadline, since,
-                    span,
-                    [view](const shard::CrossAggregate& agg) {
-                      return shard::ScatterGather::global_count(*view, agg);
-                    });
+  return answer_inline(
+      QueryKind::kGlobalCount, -1, *view, since, span,
+      shard::ScatterGather::global_count(*view, *view->cross));
 }
 
 std::future<QueryResult<count_t>> ButterflyService::vertex_tip_v1(
@@ -482,21 +464,18 @@ std::future<QueryResult<count_t>> ButterflyService::tip(vidx_t vertex,
   const SpanPtr span = open_span(
       root_context(req), v1_side ? "svc.query.tip_v1" : "svc.query.tip_v2");
   count_query(span, *view, kind);
-  return with_cross(
-      kind, vertex, owner, view, req.deadline, since, span,
-      [view, vertex, v1_side, owner](const shard::CrossAggregate& agg) {
-        count_t value = v1_side ? agg.tip_v1(vertex) : agg.tip_v2(vertex);
-        // The local part: the owner shard's tip, or the sum over every
-        // shard, each of which sees some of a V2 vertex's butterflies.
-        const auto [lo, hi] = shards_holding(*view, owner);
-        const auto at = static_cast<std::size_t>(vertex);
-        for (int s = lo; s < hi; ++s) {
-          const GraphSnapshot& snap = *view->shards[static_cast<std::size_t>(s)];
-          value = chk::checked_add(
-              value, v1_side ? snap.tips_v1[at] : snap.tips_v2[at]);
-        }
-        return value;
-      });
+  const shard::CrossAggregate& cross = *view->cross;
+  count_t value = v1_side ? cross.tip_v1(vertex) : cross.tip_v2(vertex);
+  // The local part: the owner shard's tip, or the sum over every shard,
+  // each of which sees some of a V2 vertex's butterflies.
+  const auto [lo, hi] = shards_holding(*view, owner);
+  const auto at = static_cast<std::size_t>(vertex);
+  for (int s = lo; s < hi; ++s) {
+    const GraphSnapshot& snap = *view->shards[static_cast<std::size_t>(s)];
+    value = chk::checked_add(value,
+                             v1_side ? snap.tips_v1[at] : snap.tips_v2[at]);
+  }
+  return answer_inline(kind, owner, *view, since, span, value);
 }
 
 std::future<QueryResult<count_t>> ButterflyService::edge_support(vidx_t u,
@@ -540,26 +519,25 @@ std::future<QueryResult<TopPairsPtr>> ButterflyService::top_pairs(
   shard::ShardViewPtr view = resolve_view(req);
   const SpanPtr span = open_span(root_context(req), "svc.query.top_pairs");
   count_query(span, *view, QueryKind::kTopPairs);
-  // Like global_count: when every pinned shard's buffer certifies k, the
-  // lists are lookups, so with the cross aggregate in hand (always, with
-  // one shard) the merge answers inline.
+  // When the view's cross buffer and every pinned shard's buffer certify k,
+  // the lists are lookups and the merge answers inline.
+  const auto cross = view->cross->certified(k);
   const bool buffered =
-      std::ranges::all_of(view->shards, [k](const SnapshotPtr& s) {
+      cross && std::ranges::all_of(view->shards, [k](const SnapshotPtr& s) {
         return s->top_pairs.certified(k).has_value();
       });
-  if (buffered) {
-    if (const auto agg = scatter_.ready(*view))
-      return answer_inline(QueryKind::kTopPairs, -1, *view, since, span,
-                           top_list(*view, k, **agg, {}, {}));
-  }
+  if (buffered)
+    return answer_inline(QueryKind::kTopPairs, -1, *view, since, span,
+                         top_list(*view, k, *cross, {}, {}));
   return serve<TopPairsPtr>(
       QueryKind::kTopPairs, static_cast<std::int64_t>(k), 0, -1, view,
       req.deadline, since, span,
       [this, view, k](const Deadline& deadline,
                       const obs::TraceContext& trace) {
-        const shard::CrossAggregatePtr agg =
-            scatter_.cross(view, deadline.token(), trace);
-        return top_list(*view, k, *agg, deadline.token(), trace);
+        // Above K′: a full pass that keeps the best k cross pairs.
+        const shard::CrossAggregate full = shard::ScatterGather::compute(
+            *view, deadline.token(), trace, k);
+        return top_list(*view, k, full.pairs, deadline.token(), trace);
       },
       // No rung below the stale one: there is no cheap sampled substitute
       // for an exact top-k list, so with no stale list the query is shed.
@@ -592,18 +570,17 @@ count_t ButterflyService::support(const shard::ShardView& view, int owner,
       local, shard::ScatterGather::edge_support_cross(view, owner, u, v));
 }
 
-TopPairsPtr ButterflyService::top_list(const shard::ShardView& view,
-                                       std::size_t k,
-                                       const shard::CrossAggregate& agg,
-                                       const CancelToken& cancel,
-                                       const obs::TraceContext& trace) {
+TopPairsPtr ButterflyService::top_list(
+    const shard::ShardView& view, std::size_t k,
+    std::span<const count::VertexPair> cross, const CancelToken& cancel,
+    const obs::TraceContext& trace) {
   // The lists are read in place; only a pass fallback owns one. With one
   // shard no list of lists is built: the merge copies k pairs.
   std::vector<std::vector<count::VertexPair>> passes;
   const auto merge = [&](std::span<const std::span<const count::VertexPair>>
                              lists) {
     return std::make_shared<const std::vector<count::VertexPair>>(
-        shard::ScatterGather::merge_top_pairs(lists, agg.pairs, k));
+        shard::ScatterGather::merge_top_pairs(lists, cross, k));
   };
   if (view.shard_count() == 1) {
     const std::span<const count::VertexPair> list =

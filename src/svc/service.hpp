@@ -11,31 +11,37 @@
 //                   snapshot per shard; a Request may carry its own, and a
 //                   snapshot is the one-shard view over it). The answer's
 //                   epoch is the view's version, Σ of its shard epochs —
-//                   with one shard, that shard's epoch;
+//                   with one shard, that shard's epoch. A view the service
+//                   pins carries its cross aggregate: the first pin of a
+//                   new combination of shard snapshots composes it from the
+//                   last composed one, by one delta per changed shard
+//                   (shard/scatter_gather). A full pass runs only with no
+//                   last aggregate (construction, restore(), swap_shard())
+//                   or when a delta leaves fewer than K′ cross pairs
+//                   certified; a publish does no cross work;
 //   - routing       tip_v1 and edge_support route to the owning shard,
 //                   global_count, tip_v2 and top_pairs scatter across all
 //                   shards, and each adds the cross-shard correction from
-//                   shard/scatter_gather (empty, and free, with one shard);
+//                   the view's aggregate (empty, and free, with one shard);
 //   - caching       queued answers cache by view signature in the last
 //                   ResultCache tier; a publish keeps the current and the
-//                   previous view generation. With more than one shard,
-//                   owner-shard support also caches in tier k under shard
-//                   k's epoch, so a publish on shard j leaves it warm; with
-//                   one shard the component is the answer and caches only
-//                   as such. Inline answers are lookups and do not cache;
-//   - coalescing    concurrent scatter queries at one view signature share
-//                   ONE cross pass: the cross aggregate memoises per view
-//                   signature.
+//                   previous `shards` view generations. With more than one
+//                   shard, owner-shard support also caches in tier k under
+//                   shard k's epoch, so a publish on shard j leaves it
+//                   warm; with one shard the component is the answer and
+//                   caches only as such. Inline answers are lookups and do
+//                   not cache.
 //
-// global_count and the tip queries answer inline whenever the view's cross
-// aggregate is ready (always, with one shard): the writers maintain every
-// shard's count and tip vectors (count::DynamicButterflyCounter), so the
-// answer is Σ of the pinned shards' numbers plus the aggregate's term. The
-// writers also keep each shard's best K′ = 64 pairs with a floor key that
-// certifies them (count::TopPairBuffer), so top_pairs(k) answers inline too
-// when every pinned shard certifies k. Every snapshot a store publishes
-// certifies each k ≤ K′; a top-pairs pass runs only for k > K′. Inline
-// answers are timed from the query's entry like every other answer.
+// global_count and the tip queries always answer inline: the writers
+// maintain every shard's count and tip vectors
+// (count::DynamicButterflyCounter), so the answer is Σ of the pinned
+// shards' numbers plus the aggregate's term. The writers also keep each
+// shard's best K′ = 64 pairs with a floor key that certifies them
+// (count::TopPairBuffer), and the aggregate keeps the best K′ cross pairs
+// the same way, so top_pairs(k) answers inline too when every buffer
+// certifies k. Every snapshot and aggregate certifies each k ≤ K′; a
+// top-pairs pass (per shard, plus a full cross pass) runs only for k > K′.
+// Inline answers are timed from the query's entry like every other answer.
 //
 // Fault tolerance (the robustness layer on top):
 //
@@ -50,12 +56,10 @@
 //   - degraded answers    every query resolves to QueryResult{value,
 //                         epoch, fidelity}: under overload (queue depth or
 //                         p95 latency past the configured thresholds) a
-//                         queued query walks one ladder — the previous view
-//                         generation's cached answer (kStale), then the
-//                         kind's own rungs: the freshest completed cross
-//                         aggregate plus the pinned shards' numbers (kStale)
-//                         for the global count and tips, an exact inline
-//                         answer for edge support — and only throws
+//                         queued query (edge support, top pairs above K′)
+//                         walks one ladder — an earlier view generation's
+//                         cached answer (kStale), then for edge support an
+//                         exact inline answer — and only throws
 //                         OverloadError when no rung produces a value.
 //                         With more than one shard the service keeps one
 //                         SloTracker per shard, so overload on one shard's
@@ -66,8 +70,9 @@
 // svc.epochs_published, svc.shed / svc.rejected / svc.deadline_expired,
 // svc.degraded / svc.stale_answers / svc.inline_answers,
 // svc.scatter_queries, svc.top_pair_rebuilds (writer-side buffer rebuilds)
-// and svc.top_pair_passes (query-side passes), one latency histogram per
-// query kind
+// and svc.top_pair_passes (query-side passes), svc.cross_passes (full
+// cross passes) and svc.cross_composes (pin-time compositions), one latency
+// histogram per query kind
 // (svc.latency_us.<kind>), and — with more than one shard — the per-shard
 // family svc.shard.<k>.publishes / .cache_hit_rate / .degraded.
 //
@@ -160,7 +165,7 @@ class ButterflyService {
   /// that shard's range — the shard enforces it). THE concurrent-writer
   /// entry point: writers on disjoint shards call this in parallel and
   /// their publishes overlap in time; each invalidates only its own cache
-  /// tier and rolls the view generation (the previous one stays as the
+  /// tier and rolls the view generation (the earlier ones stay as the
   /// stale tier). The returned epoch is shard k's new epoch.
   PublishResult apply_updates_shard(int k, std::span<const EdgeUpdate> batch);
   PublishResult apply_updates_shard(int k,
@@ -176,49 +181,49 @@ class ButterflyService {
   /// flight-recorder dump before rethrowing.
   void persist(const std::string& path) const;
 
-  /// Warm restart from a persisted checkpoint: replaces the store's state
-  /// and flushes the result cache and the cross-aggregate memo (they are
-  /// keyed by the old epoch sequence). Throws std::runtime_error on a
-  /// corrupted file, leaving the service unchanged.
+  /// Warm restart from a persisted checkpoint: replaces the store's state,
+  /// flushes the result cache (keyed by the old epoch sequence) and drops
+  /// the last composed cross aggregate, so the next pin takes a full pass.
+  /// Throws std::runtime_error on a corrupted file, leaving the service
+  /// unchanged.
   void restore(const std::string& path);
 
   /// Replaces shard k's handle (same id and owned range — the store
   /// enforces it); THE entry point for moving a range out of process: swap
   /// in a shard::RemoteShard and every query path serves across the socket
-  /// unchanged. Flushes the cache and the memo and resets the view
-  /// generation, exactly like restore(): the new handle's epoch sequence
-  /// need not extend the old one. Not safe concurrently with writers on
-  /// shard k.
+  /// unchanged. Flushes the cache, drops the last composed aggregate and
+  /// resets the view generation, exactly like restore(): the new handle's
+  /// epoch sequence need not extend the old one. Not safe concurrently with
+  /// writers on shard k.
   void swap_shard(int k, shard::ShardHandlePtr handle);
 
   // ---- reader side -------------------------------------------------------
 
   /// The latest state as one graph: with one shard, that shard's snapshot;
   /// with more, the union of the per-shard graphs at one pinned view,
-  /// MATERIALISED — an O(edges) rebuild plus one cross pass, for drift
+  /// MATERIALISED — an O(edges) rebuild plus one top-pairs pass, for drift
   /// checks and offline use, not a per-query pin (pin views for that; a
   /// snapshot handed back to a sharded service's queries is ignored).
   [[nodiscard]] SnapshotPtr snapshot() const;
 
-  /// Pins the latest per-shard snapshots into one ShardView (cheap: N
-  /// atomic loads). Pass it via Request to answer several queries against
-  /// one frozen view.
-  [[nodiscard]] shard::ShardViewPtr view() const { return store_.view(); }
+  /// Pins the latest per-shard snapshots into one ShardView with its cross
+  /// aggregate: N atomic loads, plus with more than one shard a composition
+  /// when the snapshots changed since the last one (see the file comment).
+  /// Pass it via Request to answer several queries against one frozen view.
+  [[nodiscard]] shard::ShardViewPtr view() const {
+    return with_cross(store_.view());
+  }
 
   /// Ξ_G of the pinned view: Σ shard-local counts, maintained by the
-  /// writers, plus the cross-shard correction. Inline (never queued, never
-  /// degraded) when the view's cross aggregate is ready — always with one
-  /// shard; otherwise a scatter query that computes it, caches per view
-  /// signature and can degrade like any other.
+  /// writers, plus the view's cross aggregate. Always inline: never queued,
+  /// never degraded.
   [[nodiscard]] std::future<QueryResult<count_t>> global_count(
       Request req = {});
 
   /// Butterflies containing V1 vertex u (tip number): the owner shard's
-  /// maintained tip plus the cross aggregate's term. Like global_count,
-  /// inline when the view's aggregate is ready (always with one shard);
-  /// otherwise a cross-pass query that can degrade to kStale (previous view
-  /// generation, or the freshest completed aggregate). Throws
-  /// std::invalid_argument for a vertex outside the pinned view.
+  /// maintained tip plus the cross aggregate's term. Always inline, like
+  /// global_count. Throws std::invalid_argument for a vertex outside the
+  /// pinned view.
   [[nodiscard]] std::future<QueryResult<count_t>> vertex_tip_v1(
       vidx_t u, Request req = {});
   [[nodiscard]] std::future<QueryResult<count_t>> vertex_tip_v2(
@@ -234,11 +239,11 @@ class ButterflyService {
 
   /// The k V1-pairs with the most wedges at the pinned view: the exact
   /// merge of per-shard top-k lists and the cross-shard pairs. Inline
-  /// (never queued, never degraded) when every pinned shard's buffer
-  /// certifies k and the view's cross aggregate is ready — with one shard,
-  /// whenever k ≤ K′. Otherwise a queued query: the cross pass, and a
+  /// (never queued, never degraded) when every pinned shard's buffer and
+  /// the view's cross buffer certify k: whenever k ≤ K′. Otherwise a queued
+  /// query: a full cross pass that keeps the best k cross pairs, and a
   /// top-pairs pass on each shard whose buffer does not certify k; it
-  /// honours the request's deadline and degrades to the previous view
+  /// honours the request's deadline and degrades to an earlier view
   /// generation's cached list; with no stale list the future carries
   /// OverloadError.
   [[nodiscard]] std::future<QueryResult<TopPairsPtr>> top_pairs(
@@ -290,12 +295,21 @@ class ButterflyService {
 
  private:
   /// The request's pinned view when it has this service's shard count,
-  /// else the latest.
+  /// else the latest, with its cross aggregate.
   [[nodiscard]] shard::ShardViewPtr resolve_view(Request& req) const {
     if (req.view && req.view->shard_count() == shards_)
-      return std::move(req.view);
-    return store_.view();
+      return with_cross(std::move(req.view));
+    return view();
   }
+
+  /// `view` itself when it carries a cross aggregate (every one-shard view
+  /// does), else a copy with one: the last composed aggregate when every
+  /// pinned snapshot is the same object as its, else one composed from it
+  /// (a full pass when there is none). The result becomes the last.
+  [[nodiscard]] shard::ShardViewPtr with_cross(shard::ShardViewPtr view) const;
+  /// Forgets the last composed aggregate and every view generation but the
+  /// latest: construction, restore() and swap_shard().
+  void forget_views();
   /// The shard owning V1 vertex u in `view`. A one-shard view's owner is 0
   /// whatever the partition says: a one-shard restore may resize the
   /// partition under a view pinned before it.
@@ -329,24 +343,12 @@ class ButterflyService {
       QueryKind kind, int owner, const shard::ShardView& view,
       const Timer& since, const std::shared_ptr<obs::Span>& span, T value);
 
-  /// Rung 1 of every ladder: the previous view generation's cached answer,
-  /// when that generation is older than the pinned view.
+  /// Rung 1 of every ladder: the newest cached answer of an earlier view
+  /// generation older than the pinned view.
   template <typename T>
   std::optional<QueryResult<T>> previous_generation(
       const shard::ShardView& view, QueryKind kind, std::int64_t a,
       std::int64_t b);
-
-  /// A count composed from the pinned shards' maintained numbers and a
-  /// cross aggregate, `compose(aggregate)`: global_count and the tips.
-  /// Inline when the view's aggregate is ready; otherwise through serve(),
-  /// with the cross pass as the exact path and the freshest completed
-  /// aggregate as the kStale rung below the previous generation.
-  template <typename Compose>
-  std::future<QueryResult<count_t>> with_cross(
-      QueryKind kind, std::int64_t a, int owner,
-      const shard::ShardViewPtr& view, const Deadline& deadline,
-      const Timer& since, const std::shared_ptr<obs::Span>& span,
-      Compose compose);
 
   /// vertex_tip_v1/v2.
   std::future<QueryResult<count_t>> tip(vidx_t vertex, bool v1_side,
@@ -357,10 +359,10 @@ class ButterflyService {
   count_t support(const shard::ShardView& view, int owner, vidx_t u,
                   vidx_t v);
 
-  /// The exact top-k list of `view`: every shard's list merged with the
-  /// cross pairs of `agg`, the view's aggregate.
+  /// The exact top-k list of `view`: every shard's list merged with
+  /// `cross`, its best cross pairs (at least k of them, or all).
   TopPairsPtr top_list(const shard::ShardView& view, std::size_t k,
-                       const shard::CrossAggregate& agg,
+                       std::span<const count::VertexPair> cross,
                        const CancelToken& cancel,
                        const obs::TraceContext& trace);
 
@@ -374,8 +376,8 @@ class ButterflyService {
       const CancelToken& cancel, const obs::TraceContext& trace,
       std::vector<std::vector<count::VertexPair>>& passes);
 
-  /// After a shard publish: roll the (cur, prev) view-generation pair and
-  /// prune the composed-answer tier down to those two signatures.
+  /// After a shard publish: push the latest view's generation and prune the
+  /// composed-answer tier down to the generations kept.
   void refresh_view_generation();
 
   /// Feeds the latency histogram, the p95 ring and the SLO tracker(s) with
@@ -408,8 +410,11 @@ class ButterflyService {
   ResultCache cache_;
   std::size_t degrade_queue_depth_;
   double degrade_p95_us_;
-  // Cross-shard correction memo, shared by const readers (snapshot()).
-  mutable shard::ScatterGather scatter_;
+  // The last view with a composed cross aggregate: the base of the next
+  // composition. Held across a composition, so concurrent pins of one new
+  // combination compose it once.
+  mutable Mutex cross_mu_{"svc.service.cross"};
+  mutable shard::ShardViewPtr composed_ BFC_GUARDED_BY(cross_mu_);
   // Per-shard SLO trackers (empty with one shard); they never bind the
   // global svc.slo.* instruments — slo_ owns those.
   std::vector<std::unique_ptr<SloTracker>> shard_slo_;
@@ -417,13 +422,13 @@ class ButterflyService {
   // per-shard, so the literal-only BFC_* macros don't apply).
   std::vector<obs::Gauge*> shard_hit_gauges_;    // svc.shard.<k>.cache_hit_rate
   std::vector<obs::Counter*> shard_degraded_;    // svc.shard.<k>.degraded
-  // The (current, previous) view generations: composed answers cache under
-  // cur_sig_; prev_sig_ is the stale rung kept across one publish.
+  // The recent view generations as (signature, version), newest first:
+  // composed answers cache under each, and the older ones are the stale
+  // rung. A publish keeps shards + 1 of them, so a round of one publish per
+  // shard (concurrent writers) keeps the generation its readers saw.
   mutable Mutex view_mu_{"svc.service.view"};
-  std::uint64_t cur_sig_ BFC_GUARDED_BY(view_mu_) = 0;
-  std::uint64_t cur_version_ BFC_GUARDED_BY(view_mu_) = 0;
-  std::uint64_t prev_sig_ BFC_GUARDED_BY(view_mu_) = 0;
-  std::uint64_t prev_version_ BFC_GUARDED_BY(view_mu_) = 0;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> generations_
+      BFC_GUARDED_BY(view_mu_);
   mutable Mutex lat_mu_{"svc.service.latency"};
   std::array<double, kLatencyWindow> lat_ring_ BFC_GUARDED_BY(lat_mu_){};
   std::size_t lat_next_ BFC_GUARDED_BY(lat_mu_) = 0;

@@ -1,6 +1,10 @@
 // Shared fixtures and random-instance builders for the bfc test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <string>
 #include <vector>
 
 #include "dense/dense_matrix.hpp"
@@ -9,6 +13,15 @@
 #include "util/rng.hpp"
 
 namespace bfc::testing {
+
+/// `name` in the test temp directory with this process's id before its
+/// extension, so test processes running side by side never share a file.
+inline std::string temp_path(const std::string& name) {
+  const std::size_t dot = name.find('.');
+  const std::string stem = name.substr(0, dot);
+  const std::string ext = dot == std::string::npos ? "" : name.substr(dot);
+  return ::testing::TempDir() + stem + "_" + std::to_string(::getpid()) + ext;
+}
 
 /// Random dense 0/1 matrix with independent Bernoulli(p) entries.
 inline dense::DenseMatrix random_dense01(vidx_t rows, vidx_t cols, double p,

@@ -197,7 +197,7 @@ TEST(ObsTrace, ChromeJsonIsValidTraceEventFormat) {
   { BFC_TRACE_SCOPE("span.b"); }
   obs::Tracer::set_enabled(false);
 
-  const std::string path = ::testing::TempDir() + "bfc_trace_test.json";
+  const std::string path = testing::temp_path("bfc_trace_test.json");
   obs::Tracer::write_chrome_json(path);
   std::ifstream in(path);
   std::stringstream buf;
@@ -436,7 +436,7 @@ TEST(ObsSpans, WriteJsonRoundTrips) {
   }
   obs::SpanLog::set_enabled(false);
   const std::string path =
-      ::testing::TempDir() + "bfc_spans_roundtrip.json";
+      testing::temp_path("bfc_spans_roundtrip.json");
   obs::SpanLog::write_json(path);
   std::ifstream in(path);
   std::stringstream buf;
@@ -490,7 +490,7 @@ TEST(ObsExport, RenderContainsEveryInstrumentKind) {
 
 TEST(ObsExport, WriteFileIsAtomicAndTerminated) {
   obs::Registry::instance().counter("test.export.file").add(1);
-  const std::string path = ::testing::TempDir() + "bfc_openmetrics_test.txt";
+  const std::string path = testing::temp_path("bfc_openmetrics_test.txt");
   obs::write_openmetrics_file(path);
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
@@ -567,7 +567,7 @@ TEST(ObsProfiler, StartStopAndFoldedStacks) {
   }
   EXPECT_EQ(folded_total, captured);
   if (captured > 0) {
-    const std::string path = ::testing::TempDir() + "bfc_folded_test.txt";
+    const std::string path = testing::temp_path("bfc_folded_test.txt");
     obs::Profiler::write_folded(path);
     std::ifstream in(path);
     std::string first;
@@ -624,7 +624,7 @@ TEST(ObsFlight, DumpWritesParseableJson) {
   }
   obs::FlightRecorder::clear();
   obs::FlightRecorder::record("check_fail", "x > 0 \"quoted\"", 9, 0, 0);
-  const std::string path = ::testing::TempDir() + "bfc_flight_test.json";
+  const std::string path = testing::temp_path("bfc_flight_test.json");
   ASSERT_TRUE(obs::FlightRecorder::dump(path, "unit test"));
   std::ifstream in(path);
   std::stringstream buf;

@@ -631,38 +631,50 @@ TEST_F(FaultGated, SaturatedOneShardTipAnswersInlineAndExact) {
   EXPECT_EQ(svc::fault::fired_count(svc::fault::Point::kQueueSaturation), 0u);
 }
 
-TEST_F(FaultGated, SaturatedShardedTipUsesFreshestAggregateOrSheds) {
+TEST_F(FaultGated, SaturatedShardedTipAnswersInlineAndExact) {
   // Three shards over V1 ranges [0, 3), [3, 6), [6, 9).
   svc::ButterflyService service(9, 6,
                                 svc::ServiceOptions{.threads = 1, .shards = 3});
   const auto add = svc::EdgeUpdate::add;
   // A: one butterfly across shards 0 and 1, {0, 4} x {0, 1}.
-  (void)service.apply_updates({add(0, 0), add(0, 1), add(4, 0), add(4, 1)});
-  {
-    const svc::fault::Scoped saturated(
-        svc::fault::Point::kQueueSaturation, 0, kForever);
-    // No cross aggregate exists yet and nothing is cached: shed.
-    std::future<svc::QueryResult<count_t>> shed = service.vertex_tip_v1(0);
-    EXPECT_THROW((void)shed.get(), svc::OverloadError);
-  }
-  ASSERT_EQ(service.global_count().get().value, 1);  // computes A's aggregate
+  const std::vector<svc::EdgeUpdate> a = {add(0, 0), add(0, 1), add(4, 0),
+                                          add(4, 1)};
+  (void)service.apply_updates(a);
+  const shard::ShardViewPtr pinned = service.view();
+  // B: a butterfly local to shard 0, {0, 1} x {2, 3}, and vertex 7 of
+  // shard 2 closing cross butterflies with 0 and 4 over {0, 1}.
+  const std::vector<svc::EdgeUpdate> b = {add(0, 2), add(0, 3), add(1, 2),
+                                          add(1, 3), add(7, 0), add(7, 1)};
+  (void)service.apply_updates(b);
 
-  // B: a butterfly local to shard 0, {0, 1} x {2, 3}. B's view has no
-  // aggregate, so its tip queries queue for the cross pass.
-  (void)service.apply_updates({add(0, 2), add(0, 3), add(1, 2), add(1, 3)});
-  const shard::ShardViewPtr b = service.view();
   const svc::fault::Scoped saturated(
       svc::fault::Point::kQueueSaturation, 0, kForever);
-  // Below the (empty) previous-generation rung: A's aggregate plus B's
-  // pinned local tips, tagged stale at B's version.
-  const svc::QueryResult<count_t> tip = service.vertex_tip_v1(0, b).get();
-  EXPECT_EQ(tip.fidelity, svc::Fidelity::kStale);
-  EXPECT_EQ(tip.epoch, b->version);
-  EXPECT_EQ(tip.value, 1 + b->shards[0]->tips_v1[0]);  // A's cross term is 1
-  EXPECT_EQ(b->shards[0]->tips_v1[0], 1);
-  const svc::QueryResult<count_t> v2 = service.vertex_tip_v2(2, b).get();
-  EXPECT_EQ(v2.fidelity, svc::Fidelity::kStale);
-  EXPECT_EQ(v2.value, 1);  // no cross butterfly at v = 2 in A
+  // Nothing is cached and the queue refuses everything, yet every tip and
+  // the global count are exact at the view they were asked at: the view's
+  // cross aggregate makes each a lookup that never reaches admission.
+  std::vector<std::pair<vidx_t, vidx_t>> edges;
+  for (const auto* batch : {&a, &b}) {
+    for (const svc::EdgeUpdate& up : *batch) edges.emplace_back(up.u, up.v);
+    const graph::BipartiteGraph g = graph::BipartiteGraph::from_edges(9, 6, edges);
+    const svc::Request req = batch == &a ? svc::Request(pinned) : svc::Request();
+    const std::uint64_t version = batch == &a ? pinned->version
+                                              : service.view()->version;
+    const std::vector<count_t> tips1 = count::butterflies_per_v1(g);
+    const std::vector<count_t> tips2 = count::butterflies_per_v2(g);
+    const auto exact = [&](const svc::QueryResult<count_t>& r, count_t want) {
+      EXPECT_EQ(r.value, want);
+      EXPECT_EQ(r.epoch, version);
+      EXPECT_EQ(r.fidelity, svc::Fidelity::kExact);
+    };
+    exact(service.global_count(req).get(), count::wedge_reference(g));
+    for (vidx_t u = 0; u < 9; ++u)
+      exact(service.vertex_tip_v1(u, req).get(),
+            tips1[static_cast<std::size_t>(u)]);
+    for (vidx_t v = 0; v < 6; ++v)
+      exact(service.vertex_tip_v2(v, req).get(),
+            tips2[static_cast<std::size_t>(v)]);
+  }
+  EXPECT_EQ(svc::fault::fired_count(svc::fault::Point::kQueueSaturation), 0u);
 }
 
 TEST_F(FaultGated, SaturationAnswersEdgeSupportInlineAndExact) {

@@ -1,14 +1,17 @@
 // Differential serving gate. Seeded random programs drive a one-shard and a
 // three-shard ButterflyService in lockstep through publishes (mixed and
-// shard-scoped), every query kind, and persist/restore, with queries pinned
-// to the latest state or to an older pin. Every answer is checked against
+// shard-scoped), every query kind, persist/restore, and swap_shard of a
+// LocalShard restored from the program's own checkpoint (after which the
+// three-shard service's next pin takes a full cross pass), with queries
+// pinned to the latest state or to an older pin. Every answer is checked against
 // count:: oracles built from an edge set this test keeps itself — never from
 // a snapshot the service hands out — and the two services are checked
 // against each other. A one-shard pin is handed in as a snapshot or as a
 // view. Top-pairs queries ask for k ≤ K′, which the shards' top-pair
 // buffers answer, and for k > K′, which takes a pass. After each publish
 // every shard snapshot's maintained tips and certified top-pair lists are
-// checked against oracles on that shard's edges. Checked builds also
+// checked against oracles on that shard's edges, and every pinned view's
+// cross aggregate against a full pass over its snapshots. Checked builds also
 // saturate the query queue at random steps: kExact answers must still be
 // exact, one-shard lookups must not degrade, and one-shard kStale answers
 // must equal the oracle at the epoch they report.
@@ -41,6 +44,7 @@
 #include "count/local_counts.hpp"
 #include "count/top_pairs.hpp"
 #include "shard/partition.hpp"
+#include "shard/scatter_gather.hpp"
 #include "sparse/ops.hpp"
 #include "svc/fault.hpp"
 #include "svc/service.hpp"
@@ -196,6 +200,8 @@ class Program {
         persist();
       } else if (op < 50) {
         restore();
+      } else if (op < 55) {
+        swap();
       } else {
         queries();
       }
@@ -233,8 +239,11 @@ class Program {
   }
 
   /// Publishes on both services (shard `k` of the three-shard one, or a
-  /// routed batch when k < 0) and checks the write-side counts.
-  void publish(const std::vector<EdgeUpdate>& batch, int k) {
+  /// routed batch when k < 0) and checks the write-side counts. With
+  /// `swap_in`, the three-shard service swaps it into shard k instead: a
+  /// handle whose edges are those the batch leaves.
+  void publish(const std::vector<EdgeUpdate>& batch, int k,
+               shard::ShardHandlePtr swap_in = nullptr) {
     auto next = std::make_shared<State>();
     next->edges = cur_->edges;
     std::int64_t applied = 0;
@@ -251,16 +260,25 @@ class Program {
         static_cast<std::int64_t>(batch.size()) - applied;
     const PublishResult r1 = k < 0 ? one_->apply_updates(batch)
                                    : one_->apply_updates_shard(0, batch);
-    const PublishResult r3 = k < 0 ? three_->apply_updates(batch)
-                                   : three_->apply_updates_shard(k, batch);
+    const bool swapped = swap_in != nullptr;
+    PublishResult r3{};
+    if (swapped) {
+      three_->swap_shard(k, std::move(swap_in));
+      r3.applied = applied;
+      r3.ignored = ignored;
+    } else {
+      r3 = k < 0 ? three_->apply_updates(batch)
+                 : three_->apply_updates_shard(k, batch);
+    }
     const count_t before = cur_->answers(n1_, n2_).global;
     cur_ = next;
     ++epoch_;
     history_[epoch_] = cur_;
     const count_t after = cur_->answers(n1_, n2_).global;
     std::ostringstream at;
-    at << (k < 0 ? "apply_updates" : "apply_updates_shard(" +
-                                          std::to_string(k) + ")")
+    at << (k < 0 ? "apply_updates"
+                 : std::string(swapped ? "swap_shard(" : "apply_updates_shard(") +
+                       std::to_string(k) + ")")
        << " of " << batch.size() << " updates: ";
     if (r1.epoch != epoch_)
       fail(at.str() + "one-shard epoch " + std::to_string(r1.epoch) +
@@ -314,6 +332,36 @@ class Program {
     persisted_ = Pin{nullptr, nullptr, nullptr, cur_, epoch_};
   }
 
+  /// Swaps a LocalShard restored from the last checkpoint into a random
+  /// shard of the three-shard service; the one-shard service reaches the
+  /// same edges with one batch.
+  void swap() {
+    if (!persisted_) return;
+    const int k = static_cast<int>(rng_.bounded(kShards));
+    auto local = std::make_shared<shard::LocalShard>(k, n1_, n2_,
+                                                     part_.begin(k),
+                                                     part_.end(k));
+    local->restore(path3_ + ".shard" + std::to_string(k));
+    std::vector<EdgeUpdate> batch;
+    const Edges& was = persisted_->state->edges;
+    for (const std::pair<vidx_t, vidx_t>& e : cur_->edges)
+      if (part_.owner(e.first) == k && was.count(e) == 0)
+        batch.push_back(EdgeUpdate::del(e.first, e.second));
+    for (const std::pair<vidx_t, vidx_t>& e : was)
+      if (part_.owner(e.first) == k && cur_->edges.count(e) == 0)
+        batch.push_back(EdgeUpdate::add(e.first, e.second));
+    publish(batch, k, std::move(local));
+  }
+
+  /// A pinned view's cross aggregate against a full pass over its
+  /// snapshots (with one shard, the shared empty aggregate).
+  void check_cross(const shard::ShardView& view, const char* which) {
+    if (!view.cross ||
+        !view.cross->answers_like(shard::ScatterGather::compute(view)))
+      fail(std::string(which) +
+           " pin: the view's cross aggregate differs from a full pass");
+  }
+
   void restore() {
     if (!persisted_) return;
     one_->restore(path1_);
@@ -331,6 +379,8 @@ class Program {
     if (rng_.bernoulli(0.2)) {
       pins_.push_back(
           Pin{one_->snapshot(), one_->view(), three_->view(), cur_, epoch_});
+      check_cross(*pins_.back().one_view, "one-shard");
+      check_cross(*pins_.back().three, "three-shard");
       if (pins_.size() > 3) pins_.erase(pins_.begin());
     }
     // Drawn in every build so a seed replays the same program everywhere.

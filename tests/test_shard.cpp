@@ -126,33 +126,6 @@ TEST(ScatterGather, SingleButterflyAcrossShards) {
   EXPECT_EQ(shard::ScatterGather::edge_support_cross(*view, 1, 1, 1), 1);
 }
 
-TEST(ScatterGather, MemoisesPerSignatureAndKeepsLatestTwo) {
-  shard::ShardedSnapshotStore store(6, 6, 2);
-  (void)store.apply_batch(inserts_of(random_graph(6, 6, 0.5, 11)));
-  shard::ScatterGather sg;
-  const shard::ShardViewPtr v1 = store.view();
-  const shard::CrossAggregatePtr a1 = sg.cross(v1);
-  EXPECT_EQ(a1.get(), sg.cross(v1).get()) << "same signature: same object";
-  ASSERT_TRUE(sg.cached(v1->signature).has_value());
-  ASSERT_TRUE(sg.latest_ready().has_value());
-  EXPECT_EQ(sg.latest_ready()->get(), a1.get());
-
-  (void)store.apply_to_shard(0, {EdgeUpdate::add(0, 5)});
-  const shard::ShardViewPtr v2 = store.view();
-  ASSERT_NE(v2->signature, v1->signature);
-  const shard::CrossAggregatePtr a2 = sg.cross(v2);
-  // Both generations are retained; a third evicts the oldest.
-  EXPECT_TRUE(sg.cached(v1->signature).has_value());
-  EXPECT_TRUE(sg.cached(v2->signature).has_value());
-  (void)store.apply_to_shard(1, {EdgeUpdate::add(3, 4)});
-  const shard::ShardViewPtr v3 = store.view();
-  (void)sg.cross(v3);
-  EXPECT_FALSE(sg.cached(v1->signature).has_value());
-  EXPECT_TRUE(sg.cached(v2->signature).has_value());
-  EXPECT_TRUE(sg.cached(v3->signature).has_value());
-  (void)a2;
-}
-
 /// The cross aggregate by definition, over the union edge set `rows` (one
 /// sorted adjacency list per V1 vertex): every V1 pair whose two vertices
 /// have different owners and share at least one neighbour.
@@ -184,10 +157,25 @@ shard::CrossAggregate brute_force_cross(
   return want;
 }
 
+/// What a full pass keeps of `ranked`, every connected pair in rank order:
+/// the best K′ and the next one as the floor (a 0-wedge floor when none is
+/// left out).
+count::TopPairBuffer buffer_of(const std::vector<count::VertexPair>& ranked) {
+  constexpr std::size_t kCapacity = count::TopPairBuffer::kCapacity;
+  count::TopPairBuffer top;
+  top.pairs.assign(ranked.begin(),
+                   ranked.begin() + static_cast<std::ptrdiff_t>(
+                                        std::min(kCapacity, ranked.size())));
+  top.floor = ranked.size() > kCapacity ? ranked[kCapacity]
+                                        : count::VertexPair{};
+  return top;
+}
+
 // The cross pass against brute force over the union edge set, field by
-// field and the pairs in order: V1 sides smaller than the shard count
-// (empty shards), isolated vertices on both sides, deletes published after
-// inserts, and dense shapes where many cross pairs tie at one w ≥ 2.
+// field, with the best K′ pairs in order and the floor after them: V1 sides
+// smaller than the shard count (empty shards), isolated vertices on both
+// sides, deletes published after inserts, and dense shapes where many cross
+// pairs tie at one w ≥ 2.
 TEST(ScatterGather, CrossPassMatchesBruteForce) {
   struct Shape {
     vidx_t n1, n2;
@@ -244,11 +232,162 @@ TEST(ScatterGather, CrossPassMatchesBruteForce) {
         EXPECT_EQ(got.butterflies, want.butterflies);
         EXPECT_EQ(got.tips_v1, want.tips_v1);
         EXPECT_EQ(got.tips_v2, want.tips_v2);
-        EXPECT_EQ(got.pairs, want.pairs);
+        const count::TopPairBuffer top = buffer_of(want.pairs);
+        EXPECT_EQ(got.pairs, top.pairs);
+        EXPECT_EQ(got.floor, top.floor);
+        EXPECT_TRUE(got.certified(count::TopPairBuffer::kCapacity));
       }
     }
   }
   EXPECT_GT(tied, 100u) << "the dense shapes must tie many pairs at w >= 2";
+}
+
+using Rows = std::vector<std::vector<vidx_t>>;  // one sorted row per V1 vertex
+
+/// The cross wedges the delta from `was` to `now` walks, by definition:
+/// shard by shard in ascending order, every owned row that differs, old and
+/// new, against the other shards' rows as the earlier deltas left them.
+std::int64_t delta_wedges(Rows at, const Rows& now,
+                          const shard::RangePartition& part) {
+  std::int64_t wedges = 0;
+  for (int k = 0; k < part.shards(); ++k) {
+    const auto walk = [&](const std::vector<vidx_t>& row) {
+      for (const vidx_t v : row)
+        for (vidx_t u2 = 0; u2 < part.n1(); ++u2)
+          if (part.owner(u2) != k &&
+              std::ranges::binary_search(at[static_cast<std::size_t>(u2)], v))
+            ++wedges;
+    };
+    for (vidx_t u = part.begin(k); u < part.end(k); ++u) {
+      const auto uu = static_cast<std::size_t>(u);
+      if (at[uu] == now[uu]) continue;
+      walk(at[uu]);
+      walk(now[uu]);
+    }
+    for (vidx_t u = part.begin(k); u < part.end(k); ++u)
+      at[static_cast<std::size_t>(u)] = now[static_cast<std::size_t>(u)];
+  }
+  return wedges;
+}
+
+// The delta against the full pass after every step, on the shapes of
+// CrossPassMatchesBruteForce: random batches on one shard and on all of
+// them, a batch that empties the busiest row and one that refills it, with
+// many pairs tied at the floor. The composed aggregate becomes the next
+// step's base, as in the service, and svc.cross_delta_wedges counts the
+// changed rows' cross wedges.
+TEST(ScatterGather, DeltaMatchesFullPass) {
+  struct Shape {
+    vidx_t n1, n2;
+    double p;
+  };
+  const Shape shapes[] = {
+      {1, 4, 0.9}, {3, 5, 0.7}, {20, 15, 0.2}, {30, 8, 0.7}, {41, 23, 0.35}};
+  constexpr std::size_t kCapacity = count::TopPairBuffer::kCapacity;
+  obs::Counter& walked =
+      obs::Registry::instance().counter("svc.cross_delta_wedges");
+  obs::Counter& composes =
+      obs::Registry::instance().counter("svc.cross_composes");
+  std::size_t tied_at_floor = 0;  // full passes whose floor ties the K′-th
+  for (const Shape& s : shapes) {
+    for (const int shards : {2, 3, 4, 7}) {
+      SCOPED_TRACE("n1=" + std::to_string(s.n1) +
+                   " shards=" + std::to_string(shards));
+      Rng rng(static_cast<std::uint64_t>(s.n1) * 31 +
+              static_cast<std::uint64_t>(shards));
+      const shard::RangePartition part(s.n1, shards);
+      shard::ShardedSnapshotStore store(s.n1, s.n2, shards);
+      Rows rows(static_cast<std::size_t>(s.n1));
+      // Publishes on shard k (every touched shard when k < 0) and mirrors
+      // the batch into `rows`.
+      const auto publish = [&](const std::vector<EdgeUpdate>& batch, int k) {
+        for (const EdgeUpdate& up : batch) {
+          std::vector<vidx_t>& row = rows[static_cast<std::size_t>(up.u)];
+          const auto it = std::ranges::lower_bound(row, up.v);
+          const bool present = it != row.end() && *it == up.v;
+          if (up.insert && !present) row.insert(it, up.v);
+          if (!up.insert && present) row.erase(it);
+        }
+        (void)(k < 0 ? store.apply_batch(batch) : store.apply_to_shard(k, batch));
+      };
+      const auto random_batch = [&](vidx_t lo, vidx_t hi) {
+        std::vector<EdgeUpdate> batch;
+        const int size = lo == hi ? 0 : 1 + static_cast<int>(rng.bounded(8));
+        for (int i = 0; i < size; ++i)
+          batch.push_back(
+              {lo + static_cast<vidx_t>(
+                        rng.bounded(static_cast<std::uint64_t>(hi - lo))),
+               static_cast<vidx_t>(
+                   rng.bounded(static_cast<std::uint64_t>(s.n2))),
+               rng.bernoulli(0.6)});
+        return batch;
+      };
+      std::vector<EdgeUpdate> initial;
+      for (vidx_t u = 0; u < s.n1; ++u)
+        for (vidx_t v = 0; v < s.n2; ++v)
+          if (rng.bernoulli(s.p)) initial.push_back(EdgeUpdate::add(u, v));
+      publish(initial, -1);
+
+      auto base = std::make_shared<shard::ShardView>(*store.view());
+      base->cross = std::make_shared<const shard::CrossAggregate>(
+          shard::ScatterGather::compute(*base));
+      Rows base_rows = rows;
+      const auto step = [&](const std::string& what) {
+        SCOPED_TRACE(what);
+        const shard::ShardViewPtr view = store.view();
+        const std::int64_t walked0 = walked.value();
+        const std::int64_t composes0 = composes.value();
+        const shard::CrossAggregate got =
+            shard::ScatterGather::compose(*base, *view, part);
+        const shard::CrossAggregate full = shard::ScatterGather::compute(*view);
+        EXPECT_EQ(got.signature, view->signature);
+        EXPECT_EQ(got.butterflies, full.butterflies);
+        EXPECT_EQ(got.tips_v1, full.tips_v1);
+        EXPECT_EQ(got.tips_v2, full.tips_v2);
+        EXPECT_EQ(got.pairs, full.pairs);
+        EXPECT_FALSE(count::pair_order(full.floor, got.floor))
+            << "the composed floor ranks below a pair it left out";
+        EXPECT_TRUE(got.answers_like(full));
+        EXPECT_TRUE(got.certified(kCapacity));
+        if (obs::kMetricsEnabled) {
+          EXPECT_EQ(walked.value() - walked0,
+                    delta_wedges(base_rows, rows, part));
+          EXPECT_EQ(composes.value() - composes0, 1);
+        }
+        if (full.pairs.size() == kCapacity &&
+            full.floor.wedges == full.pairs.back().wedges)
+          ++tied_at_floor;
+        auto next = std::make_shared<shard::ShardView>(*view);
+        next->cross = std::make_shared<const shard::CrossAggregate>(got);
+        base = std::move(next);
+        base_rows = rows;
+      };
+
+      for (int round = 0; round < 6; ++round) {
+        const int k = static_cast<int>(
+            rng.bounded(static_cast<std::uint64_t>(shards)));
+        publish(random_batch(part.begin(k), part.end(k)), k);
+        step("a batch on shard " + std::to_string(k));
+        publish(random_batch(0, s.n1), -1);
+        step("a batch across the shards");
+      }
+      // Empty the busiest row, then refill it.
+      const auto busiest = std::ranges::max_element(
+          rows, {}, [](const std::vector<vidx_t>& r) { return r.size(); });
+      const auto u = static_cast<vidx_t>(busiest - rows.begin());
+      std::vector<EdgeUpdate> drop;
+      std::vector<EdgeUpdate> refill;
+      for (const vidx_t v : *busiest) {
+        drop.push_back(EdgeUpdate::del(u, v));
+        refill.push_back(EdgeUpdate::add(u, v));
+      }
+      publish(drop, part.owner(u));
+      step("row " + std::to_string(u) + " emptied");
+      publish(refill, part.owner(u));
+      step("row " + std::to_string(u) + " refilled");
+    }
+  }
+  EXPECT_GT(tied_at_floor, 20u) << "the dense shapes must tie at the floor";
 }
 
 /// Spans over each list, the form merge_top_pairs reads.
@@ -459,7 +598,7 @@ TEST(ShardParity, WrongShardErrorNamesVertexRangeAndShard) {
 }
 
 TEST(ShardParity, PersistRestoreRoundTripSharded) {
-  const std::string path = ::testing::TempDir() + "bfc_shard_ckpt.bin";
+  const std::string path = testing::temp_path("bfc_shard_ckpt.bin");
   ButterflyService service(14, 9, {.threads = 1, .shards = 3});
   service.apply_updates(random_updates(14, 9, 80, 31));
   const count_t count = service.global_count().get().value;
@@ -485,7 +624,7 @@ TEST(ShardParity, PersistRestoreRoundTripSharded) {
 // different graph content. restore() drops the cross-aggregate memo, and
 // view signatures also hash each shard's lineage.
 TEST(ShardParity, RestoreClearsCrossAggregateMemo) {
-  const std::string path = ::testing::TempDir() + "bfc_shard_memo_ckpt.bin";
+  const std::string path = testing::temp_path("bfc_shard_memo_ckpt.bin");
   ButterflyService service(8, 6, {.threads = 1, .shards = 2});
   // Base state touching both shards, no butterflies: epochs (1, 1).
   service.apply_updates({EdgeUpdate::add(2, 0), EdgeUpdate::add(6, 5)});
@@ -514,7 +653,7 @@ TEST(ShardParity, RestoreClearsCrossAggregateMemo) {
 // an offline replay can look a live view's answers up by signature; a
 // restore starts a new lineage, and the same epochs then sign differently.
 TEST(ShardParity, FreshStoresFedTheSameBatchesSignAlike) {
-  const std::string path = ::testing::TempDir() + "bfc_shard_sign_ckpt.bin";
+  const std::string path = testing::temp_path("bfc_shard_sign_ckpt.bin");
   shard::ShardedSnapshotStore live(8, 6, 2);
   shard::ShardedSnapshotStore replay(8, 6, 2);
   for (shard::ShardedSnapshotStore* store : {&live, &replay}) {
@@ -722,32 +861,6 @@ TEST(ShardStress, ConcurrentDisjointWritersMatchSequentialReplay) {
 }
 
 // ---------------------------------------------------------------------------
-// Memo failure paths: a failed pass must not poison later callers
-// ---------------------------------------------------------------------------
-
-// Review regression: ScatterGather's failure path erases its memo entry so
-// the NEXT caller recomputes instead of inheriting the exception — and the
-// erase is identity-guarded (signature AND pass id), so a failed pass can
-// never evict a fresh in-flight pass re-inserted under its signature.
-TEST(ScatterGather, CancelledComputeDropsMemoAndRetrySucceeds) {
-  shard::ShardedSnapshotStore store(8, 6, 2);
-  // One cross-shard butterfly: pair (0, 4) with common neighbors {0, 1}.
-  (void)store.apply_batch({EdgeUpdate::add(0, 0), EdgeUpdate::add(0, 1),
-                           EdgeUpdate::add(4, 0), EdgeUpdate::add(4, 1)});
-  const shard::ShardViewPtr view = store.view();
-  shard::ScatterGather sg;
-  const CancelToken expired(CancelToken::Clock::now() -
-                            std::chrono::milliseconds(1));
-  EXPECT_THROW((void)sg.cross(view, expired), CancelledError);
-  // The failed signature is dropped, not cached: no stale rung exists...
-  EXPECT_FALSE(sg.cached(view->signature).has_value());
-  // ...and an unarmed retry computes the aggregate from scratch.
-  const shard::CrossAggregatePtr agg = sg.cross(view);
-  EXPECT_EQ(agg->butterflies, 1);
-  EXPECT_TRUE(sg.cached(view->signature).has_value());
-}
-
-// ---------------------------------------------------------------------------
 // Persist/restore crash modes across the BFCSHD01 manifest (checked builds)
 // ---------------------------------------------------------------------------
 //
@@ -782,7 +895,7 @@ class ShardPersistRestoreFaults : public ::testing::Test {
 };
 
 TEST_F(ShardPersistRestoreFaults, TruncatedShardFileRejectedAtRestore) {
-  const std::string path = ::testing::TempDir() + "bfc_shardfault_torn.ckpt";
+  const std::string path = testing::temp_path("bfc_shardfault_torn.ckpt");
   shard::ShardedSnapshotStore writer(12, 8, 3);
   (void)writer.apply_batch(full_row(12, 0));
   {
@@ -800,7 +913,7 @@ TEST_F(ShardPersistRestoreFaults, TruncatedShardFileRejectedAtRestore) {
 }
 
 TEST_F(ShardPersistRestoreFaults, BitRotInOneShardFileRejectedAtRestore) {
-  const std::string path = ::testing::TempDir() + "bfc_shardfault_rot.ckpt";
+  const std::string path = testing::temp_path("bfc_shardfault_rot.ckpt");
   shard::ShardedSnapshotStore writer(12, 8, 3);
   (void)writer.apply_batch(full_row(12, 0));
   {
@@ -816,7 +929,7 @@ TEST_F(ShardPersistRestoreFaults, BitRotInOneShardFileRejectedAtRestore) {
 }
 
 TEST_F(ShardPersistRestoreFaults, NoRenameWithoutPriorCheckpointIsMissing) {
-  const std::string path = ::testing::TempDir() + "bfc_shardfault_miss.ckpt";
+  const std::string path = testing::temp_path("bfc_shardfault_miss.ckpt");
   shard::ShardedSnapshotStore writer(12, 8, 3);
   (void)writer.apply_batch(full_row(12, 0));
   {
@@ -837,7 +950,7 @@ TEST_F(ShardPersistRestoreFaults, NoRenameOverPriorCheckpointIsAFuzzyCut) {
   // layout, not epochs — per-shard checkpoints are individually atomic and
   // the cut across shards is fuzzy BY DESIGN (exactly the consistency a
   // ShardView offers): restore must succeed with shard 0 at the old state.
-  const std::string path = ::testing::TempDir() + "bfc_shardfault_fuzzy.ckpt";
+  const std::string path = testing::temp_path("bfc_shardfault_fuzzy.ckpt");
   shard::ShardedSnapshotStore writer(12, 8, 3);
   (void)writer.apply_batch(full_row(12, 0));  // epochs (1, 1, 1)
   writer.persist(path);
@@ -859,7 +972,7 @@ TEST_F(ShardPersistRestoreFaults, NoRenameOverPriorCheckpointIsAFuzzyCut) {
 }
 
 // ---------------------------------------------------------------------------
-// Coalesced cross-pass failure under racing queries (checked builds)
+// A failed full cross pass under racing queries (checked builds)
 // ---------------------------------------------------------------------------
 
 class ShardFaultGated : public ::testing::Test {
@@ -871,71 +984,47 @@ class ShardFaultGated : public ::testing::Test {
   void TearDown() override { svc::fault::reset(); }
 };
 
-// The cross-pass memo's failure path under tip queries: with more than one
-// shard, a tip query whose view has no cross aggregate queues for the cross
-// pass. When the pass one query computes blows its deadline, every query
-// coalesced onto it must degrade or shed INDEPENDENTLY (no crash, no wedged
-// future, never a late exact answer), the failed entry must leave the memo,
-// and the next query must recompute exact — the failed pass's erase must
-// not have poisoned anything inserted after it.
+// Top pairs above K′ still queue: a full cross pass that keeps the best k
+// cross pairs, then each shard's pass. When the passes of two racing
+// queries blow their deadlines, each query must degrade or shed on its own
+// (no crash, no wedged future, never a late exact answer), and the next
+// query must answer exact.
 TEST_F(ShardFaultGated, RacingQueriesSurviveAFaultedTipPass) {
   using namespace std::chrono_literals;
   ButterflyService service(8, 6, {.threads = 2, .shards = 2});
-  std::vector<EdgeUpdate> k33;
+  std::vector<EdgeUpdate> batch;
   for (vidx_t u = 0; u < 3; ++u)
-    for (vidx_t v = 0; v < 3; ++v) k33.push_back(EdgeUpdate::add(u, v));
-  (void)service.apply_updates(k33);  // all butterflies live on shard 0
-
-  // One firing: exactly one cross pass sleeps 80 ms; both racing queries
-  // carry 10 ms deadlines, so whichever computes cancels for both.
-  const svc::fault::Scoped slow(svc::fault::Point::kSlowKernel, 0, 1, 80);
+    for (vidx_t v = 0; v < 3; ++v) batch.push_back(EdgeUpdate::add(u, v));
+  for (const vidx_t u : {4, 5})  // cross pairs with shard 0's K_{3,3}
+    for (const vidx_t v : {0, 1, 4}) batch.push_back(EdgeUpdate::add(u, v));
+  (void)service.apply_updates(batch);
+  // Pinned, its aggregate composed, before the fault is armed.
   const shard::ShardViewPtr view = service.view();
-  std::future<QueryResult<count_t>> a =
-      service.vertex_tip_v1(0, Request(view, Deadline::after(10ms)));
-  std::future<QueryResult<count_t>> b =
-      service.vertex_tip_v1(1, Request(view, Deadline::after(10ms)));
-  for (auto* fut : {&a, &b}) {
-    try {
-      const QueryResult<count_t> r = fut->get();
-      EXPECT_TRUE(r.degraded());  // a stale rung at best — never a crash
-    } catch (const OverloadError&) {
-      // Shedding outright is also a legal independent outcome.
+  constexpr std::size_t kPass = count::TopPairBuffer::kCapacity + 1;
+  {
+    // Each query's cross pass sleeps 80 ms against a 10 ms deadline.
+    const svc::fault::Scoped slow(svc::fault::Point::kSlowKernel, 0, 2, 80);
+    std::future<QueryResult<TopPairsPtr>> a =
+        service.top_pairs(kPass, Request(view, Deadline::after(10ms)));
+    std::future<QueryResult<TopPairsPtr>> b =
+        service.top_pairs(kPass, Request(view, Deadline::after(10ms)));
+    for (auto* fut : {&a, &b}) {
+      try {
+        const QueryResult<TopPairsPtr> r = fut->get();
+        EXPECT_TRUE(r.degraded());  // a stale rung at best — never a crash
+      } catch (const OverloadError&) {
+        // Shedding outright is also a legal independent outcome.
+      }
     }
+    EXPECT_GE(svc::fault::fired_count(svc::fault::Point::kSlowKernel), 1u);
   }
 
-  // The fault consumed its firing and the failed pass left the memo: the
-  // next query recomputes and answers exact.
-  EXPECT_EQ(svc::fault::fired_count(svc::fault::Point::kSlowKernel), 1u);
-  const QueryResult<count_t> exact = service.vertex_tip_v1(0).get();
-  EXPECT_EQ(exact.value, 6);
+  // The cancelled passes cached nothing: the next query runs them and
+  // answers exact.
+  const QueryResult<TopPairsPtr> exact = service.top_pairs(kPass).get();
   EXPECT_FALSE(exact.degraded());
-}
-
-// A pass that evicts a memo entry releases the evicted aggregate when it
-// returns, not before computing: freeing the old pair list (megabytes on a
-// real view) must not stall the pass its waiters are queued on.
-TEST_F(ShardFaultGated, EvictedAggregateIsReleasedAfterTheEvictingPass) {
-  shard::ShardedSnapshotStore store(6, 6, 2);
-  (void)store.apply_batch(inserts_of(random_graph(6, 6, 0.5, 11)));
-  shard::ScatterGather sg;
-  const shard::ShardViewPtr v1 = store.view();
-  const std::weak_ptr<const shard::CrossAggregate> oldest = sg.cross(v1);
-  (void)store.apply_to_shard(0, {EdgeUpdate::add(0, 5)});
-  (void)sg.cross(store.view());
-  (void)store.apply_to_shard(1, {EdgeUpdate::add(3, 4)});
-  const shard::ShardViewPtr v3 = store.view();
-  ASSERT_FALSE(oldest.expired()) << "the memo still holds v1's aggregate";
-
-  // The third signature evicts v1's entry, then its pass sleeps 80 ms.
-  const svc::fault::Scoped slow(svc::fault::Point::kSlowKernel, 0, 1, 80);
-  std::thread pass([&] { (void)sg.cross(v3); });
-  while (svc::fault::fired_count(svc::fault::Point::kSlowKernel) == 0)
-    std::this_thread::yield();
-  EXPECT_FALSE(sg.cached(v1->signature).has_value()) << "evicted";
-  EXPECT_FALSE(oldest.expired()) << "released before the pass finished";
-  pass.join();
-  EXPECT_TRUE(oldest.expired()) << "the evicting call kept it past return";
-  EXPECT_TRUE(sg.cached(v3->signature).has_value());
+  EXPECT_EQ(*exact.value,
+            count::top_wedge_pairs_v1(service.snapshot()->graph, kPass));
 }
 
 }  // namespace

@@ -212,8 +212,8 @@ std::vector<EdgeUpdate> k33_at(vidx_t lo) {
 // outside the pinned graph throws, and one inside it answers even when the
 // latest graph is smaller.
 TEST(Service, PinnedQueriesRangeCheckAgainstThePinnedView) {
-  const std::string big = ::testing::TempDir() + "bfc_pinned_range_16.snap";
-  const std::string small = ::testing::TempDir() + "bfc_pinned_range_8.snap";
+  const std::string big = testing::temp_path("bfc_pinned_range_16.snap");
+  const std::string small = testing::temp_path("bfc_pinned_range_8.snap");
   {
     ButterflyService s16(16, 16, {.threads = 1});
     s16.apply_updates(k33_at(10));  // vertex 12 sits in six butterflies

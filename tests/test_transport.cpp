@@ -3,7 +3,9 @@
 // RemoteShard against the LocalShard it proxies (served in-process by
 // serve_connection on a real Unix socket), the retry/circuit-breaker state
 // machine under injected transport faults, the pin-serves-last-known
-// contract when the host dies, and — when BFC_SHARD_HOST_BIN points at the
+// contract when the host dies, a sharded service composing its cross
+// aggregate across a host that moved on its own, and — when
+// BFC_SHARD_HOST_BIN points at the
 // real bfc-shard-host binary — supervised crash/restart/restore across
 // actual process boundaries.
 #include <gtest/gtest.h>
@@ -26,11 +28,13 @@
 #include "count/local_counts.hpp"
 #include "count/top_pairs.hpp"
 #include "shard/remote.hpp"
+#include "shard/scatter_gather.hpp"
 #include "shard/shard.hpp"
 #include "shard/supervisor.hpp"
 #include "shard/transport.hpp"
 #include "svc/fault.hpp"
 #include "svc/service.hpp"
+#include "test_helpers.hpp"
 
 namespace bfc::shard {
 namespace {
@@ -265,6 +269,62 @@ TEST(RemoteShardProto, PinServesLastKnownSnapshotAfterHostDeath) {
   EXPECT_THROW((void)remote.apply(one), ShardUnavailableError);
 }
 
+// A batch applied to the host's LocalShard directly, not through the
+// service, moves shard 1 behind the service's last composed aggregate. The
+// next view's aggregate, composed by comparing the shard's rows, must equal
+// a full pass, and every query must match one store holding the same edges.
+TEST(RemoteShardProto, ComposesAcrossAHostThatMovedOnItsOwn) {
+  const std::string sock = sock_path("moved");
+  constexpr vidx_t kN1 = 9;  // shards own [0, 3), [3, 6) and [6, 9)
+  constexpr vidx_t kN2 = 6;
+  svc::ButterflyService service(kN1, kN2, {.threads = 1, .shards = 3});
+  svc::ButterflyService one(kN1, kN2, {.threads = 1});
+  LocalShard host(1, kN1, kN2, 3, 6);
+  InProcHost server(sock, host);
+  service.swap_shard(
+      1, std::make_shared<RemoteShard>(1, kN1, kN2, 3, 6, sock, fast_opts()));
+
+  Rng rng(17);
+  std::vector<svc::EdgeUpdate> all;
+  for (vidx_t u = 0; u < kN1; ++u)
+    for (vidx_t v = 0; v < kN2; ++v)
+      if (rng.bernoulli(0.5)) all.push_back(svc::EdgeUpdate::add(u, v));
+  (void)service.apply_updates(all);
+  (void)one.apply_updates(all);
+  const shard::ShardViewPtr before = service.view();  // the base
+
+  std::vector<svc::EdgeUpdate> moved;
+  for (vidx_t u = 3; u < 6; ++u)
+    for (vidx_t v = 0; v < kN2; ++v)
+      if (rng.bernoulli(0.4)) moved.push_back({u, v, rng.bernoulli(0.5)});
+  (void)host.apply(moved);
+  (void)one.apply_updates(moved);
+
+  const shard::ShardViewPtr view = service.view();
+  ASSERT_NE(view->shards[1], before->shards[1]) << "the host's move is seen";
+  EXPECT_TRUE(view->cross->answers_like(shard::ScatterGather::compute(*view)));
+  const svc::Request req(view);
+  EXPECT_EQ(service.global_count(req).get().value,
+            one.global_count().get().value);
+  for (vidx_t u = 0; u < kN1; ++u)
+    EXPECT_EQ(service.vertex_tip_v1(u, req).get().value,
+              one.vertex_tip_v1(u).get().value)
+        << "tip_v1(" << u << ")";
+  for (vidx_t v = 0; v < kN2; ++v) {
+    EXPECT_EQ(service.vertex_tip_v2(v, req).get().value,
+              one.vertex_tip_v2(v).get().value)
+        << "tip_v2(" << v << ")";
+    for (vidx_t u = 0; u < kN1; ++u)
+      EXPECT_EQ(service.edge_support(u, v, req).get().value,
+                one.edge_support(u, v).get().value)
+          << "support(" << u << ", " << v << ")";
+  }
+  for (const std::size_t k : {std::size_t{4}, count::TopPairBuffer::kCapacity + 1})
+    EXPECT_EQ(*service.top_pairs(k, req).get().value,
+              *one.top_pairs(k).get().value)
+        << "top_pairs(" << k << ")";
+}
+
 // ---------------------------------------------------------------------------
 // Fault-injected transport paths (checked builds only)
 // ---------------------------------------------------------------------------
@@ -401,7 +461,7 @@ class ShardSupervisorProc : public ::testing::Test {
 
 TEST_F(ShardSupervisorProc, RestartsAKilledHostAndRestoresItsCheckpoint) {
   const std::string sock = sock_path("supervised");
-  const std::string ckpt = ::testing::TempDir() + "bfc_supervised.ckpt";
+  const std::string ckpt = bfc::testing::temp_path("bfc_supervised.ckpt");
   SupervisorOptions sopts;
   sopts.health_interval_ms = 20;
   ShardSupervisor sup(sopts);
