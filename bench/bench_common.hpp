@@ -11,8 +11,11 @@
 //   --reps <n>    timed repetitions per cell; the median is reported.
 //   --json <path> write a machine-readable RunReport (config, environment,
 //                 kernel metrics, every timing sample) after the table.
-//   --trace <path> record phase/kernel spans and write chrome://tracing
-//                 JSON (open in chrome://tracing or ui.perfetto.dev).
+//   --trace <path> record every span (bench cells, loader and kernel
+//                 phases, request spans) and write them as Chrome
+//                 trace-event JSON (chrome://tracing, ui.perfetto.dev). A
+//                 BFC_METRICS=OFF build compiles spans out and writes an
+//                 empty "traceEvents" list.
 //
 // Unknown flags are rejected (a typo like --rep must not silently run with
 // defaults).
@@ -23,12 +26,14 @@
 #include <iostream>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gen/konect_like.hpp"
 #include "graph/bipartite_graph.hpp"
+#include "obs/metrics.hpp"
 #include "obs/report.hpp"
-#include "obs/trace.hpp"
+#include "obs/spans.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -77,7 +82,7 @@ inline BenchConfig parse_config(
   require(cfg.scale > 0.0 && cfg.scale <= 1.0, "--scale must be in (0, 1]");
   require(cfg.reps >= 1, "--reps must be >= 1");
 
-  if (!cfg.trace_path.empty()) obs::Tracer::set_enabled(true);
+  if (!cfg.trace_path.empty()) obs::SpanLog::set_enabled(true);
   return cfg;
 }
 
@@ -89,7 +94,7 @@ struct Dataset {
 
 /// The five Fig. 9 stand-ins at the configured scale (DESIGN.md §4).
 inline std::vector<Dataset> make_datasets(const BenchConfig& cfg) {
-  BFC_TRACE_SCOPE("bench.make_datasets");
+  obs::Span phase("bench.make_datasets");
   std::vector<Dataset> out;
   std::uint64_t salt = 0;
   for (const auto& preset : gen::konect_presets()) {
@@ -101,10 +106,18 @@ inline std::vector<Dataset> make_datasets(const BenchConfig& cfg) {
   return out;
 }
 
+/// `label` as a span name that lives as long as the process: a span keeps a
+/// view of its name until the trace is written, and cell labels are built
+/// at run time. Node-based, so earlier names stay put as the set grows.
+inline std::string_view span_name(std::string label) {
+  static std::set<std::string> names;
+  return *names.insert(std::move(label)).first;
+}
+
 /// Times one run of fn (which must return the computed count so the work
 /// cannot be optimised away); repeats cfg.reps times, reports the median.
 /// Every repetition is recorded into the RunReport under `label` (or an
-/// auto-numbered cell name) and traced as one span per rep.
+/// auto-numbered cell name) and traced as one span per rep named `label`.
 template <typename Fn>
 double time_median_seconds(const BenchConfig& cfg, Fn&& fn,
                            count_t* count_out = nullptr,
@@ -113,10 +126,12 @@ double time_median_seconds(const BenchConfig& cfg, Fn&& fn,
     static int auto_cell = 0;
     label = "cell_" + std::to_string(auto_cell++);
   }
+  const std::string_view name = span_name(label);
   Samples samples;
   count_t result = 0;
   for (int r = 0; r < cfg.reps; ++r) {
-    BFC_TRACE_SCOPE(label);
+    // bfc-analyze: span-pairing-ok span_name keeps labels for the process
+    obs::Span cell(name);
     Timer timer;
     result = fn();
     samples.add(timer.seconds());
@@ -148,8 +163,11 @@ inline void write_reports(const BenchConfig& cfg) try {
     std::cout << "wrote run report: " << cfg.json_path << '\n';
   }
   if (!cfg.trace_path.empty()) {
-    obs::Tracer::write_chrome_json(cfg.trace_path);
-    std::cout << "wrote trace: " << cfg.trace_path << '\n';
+    obs::SpanLog::write_chrome_json(cfg.trace_path);
+    std::cout << "wrote trace: " << cfg.trace_path;
+    if constexpr (!obs::kMetricsEnabled)
+      std::cout << " (empty: BFC_METRICS=OFF compiles spans out)";
+    std::cout << '\n';
   }
 } catch (const std::exception& e) {
   // An unwritable path must not abort() away a finished bench run — the

@@ -1,7 +1,8 @@
 // report_lint: validates the machine-readable artifacts the benches emit.
 //
 //   report_lint --report      out.json  check a RunReport (--json output)
-//   report_lint --trace       out.json  check a chrome://tracing file
+//   report_lint --trace       out.json  check a Chrome trace-event file
+//                                       (--trace output)
 //   report_lint --openmetrics out.txt   check an OpenMetrics text dump
 //                                       (--metrics-file / /metrics output)
 //   ... --families tools/analyze/metrics.registry
@@ -75,6 +76,19 @@ void lint_report(const Json& doc) {
           "sharded config missing \"view_tier_hit_rate\"");
   }
 
+  // A serving run's latency histograms observe each query at most once.
+  const Json& metrics = doc.at("metrics");
+  if (metrics.has("svc.queries")) {
+    std::int64_t observed = 0;
+    for (const auto& [name, m] : metrics.as_object())
+      if (name.rfind("svc.latency_ns.", 0) == 0)
+        observed += m.at("count").as_int();
+    const std::int64_t queries = metrics.at("svc.queries").as_int();
+    check(observed <= queries,
+          "latency histograms hold " + std::to_string(observed) +
+              " observations but svc.queries is " + std::to_string(queries));
+  }
+
   const Json& samples = doc.at("samples");
   check(samples.is_array(), "\"samples\" is not an array");
   for (std::size_t i = 0; i < samples.size(); ++i) {
@@ -103,8 +117,17 @@ void lint_trace(const Json& doc) {
           "event " + std::to_string(i) + ": ph is not \"X\"");
     check(ev.at("ts").as_double() >= 0 && ev.at("dur").as_double() >= 0,
           "event " + std::to_string(i) + ": negative ts/dur");
+    check(ev.has("args") && ev.at("args").is_object(),
+          "event " + std::to_string(i) + " has no \"args\" object");
+    for (const char* id : {"trace", "span", "parent"})
+      check(ev.at("args").has(id) && ev.at("args").at(id).is_int(),
+            "event " + std::to_string(i) + ": args has no integer \"" + id +
+                '"');
   }
-  std::cout << "trace ok: " << events.size() << " events\n";
+  check(doc.has("otherData") && doc.at("otherData").has("dropped"),
+        "missing the span log's drop count (otherData.dropped)");
+  std::cout << "trace ok: " << events.size() << " events, "
+            << doc.at("otherData").at("dropped").as_int() << " dropped\n";
 }
 
 // ---- OpenMetrics text format ---------------------------------------------
@@ -158,8 +181,8 @@ double parse_double(const std::string& s, const std::string& what) {
 // An OpenMetrics family name is the registry metric name mangled to the
 // legal charset ('.' -> '_'), with `<seg>` placeholders standing for one or
 // more name characters (the mangling erases segment boundaries, so a
-// placeholder may legitimately swallow several underscores: svc.latency_us.
-// <kind> covers svc_latency_us_tip_v1).
+// placeholder may legitimately swallow several underscores: svc.latency_ns.
+// <kind> covers svc_latency_ns_tip_v1).
 bool family_matches_entry(const std::string& family, const std::string& entry,
                           std::size_t fi = 0, std::size_t ei = 0) {
   while (ei < entry.size()) {

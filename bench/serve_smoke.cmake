@@ -21,25 +21,27 @@
 #   telemetry overload load with the whole telemetry plane armed: the
 #             OpenMetrics dump must lint clean (svc.slo.* included), the
 #             span tree must show degraded and shed requests (the bench
-#             self-checks that), and the folded profile must attribute
+#             self-checks that), its Chrome trace must lint clean and hold
+#             tagged request spans, and the folded profile must attribute
 #             samples to a la/ kernel
 #   shard     4 range-partitioned stores with one concurrent writer per
 #             shard, under overload + Zipf key skew. The bench self-checks
 #             zero count drift against a sequential --shards 1 replay and
 #             overlapping per-shard publish spans; the OpenMetrics dump must
-#             then lint clean with dense svc_shard_<k>_* families
+#             then lint clean with dense svc_shard_<k>_* families, and the
+#             Chrome trace with tagged request spans
 #   chaos     4 out-of-process shard hosts (needs -DHOST=<bfc-shard-host>);
 #             one is SIGKILLed mid-load. The bench self-checks failure-domain
 #             isolation: zero failed queries, dead range stale-tagged while
 #             healthy ranges stay exact, exactly one supervised restart, and
-#             zero drift after the recovery replay. No --spans-out here: the
+#             zero drift after the recovery replay. No --trace here: the
 #             publish spans land inside the host processes, so the overlap
 #             self-check has nothing to see client-side.
 file(MAKE_DIRECTORY "${OUT}")
 set(report "${OUT}/serving_report.json")
 
 # The shard/chaos/telemetry lanes additionally assert on the OpenMetrics
-# dump, span tree and profile; a -DBFC_METRICS=OFF build compiles that whole
+# dump, trace and profile; a -DBFC_METRICS=OFF build compiles that whole
 # plane out (empty dumps by design), so those lanes keep only the bench's
 # built-in acceptance checks (drift, isolation, recovery, shed evidence).
 # The driver passes -DMETRICS=${BFC_METRICS}; when undefined, assume ON.
@@ -85,7 +87,7 @@ elseif(MODE STREQUAL "shard")
            --top-k 65 --pool 1 --max-queue 2 --degrade-depth 64
            --deadline-ms 0.01
            --metrics-file "${OUT}/metrics.txt"
-           --spans-out "${OUT}/spans.json")
+           --trace "${OUT}/trace.json")
 elseif(MODE STREQUAL "chaos")
   if(NOT DEFINED HOST)
     message(FATAL_ERROR "MODE=chaos needs -DHOST=<path to bfc-shard-host>")
@@ -106,13 +108,35 @@ elseif(MODE STREQUAL "telemetry")
            --queries 1000 --mix tip:3,global:1,edge:3,top:3 --top-k 65
            --pool 1 --max-queue 2 --degrade-depth 64 --slo-ms 5
            --metrics-file "${OUT}/metrics.txt"
-           --spans-out "${OUT}/spans.json"
+           --trace "${OUT}/trace.json"
            --profile-hz 250 --profile-out "${OUT}/profile.folded"
            --flight-out "${OUT}/flight.json")
 else()
   set(load --scale 0.02 --readers 3 --epochs 4 --batch 60 --queries 80
            --pool 3 --top-k 65)
 endif()
+
+# The --trace file of a shard or telemetry load: Chrome trace events that
+# report_lint accepts (each carrying its trace, span and parent ids under
+# args), among them request spans with their decision tags.
+function(check_request_trace)
+  execute_process(
+    COMMAND "${LINT}" --trace "${OUT}/trace.json"
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "trace lint failed (rc=${rc}):\n${out}\n${err}")
+  endif()
+  message(STATUS "${out}")
+  file(READ "${OUT}/trace.json" trace_text)
+  foreach(want "\"name\": \"svc\\.query\\.[a-z_0-9]+\""
+               "\"outcome\": \"(exact|stale|shed)\"")
+    if(NOT trace_text MATCHES "${want}")
+      message(FATAL_ERROR "trace.json holds nothing matching ${want}")
+    endif()
+  endforeach()
+endfunction()
 
 execute_process(
   COMMAND "${BENCH}" ${load} --json "${report}"
@@ -155,12 +179,9 @@ if(MODE STREQUAL "shard" AND check_telemetry)
     message(FATAL_ERROR "OpenMetrics dump has no svc_shard_* instruments")
   endif()
 
-  # The span tree (overlap of per-shard publishes was self-checked by the
-  # bench) must have materialised on disk as non-empty JSON.
-  file(READ "${OUT}/spans.json" spans_text)
-  if(spans_text STREQUAL "")
-    message(FATAL_ERROR "spans.json is empty")
-  endif()
+  # The bench self-checked the span tree and the overlap of per-shard
+  # publishes; the trace it wrote must hold them.
+  check_request_trace()
 endif()
 
 if(MODE STREQUAL "chaos" AND check_telemetry)
@@ -220,12 +241,12 @@ if(MODE STREQUAL "telemetry" AND check_telemetry)
     message(FATAL_ERROR "folded profile attributes no samples to la/ kernels")
   endif()
 
-  # Span tree and flight ring were self-checked by the bench; they must have
-  # materialised on disk as non-empty JSON.
-  foreach(artifact spans.json flight.json)
-    file(READ "${OUT}/${artifact}" text)
-    if(text STREQUAL "")
-      message(FATAL_ERROR "${artifact} is empty")
-    endif()
-  endforeach()
+  # The bench self-checked the span tree; the trace it wrote must hold it.
+  check_request_trace()
+
+  # The flight ring must have materialised on disk as non-empty JSON.
+  file(READ "${OUT}/flight.json" text)
+  if(text STREQUAL "")
+    message(FATAL_ERROR "flight.json is empty")
+  endif()
 endif()

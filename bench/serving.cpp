@@ -2,9 +2,9 @@
 // threads issue a configurable mix of butterfly queries against pinned
 // snapshots while one writer thread applies edge-update batches and
 // publishes epochs underneath them. Emits a throughput / p50 / p95 / p99
-// latency table per query kind, and the usual RunReport (--json) with every
+// latency table per query kind, the usual RunReport (--json) with every
 // latency sample plus the svc.* counters (cache hits, epochs published,
-// degraded answers, ...).
+// degraded answers, ...), and with --trace every span of the run.
 //
 //   ./serving [--readers 4] [--epochs 8] [--batch 200] [--queries 500]
 //             [--pool 4] [--mix tip:6,global:2,edge:1,top:1] [--top-k 8]
@@ -52,8 +52,8 @@
 //                      (0 = ephemeral; the bound port is printed)
 //   --metrics-file F   dump the OpenMetrics rendering to F after every
 //                      published epoch and at the end of the run
-//   --spans-out F      enable request-scoped span collection and write the
-//                      span tree as JSON; also arms span self-checks
+//   --trace F          (the common flag) collect spans and write them as
+//                      Chrome trace events; also arms span self-checks
 //                      (every query produced a span; overload runs show
 //                      degraded and shed outcomes with intact parent links)
 //   --trace-sample N   head-based sampling: root (and therefore trace) only
@@ -175,8 +175,8 @@ std::pair<vidx_t, vidx_t> random_edge_at(const svc::SnapshotPtr& snap,
   return {u, static_cast<vidx_t>(rng.bounded(static_cast<std::uint64_t>(n2)))};
 }
 
-/// The first two "svc.shard.publish" spans of different shards that overlap
-/// in time, if any; `publishes` receives the number of publish spans.
+/// The first two "svc.publish" spans of different shards that overlap in
+/// time, if any; `publishes` receives the number of shard publish spans.
 std::optional<std::pair<std::string, std::string>> overlapping_publishes(
     std::size_t& publishes) {
   const std::vector<obs::SpanRecord> spans = obs::SpanLog::snapshot();
@@ -186,7 +186,7 @@ std::optional<std::pair<std::string, std::string>> overlapping_publishes(
   };
   std::vector<Pub> pubs;
   for (const obs::SpanRecord& s : spans)
-    if (s.name == std::string_view("svc.shard.publish"))
+    if (s.name == std::string_view("svc.publish") && !s.tag("shard").empty())
       pubs.push_back({s.tag("shard"), s.ts_us,
                       s.ts_us + std::max<std::int64_t>(s.dur_us, 1)});
   publishes = pubs.size();
@@ -205,7 +205,7 @@ std::optional<std::pair<std::string, std::string>> overlapping_publishes(
 }
 
 /// Sharded acceptance: the per-shard writers publish through independent
-/// stores, so their root "svc.shard.publish" spans must overlap in time —
+/// stores, so their root "svc.publish" spans must overlap in time —
 /// serialised publishes would mean the shard layer still funnels every
 /// write through one lock. Whether two short publishes of the scripted
 /// rounds happened to overlap is up to the scheduler, so when none did,
@@ -222,7 +222,7 @@ bool check_publish_overlap(svc::ButterflyService& service, int shards) {
   auto overlap = overlapping_publishes(publishes);
   if (publishes < 2) {
     std::cerr << "FATAL: sharded run recorded " << publishes
-              << " svc.shard.publish span(s); expected one per shard epoch\n";
+              << " shard svc.publish span(s); expected one per shard epoch\n";
     return false;
   }
   if (std::thread::hardware_concurrency() < 2 && !overlap) {
@@ -253,7 +253,7 @@ bool check_publish_overlap(svc::ButterflyService& service, int shards) {
               << " publish spans total, " << probes << " probe rounds)\n";
     return true;
   }
-  std::cerr << "FATAL: no two svc.shard.publish spans from different shards "
+  std::cerr << "FATAL: no two svc.publish spans from different shards "
                "overlap across "
             << publishes << " publishes (" << probes
             << " probe rounds); shard writers appear serialised\n";
@@ -273,20 +273,21 @@ int kind_index(const std::string& name) {
   return 0;
 }
 
-// One latency histogram per QueryKind, reset at every epoch boundary so each
-// phase's distribution is observable on its own (docs/telemetry.md).
+// The service's cumulative latency histograms, one per QueryKind
+// (docs/telemetry.md).
 constexpr const char* kLatencyHistograms[] = {
-    "svc.latency_us.global", "svc.latency_us.tip_v1", "svc.latency_us.tip_v2",
-    "svc.latency_us.edge", "svc.latency_us.top_pairs"};
+    "svc.latency_ns.global", "svc.latency_ns.tip_v1", "svc.latency_ns.tip_v2",
+    "svc.latency_ns.edge", "svc.latency_ns.top_pairs"};
 
-/// Span-plane self-checks plus the JSON dump. The log must be non-empty with
-/// intact parent links (unless the bounded log dropped spans, which can
-/// orphan survivors legitimately); an overload run must additionally show at
-/// least one degraded answer and one shed/cancelled request in the tree.
-bool check_spans(const std::string& path, bool overload) {
+/// Span-plane self-checks over the spans --trace writes. The log must be
+/// non-empty with intact parent links (unless the bounded log dropped
+/// spans, which can orphan survivors legitimately); an overload run must
+/// additionally show at least one degraded answer and one shed/cancelled
+/// request in the tree.
+bool check_spans(bool overload) {
   const std::vector<obs::SpanRecord> spans = obs::SpanLog::snapshot();
   if (spans.empty()) {
-    std::cerr << "FATAL: --spans-out is set but the span log is empty\n";
+    std::cerr << "FATAL: --trace is set but the span log is empty\n";
     return false;
   }
   std::set<std::uint64_t> ids;
@@ -311,7 +312,6 @@ bool check_spans(const std::string& path, bool overload) {
               << " shed=" << shed << "; expected both > 0\n";
     return false;
   }
-  obs::SpanLog::write_json(path);
   std::cout << "spans: " << spans.size() << " recorded ("
             << obs::SpanLog::dropped() << " dropped), " << degraded
             << " degraded, " << shed << " shed/cancelled\n";
@@ -356,8 +356,8 @@ int main(int argc, char** argv) {
       {"readers", "epochs", "batch", "queries", "pool", "mix", "shards",
        "zipf", "kill-shard", "host-bin", "overload", "max-queue", "policy",
        "deadline-ms", "degrade-depth", "metrics-port", "metrics-file",
-       "spans-out", "trace-sample", "profile-hz", "profile-out", "flight-out",
-       "slo-ms", "slo-objective", "top-k"});
+       "trace-sample", "profile-hz", "profile-out", "flight-out", "slo-ms",
+       "slo-objective", "top-k"});
   const Cli cli(argc, argv);
   const int readers = static_cast<int>(cli.get_int("readers", 4));
   const int epochs = static_cast<int>(cli.get_int("epochs", 8));
@@ -428,7 +428,6 @@ int main(int argc, char** argv) {
   const int metrics_port =
       static_cast<int>(cli.get_int_at_least("metrics-port", 0, 0));
   const std::string metrics_file = cli.get("metrics-file", "");
-  const std::string spans_out = cli.get("spans-out", "");
   const int profile_hz =
       static_cast<int>(cli.get_int_at_least("profile-hz", 0, 0));
   const std::string profile_out = cli.get("profile-out", "");
@@ -437,12 +436,8 @@ int main(int argc, char** argv) {
   const double slo_objective = cli.get_double("slo-objective", 0.99);
   require(slo_objective > 0.0 && slo_objective <= 1.0,
           "--slo-objective must be in (0, 1]");
-  const auto trace_sample = static_cast<std::uint64_t>(
-      cli.get_int_at_least("trace-sample", 1, 1));
-  if (!spans_out.empty()) {
-    obs::SpanLog::set_sample_period(trace_sample);
-    obs::SpanLog::set_enabled(true);
-  }
+  obs::SpanLog::set_sample_period(static_cast<std::uint64_t>(
+      cli.get_int_at_least("trace-sample", 1, 1)));
   if (!flight_out.empty()) obs::FlightRecorder::set_dump_path(flight_out);
   std::unique_ptr<obs::MetricsHttpServer> exporter;
   if (has_metrics_port)
@@ -583,7 +578,6 @@ int main(int argc, char** argv) {
   const std::int64_t total_queries =
       static_cast<std::int64_t>(readers) * queries_per_reader;
   std::atomic<std::int64_t> completed{0};
-  std::atomic<std::int64_t> completed_at_reset{0};
   std::atomic<std::int64_t> degraded_answers{0};
   std::atomic<std::int64_t> overload_errors{0};
 
@@ -620,11 +614,9 @@ int main(int argc, char** argv) {
   }
 
   // Epoch boundary, shared by both writer modes: dump the metrics rendering
-  // with this phase's latency distributions still intact, reset the per-kind
-  // histograms so the next phase's shape is observable on its own, and pace
-  // the next round against reader progress so the epochs spread across the
-  // whole run. Sharded, this runs as the barrier's completion step — on one
-  // writer thread while the rest are parked at the barrier.
+  // and pace the next round against reader progress so the epochs spread
+  // across the whole run. Sharded, this runs as the barrier's completion
+  // step — on one writer thread while the rest are parked at the barrier.
   const std::int64_t quota =
       std::max<std::int64_t>(1, total_queries / (epochs + 1));
   // The cache's per-tier hit/miss counts are generation-scoped: a publish on
@@ -639,12 +631,6 @@ int main(int argc, char** argv) {
   }
   const auto epoch_boundary = [&]() noexcept {
     if (!metrics_file.empty()) obs::write_openmetrics_file(metrics_file);
-    if constexpr (obs::kMetricsEnabled) {
-      for (const char* name : kLatencyHistograms)
-        obs::Registry::instance().histogram(name).reset();
-      completed_at_reset.store(completed.load(std::memory_order_relaxed),
-                               std::memory_order_relaxed);
-    }
     const std::int64_t target = std::min(
         total_queries, completed.load(std::memory_order_relaxed) + quota);
     while (completed.load(std::memory_order_relaxed) < target)
@@ -1051,16 +1037,12 @@ int main(int argc, char** argv) {
   if (exporter)
     std::cout << "metrics exporter served " << exporter->requests_served()
               << " request(s) on port " << exporter->port() << "\n";
-  if (!spans_out.empty()) {
-    if constexpr (obs::kMetricsEnabled) {
-      if (!check_spans(spans_out, overload)) return 1;
-      if (sharded && !check_publish_overlap(service, shards)) return 1;
-    } else {
-      std::cout << "spans: collection compiled out (BFC_METRICS=OFF)\n";
-    }
-  }
-
   if constexpr (obs::kMetricsEnabled) {
+    if (!cfg.trace_path.empty()) {
+      if (!check_spans(overload)) return 1;
+      if (sharded && !check_publish_overlap(service, shards)) return 1;
+    }
+
     const auto counter = [](const char* name) {
       return obs::Registry::instance().counter(name).value();
     };
@@ -1092,31 +1074,30 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    // The per-kind latency histograms are reset at every epoch boundary, so
-    // the surviving counts must cover only the tail of the run: queries that
-    // finished after the last published epoch, plus at most one in-flight
-    // query per reader straddling the reset.
-    std::int64_t hist_total = 0;
+    // Every answer but a degrade rung's observes its latency, so the
+    // histograms count every query when none was shed or answered by a
+    // rung (the stale rung, or edge support's inline rung), and at most
+    // every query otherwise.
+    std::int64_t observed = 0;
     for (const char* name : kLatencyHistograms)
-      hist_total += obs::Registry::instance().histogram(name).count();
-    const std::int64_t tail =
-        total_queries - completed_at_reset.load(std::memory_order_relaxed);
-    if (hist_total > tail + readers) {
-      std::cerr << "FATAL: latency histograms hold " << hist_total
-                << " observations but only " << tail
-                << " queries finished after the last epoch reset\n";
+      observed += obs::Registry::instance().histogram(name).count();
+    const std::int64_t queries = counter("svc.queries");
+    const bool every_query_observed =
+        overload_errors.load(std::memory_order_relaxed) == 0 &&
+        counter("svc.stale_answers") == 0 &&
+        counter("svc.inline_answers") == 0;
+    if (observed > queries || (every_query_observed && observed != queries)) {
+      std::cerr << "FATAL: latency histograms hold " << observed
+                << " observations against svc.queries " << queries
+                << (every_query_observed
+                        ? " with no query shed or answered by a degrade rung\n"
+                        : "\n");
       return 1;
     }
-    if (!overload && hist_total <= 0 && tail > readers) {
-      std::cerr << "FATAL: latency histograms empty despite a " << tail
-                << "-query tail after the final epoch reset\n";
-      return 1;
-    }
-    std::cout << "epoch-scoped latency histograms: " << hist_total
-              << " observations across a " << tail << "-query tail\n";
+    std::cout << "latency histograms: " << observed << " observations of "
+              << queries << " queries\n";
   }
 
-  // Last, as its queries feed the latency histograms checked above.
   if (!check_tip_drift(service, final_view, (single ? single : fin)->graph))
     return 1;
 

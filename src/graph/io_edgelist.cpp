@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/spans.hpp"
 #include "chk/validate.hpp"
 #include "sparse/coo.hpp"
 #include "util/timer.hpp"
@@ -16,7 +16,7 @@ namespace bfc::graph {
 
 BipartiteGraph read_edgelist(std::istream& in, vidx_t n1, vidx_t n2,
                              const std::string& source) {
-  BFC_TRACE_SCOPE("graph.read_edgelist");
+  obs::Span phase("graph.read_edgelist");
   const Timer parse_timer;
   std::vector<std::pair<vidx_t, vidx_t>> edges;
   vidx_t max_u = 0;

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/spans.hpp"
 #include "chk/validate.hpp"
 #include "sparse/coo.hpp"
 #include "util/timer.hpp"
@@ -25,7 +25,7 @@ std::string lowercase(std::string s) {
 }  // namespace
 
 BipartiteGraph read_mtx(std::istream& in, const std::string& source) {
-  BFC_TRACE_SCOPE("graph.read_mtx");
+  obs::Span phase("graph.read_mtx");
   const Timer parse_timer;
   const auto fail = [&source](const std::string& what) {
     return std::runtime_error("mtx " + source + ": " + what);

@@ -9,7 +9,7 @@
 #include "chk/tsan_fence.hpp"
 #include "chk/validate.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/spans.hpp"
 
 namespace bfc::la {
 namespace {
@@ -195,7 +195,7 @@ count_t count_blocked_parallel(const sparse::CsrPattern& lines,
 #pragma omp parallel
   {
     PanelScratch scratch(lines.cols(), b);
-    obs::ScopedTrace thread_span("kernel.blocked_parallel");
+    obs::Span thread_span("kernel.blocked_parallel");
 #pragma omp for schedule(dynamic, 1) reduction(+ : total)
     for (std::int64_t k = 0; k < panels; ++k)
       total = chk::checked_add(

@@ -6,7 +6,7 @@
 #include "la/kernels.hpp"
 #include "la/partition.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/spans.hpp"
 
 namespace bfc::la {
 namespace {
@@ -38,7 +38,7 @@ count_t count_unblocked_parallel(const sparse::CsrPattern& lines,
                                      0);
     // One trace span and one work-histogram sample per thread per region,
     // so imbalance across the dynamic schedule is visible per track.
-    obs::ScopedTrace thread_span("kernel.unblocked_parallel");
+    obs::Span thread_span("kernel.unblocked_parallel");
     count_t my_lines = 0, my_wedges = 0, my_nnz = 0;
 #pragma omp for schedule(dynamic, 16) reduction(+ : total)
     for (std::int64_t s = 0; s < n_steps; ++s) {

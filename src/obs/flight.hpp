@@ -23,7 +23,7 @@ namespace bfc::obs {
 /// One recorded event. `kind` and `detail` are short fixed-size strings
 /// (truncated on record) so slots stay POD and the ring never allocates.
 struct FlightEvent {
-  std::int64_t ts_us = 0;        // Tracer clock, µs since process start
+  std::int64_t ts_us = 0;        // obs::now_us(), the span clock
   std::uint64_t trace_id = 0;    // owning request's trace, 0 = none
   std::int64_t a = 0, b = 0;     // kind-specific payload (epoch, depth, ...)
   int tid = 0;                   // OpenMP thread id at record time

@@ -111,13 +111,17 @@ std::vector<MetricSnapshot> Registry::snapshot() const {
     MetricSnapshot s;
     s.name = name;
     s.kind = MetricSnapshot::Kind::kHistogram;
-    s.hist_count = h->count();
     s.hist_sum = h->sum();
     s.hist_min = h->min();
     s.hist_max = h->max();
+    // The count is the sum of the buckets as read, not count_, which
+    // concurrent observers move independently: an exporter's +Inf bucket
+    // and _count must never fall below its last cumulative bucket.
     for (int i = 0; i < Histogram::kBuckets; ++i) {
       const std::int64_t n = h->bucket_count(i);
-      if (n != 0) s.hist_buckets.emplace_back(Histogram::bucket_upper(i), n);
+      if (n == 0) continue;
+      s.hist_buckets.emplace_back(Histogram::bucket_upper(i), n);
+      s.hist_count += n;
     }
     out.push_back(std::move(s));
   }

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
 
 #include "obs/json.hpp"
-#include "obs/trace.hpp"
 #include "util/parallel.hpp"
 #include "util/sync.hpp"
 
@@ -23,7 +23,8 @@ namespace {
 constexpr std::size_t kShards = 16;
 
 // Mutex and guarded state in one struct so TSA can relate them through the
-// single reference store() returns (same idiom as obs/trace.cpp).
+// single reference store() returns; two independent function-local statics
+// would look like unrelated objects to TSA.
 struct SpanShard {
   Mutex mu{"obs.spans"};
   std::vector<SpanRecord> ring BFC_GUARDED_BY(mu);  // at most capacity slots
@@ -54,6 +55,14 @@ std::size_t shard_index() noexcept {
 }
 
 }  // namespace
+
+std::int64_t now_us() {
+  using Clock = std::chrono::steady_clock;
+  static const Clock::time_point epoch = Clock::now();
+  return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
+                                                               epoch)
+      .count();
+}
 
 void SpanRecord::add_tag(const char* key, std::string_view value) noexcept {
   if (tag_count >= kMaxTags) return;
@@ -187,40 +196,51 @@ void SpanLog::clear() {
   }
 }
 
-void SpanLog::write_json(const std::string& path) {
+void SpanLog::write_chrome_json(const std::string& path) {
   Json root = Json::object();
-  Json& list = root["spans"];
+  Json& list = root["traceEvents"];
   list = Json::array();
   for (const SpanRecord& rec : snapshot()) {
-    Json e = Json::object();
-    e["trace"] = rec.trace_id;
-    e["span"] = rec.span_id;
-    e["parent"] = rec.parent_id;
-    e["name"] = std::string(rec.name);
-    e["ts_us"] = rec.ts_us;
-    e["dur_us"] = rec.dur_us;
-    e["tid"] = rec.tid;
-    Json tags = Json::object();
+    Json args = Json::object();
+    args["trace"] = rec.trace_id;
+    args["span"] = rec.span_id;
+    args["parent"] = rec.parent_id;
     for (std::size_t i = 0; i < rec.tag_count; ++i)
-      tags[rec.tags[i].key] = std::string(rec.tags[i].value.data());
-    e["tags"] = std::move(tags);
+      args[rec.tags[i].key] = std::string(rec.tags[i].value.data());
+    Json e = Json::object();
+    e["name"] = std::string(rec.name);
+    e["cat"] = "bfc";
+    e["ph"] = "X";
+    e["pid"] = 1;
+    e["tid"] = rec.tid;
+    e["ts"] = rec.ts_us;
+    e["dur"] = rec.dur_us;
+    e["args"] = std::move(args);
     list.push_back(std::move(e));
   }
-  root["dropped"] = dropped();
+  root["displayTimeUnit"] = "ms";
+  root["otherData"]["dropped"] = dropped();
 
   std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write span log: " + path);
+  if (!out) throw std::runtime_error("cannot write trace file: " + path);
   out << root.dump(1) << '\n';
 }
 
 Span::Span(const TraceContext& parent, std::string_view name) {
-  if (!SpanLog::enabled() || !parent.active()) return;
+  if (SpanLog::enabled() && parent.active()) arm(parent, name);
+}
+
+Span::Span(std::string_view name) {
+  if (SpanLog::enabled()) arm(TraceContext::root(), name);
+}
+
+void Span::arm(const TraceContext& parent, std::string_view name) {
   armed_ = true;
   rec_.trace_id = parent.trace_id;
   rec_.parent_id = parent.span_id;
   rec_.span_id = SpanLog::next_id();
   rec_.name = name;
-  rec_.ts_us = Tracer::now_us();
+  rec_.ts_us = now_us();
 }
 
 void Span::tag(const char* key, std::string_view value) {
@@ -231,12 +251,8 @@ void Span::tag(const char* key, std::string_view value) {
 void Span::close() {
   if (!armed_) return;
   armed_ = false;
-  rec_.dur_us = Tracer::now_us() - rec_.ts_us;
+  rec_.dur_us = now_us() - rec_.ts_us;
   rec_.tid = thread_id();
-  // Mirror into the flat tracer so request spans also land on the
-  // chrome://tracing timeline when --trace is active.
-  if (Tracer::enabled())
-    Tracer::record(std::string(rec_.name), rec_.ts_us, rec_.dur_us);
   SpanLog::record(std::move(rec_));
 }
 

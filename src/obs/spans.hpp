@@ -1,19 +1,21 @@
-// Request-scoped tracing for the serving stack. Where obs/trace.hpp records
-// flat phase timings (one chrome://tracing bar per scope), this layer records
-// a *causal tree*: every span carries a trace id shared by everything one
-// svc::Request touched, its own span id, and the span id of its parent, plus
-// string tags for the decisions made inside it (cache hit/miss, degrade rung,
-// shed/cancelled outcome, fidelity of the answer). A query's life —
-// admission, queue wait, coalesced kernel pass, degradation — reconstructs
-// as one tree no matter how many threads it crossed.
+// The one tracing system. Every span is a node of a causal tree — a trace
+// id shared by everything one svc::Request touched, its own span id, the
+// span id of its parent, and string tags for the decisions made inside it
+// (cache hit/miss, degrade rung, shed/cancelled outcome, fidelity of the
+// answer) — and one complete event on a chrome://tracing / Perfetto
+// timeline, on the track of the OpenMP thread that closed it. A query's
+// life — admission, queue wait, kernel pass, degradation — reconstructs as
+// one tree no matter how many threads it crossed; a phase no request
+// reaches (a loader, a bench cell, one thread's share of a parallel region,
+// a store publish) opens the root span of a trace of its own.
 //
-// Collection is runtime-gated exactly like the Tracer: a disabled SpanLog
-// costs one predictable branch per Span construction, and under
-// BFC_METRICS=OFF enabled() is constant-false so the whole plumbing folds
-// away. Storage is sharded by recording thread (span close is on the
-// serving hot path; a single log mutex would serialise every reader), each
-// shard a bounded ring that overwrites its oldest span past capacity, so a
-// long-running service cannot grow the log without bound.
+// Collection is runtime-gated: a disabled SpanLog costs one relaxed load
+// per Span construction, and under BFC_METRICS=OFF enabled() is
+// constant-false so the whole plumbing folds away. Storage is sharded by
+// recording thread (span close is on the serving hot path; a single log
+// mutex would serialise every reader), each shard a bounded ring that
+// overwrites its oldest span past capacity, so a long-running service
+// cannot grow the log without bound.
 #pragma once
 
 #include <array>
@@ -27,6 +29,10 @@
 #include "obs/metrics.hpp"
 
 namespace bfc::obs {
+
+/// Microseconds on the steady clock since the process's first call: the
+/// clock of every span, queue-wait task and flight-recorder event.
+[[nodiscard]] std::int64_t now_us();
 
 /// The identity a request carries through the service: which trace it
 /// belongs to and which span is the current parent. Copied by value into
@@ -63,7 +69,7 @@ struct SpanRecord {
   std::uint64_t span_id = 0;
   std::uint64_t parent_id = 0;  // 0 = root span of its trace
   std::string_view name;        // literal; must outlive the log
-  std::int64_t ts_us = 0;   // start, microseconds on the Tracer's clock
+  std::int64_t ts_us = 0;   // start, microseconds on the now_us() clock
   std::int64_t dur_us = 0;  // duration in microseconds
   int tid = 0;              // OpenMP thread id where the span closed
   std::uint64_t seq = 0;    // process-wide completion order, set by record()
@@ -78,7 +84,7 @@ struct SpanRecord {
 };
 
 /// Process-wide bounded log of completed spans. All members are static: the
-/// span tree is a property of the process, like the Tracer's event list.
+/// span tree is a property of the process.
 class SpanLog {
  public:
   static constexpr std::size_t kDefaultCapacity = 1 << 13;
@@ -121,10 +127,13 @@ class SpanLog {
   /// Process-unique nonzero id for spans and traces.
   [[nodiscard]] static std::uint64_t next_id() noexcept;
 
-  /// Serializes the log as {"spans": [...], "dropped": n}; each span is
-  /// {trace, span, parent, name, ts_us, dur_us, tid, tags{...}}. Throws
-  /// std::runtime_error if the file cannot be written.
-  static void write_json(const std::string& path);
+  /// Writes the log as Chrome trace-event JSON (chrome://tracing,
+  /// ui.perfetto.dev): {"traceEvents": [...], "displayTimeUnit": "ms",
+  /// "otherData": {"dropped": n}}, one complete ("ph": "X") event per span
+  /// with pid, tid, ts and dur (µs), its trace, span and parent ids and its
+  /// tags under "args". Throws std::runtime_error if the file cannot be
+  /// written.
+  static void write_chrome_json(const std::string& path);
 
  private:
   static std::atomic<bool>& enabled_flag() noexcept;
@@ -136,8 +145,12 @@ class SpanLog {
 /// duration and records early; the destructor closes if nobody did.
 class Span {
  public:
-  /// `name` must be a string literal (or otherwise outlive the log).
+  /// A child of `parent`. `name` must be a string literal (or otherwise
+  /// outlive the log).
   Span(const TraceContext& parent, std::string_view name);
+  /// The root span of a fresh trace when the log is enabled, inert
+  /// otherwise: for work no request context reaches. Not head-sampled.
+  explicit Span(std::string_view name);
   ~Span() { close(); }
 
   Span(const Span&) = delete;
@@ -158,6 +171,8 @@ class Span {
   void close();
 
  private:
+  void arm(const TraceContext& parent, std::string_view name);
+
   SpanRecord rec_;
   bool armed_ = false;
 };

@@ -3,13 +3,13 @@
 #include "count/local_counts.hpp"
 #include "count/wedges.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/spans.hpp"
 #include "peel/decompose.hpp"
 
 namespace bfc::peel {
 
 TipDecomposition tip_decomposition(const graph::BipartiteGraph& g, Side side) {
-  BFC_TRACE_SCOPE("peel.tip_decomposition");
+  obs::Span phase("peel.tip_decomposition");
   // `lines` rows enumerate the peeled side; `lines_t` the opposite side.
   const sparse::CsrPattern& lines = side == Side::kV1 ? g.csr() : g.csc();
   const sparse::CsrPattern& lines_t = side == Side::kV1 ? g.csc() : g.csr();

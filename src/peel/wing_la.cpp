@@ -1,13 +1,13 @@
 #include "count/local_counts.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/spans.hpp"
 #include "peel/peeling.hpp"
 #include "sparse/ops.hpp"
 
 namespace bfc::peel {
 
 WingPeelResult k_wing(const graph::BipartiteGraph& g, count_t k) {
-  BFC_TRACE_SCOPE("peel.k_wing");
+  obs::Span phase("peel.k_wing");
   require(k >= 0, "k_wing: negative k");
 
   WingPeelResult result;

@@ -91,13 +91,11 @@ void RemoteShard::record_failure() const {
 
 std::string RemoteShard::rpc(wire::Msg msg, std::string_view payload,
                              bool idempotent, int timeout_ms) const {
-  // Transport spans root their own traces, like svc.shard.publish: an RPC
+  // Transport spans root their own traces, like svc.publish: an RPC
   // belongs to whatever query is running, but the query's context doesn't
   // thread through the ShardHandle seam, and cross-process legs are exactly
   // what a post-mortem wants to see unsampled.
-  obs::TraceContext ctx;
-  if (obs::SpanLog::enabled()) ctx = obs::TraceContext::root();
-  obs::Span span(ctx, "svc.remote.call");
+  obs::Span span("svc.remote.call");
   span.tag("shard", std::to_string(id_));
   span.tag("msg", std::to_string(static_cast<int>(msg)));
   if (!admit_call()) {

@@ -14,17 +14,6 @@ ResultCache::ResultCache(std::size_t capacity, int tiers)
   misses_.assign(static_cast<std::size_t>(tiers), 0);
 }
 
-double ResultCache::hit_rate_locked() const {
-  std::int64_t h = 0;
-  std::int64_t m = 0;
-  for (std::size_t t = 0; t < hits_.size(); ++t) {
-    h += hits_[t];
-    m += misses_[t];
-  }
-  return h + m == 0 ? 0.0
-                    : static_cast<double>(h) / static_cast<double>(h + m);
-}
-
 std::optional<CacheValue> ResultCache::get(const CacheKey& key) {
   const MutexLock lock(mu_);
   const std::size_t t = tier_index(key.tier);
@@ -32,13 +21,11 @@ std::optional<CacheValue> ResultCache::get(const CacheKey& key) {
   if (it == map_.end()) {
     ++misses_[t];
     BFC_COUNT_ADD("svc.cache_misses", 1);
-    BFC_GAUGE_SET("svc.cache_hit_rate", hit_rate_locked());
     return std::nullopt;
   }
   lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
   ++hits_[t];
   BFC_COUNT_ADD("svc.cache_hits", 1);
-  BFC_GAUGE_SET("svc.cache_hit_rate", hit_rate_locked());
   return it->second->second;
 }
 
@@ -63,11 +50,8 @@ void ResultCache::invalidate_all() {
   const MutexLock lock(mu_);
   map_.clear();
   lru_.clear();
-  // New generation everywhere: the hit-rate gauge must describe
-  // post-invalidation traffic only, not the mixture with epochs that died.
   std::fill(hits_.begin(), hits_.end(), 0);
   std::fill(misses_.begin(), misses_.end(), 0);
-  BFC_GAUGE_SET("svc.cache_hit_rate", 0.0);
   BFC_COUNT_ADD("svc.cache_invalidations", 1);
 }
 
@@ -84,11 +68,9 @@ void ResultCache::invalidate_tier_older_than(int tier,
     }
   }
   // THE point of tiers: only the published shard's generation resets; the
-  // other shards keep their entries AND their hit/miss streaks, so their
-  // post-publish hit rates stay meaningful.
+  // other shards keep their entries AND their hit/miss streaks.
   hits_[t] = 0;
   misses_[t] = 0;
-  BFC_GAUGE_SET("svc.cache_hit_rate", hit_rate_locked());
   BFC_COUNT_ADD("svc.cache_invalidations", 1);
 }
 
@@ -110,7 +92,6 @@ void ResultCache::invalidate_tier_keep(
   }
   hits_[t] = 0;
   misses_[t] = 0;
-  BFC_GAUGE_SET("svc.cache_hit_rate", hit_rate_locked());
   BFC_COUNT_ADD("svc.cache_invalidations", 1);
 }
 
@@ -128,11 +109,6 @@ std::int64_t ResultCache::misses() const {
   return m;
 }
 
-double ResultCache::hit_rate() const {
-  const MutexLock lock(mu_);
-  return hit_rate_locked();
-}
-
 std::int64_t ResultCache::hits(int tier) const {
   const MutexLock lock(mu_);
   return hits_[tier_index(tier)];
@@ -141,15 +117,6 @@ std::int64_t ResultCache::hits(int tier) const {
 std::int64_t ResultCache::misses(int tier) const {
   const MutexLock lock(mu_);
   return misses_[tier_index(tier)];
-}
-
-double ResultCache::hit_rate(int tier) const {
-  const MutexLock lock(mu_);
-  const std::size_t t = tier_index(tier);
-  const std::int64_t total = hits_[t] + misses_[t];
-  return total == 0 ? 0.0
-                    : static_cast<double>(hits_[t]) /
-                          static_cast<double>(total);
 }
 
 std::size_t ResultCache::size() const {

@@ -14,11 +14,10 @@
 //
 // Counters: cumulative hits/misses go to the obs registry (svc.cache_hits /
 // svc.cache_misses). The cache additionally keeps *generation-scoped*
-// hit/miss counts PER TIER that reset on that tier's invalidation, so the
-// post-publish hit-rate gauge (svc.cache_hit_rate, and the per-shard
-// svc.shard.<k>.cache_hit_rate gauges the service maintains) reflects the
-// current epoch of the invalidated tier only — publishes elsewhere no
-// longer zero an unrelated shard's rate.
+// hit/miss counts PER TIER that reset on that tier's invalidation only, so
+// a caller that folds them in before each publish (the serving bench's
+// per-shard line) sees each shard's traffic undisturbed by publishes
+// elsewhere.
 #pragma once
 
 #include <cstdint>
@@ -106,13 +105,10 @@ class ResultCache {
   /// summed over tiers (the pre-tier aggregate surface, unchanged).
   [[nodiscard]] std::int64_t hits() const;
   [[nodiscard]] std::int64_t misses() const;
-  /// hits / (hits + misses) of the current generations; 0 when untouched.
-  [[nodiscard]] double hit_rate() const;
 
   /// Same, scoped to one tier's current generation.
   [[nodiscard]] std::int64_t hits(int tier) const;
   [[nodiscard]] std::int64_t misses(int tier) const;
-  [[nodiscard]] double hit_rate(int tier) const;
 
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
@@ -129,7 +125,6 @@ class ResultCache {
     const auto t = static_cast<std::size_t>(tier < 0 ? 0 : tier);
     return t < hits_.size() ? t : hits_.size() - 1;
   }
-  [[nodiscard]] double hit_rate_locked() const BFC_REQUIRES(mu_);
 
   std::size_t capacity_;
   mutable Mutex mu_{"svc.result_cache"};

@@ -112,25 +112,20 @@ ButterflyService::ButterflyService(vidx_t n1, vidx_t n2,
       // One tier per shard plus the composed-answer tier (view_tier()).
       cache_(options.cache_capacity, options.shards + 1),
       degrade_queue_depth_(options.degrade_queue_depth),
-      degrade_p95_us_(options.degrade_p95_us),
-      slo_(slo_policies(options), kLatencyWindow),
+      slo_(slo_policies(options)),
       pool_(ExecutorOptions{options.threads, options.max_queue,
                             options.shed_policy}) {
   if (shards_ > 1) {
     shard_slo_.reserve(static_cast<std::size_t>(shards_));
     for (int k = 0; k < shards_; ++k)
       shard_slo_.push_back(std::make_unique<SloTracker>(
-          slo_policies(options), kLatencyWindow, /*bind_metrics=*/false));
+          slo_policies(options), SloTracker::kDefaultWindow,
+          /*bind_metrics=*/false));
     if constexpr (obs::kMetricsEnabled) {
       auto& reg = obs::Registry::instance();
-      shard_hit_gauges_.assign(static_cast<std::size_t>(shards_), nullptr);
-      shard_degraded_.assign(static_cast<std::size_t>(shards_), nullptr);
-      for (int k = 0; k < shards_; ++k) {
-        const std::string prefix = "svc.shard." + std::to_string(k);
-        const auto kk = static_cast<std::size_t>(k);
-        shard_hit_gauges_[kk] = &reg.gauge(prefix + ".cache_hit_rate");
-        shard_degraded_[kk] = &reg.counter(prefix + ".degraded");
-      }
+      for (int k = 0; k < shards_; ++k)
+        shard_degraded_.push_back(
+            &reg.counter("svc.shard." + std::to_string(k) + ".degraded"));
     }
   }
   forget_views();
@@ -185,7 +180,6 @@ PublishResult ButterflyService::apply_updates_shard(
   // of running one cache tier per shard.
   cache_.invalidate_tier_older_than(k,
                                     result.epoch == 0 ? 0 : result.epoch - 1);
-  publish_shard_gauge(k);
   refresh_view_generation();
   return result;
 }
@@ -565,7 +559,6 @@ count_t ButterflyService::support(const shard::ShardView& view, int owner,
     local = count::support_of_edge(snap->graph, u, v);
     if (component) cache_.put(local_key, local);
   }
-  publish_shard_gauge(owner);
   return chk::checked_add(
       local, shard::ScatterGather::edge_support_cross(view, owner, u, v));
 }
@@ -634,8 +627,6 @@ std::span<const count::VertexPair> ButterflyService::shard_top_list(
 bool ButterflyService::overloaded() const {
   if (degrade_queue_depth_ != 0 && pool_.queue_depth() >= degrade_queue_depth_)
     return true;
-  if (degrade_p95_us_ > 0.0 && latency_p95_us() > degrade_p95_us_)
-    return true;
   // SLO-driven degradation: burning error budget faster than the objective
   // allows means exact answers now cost answers later — degrade first.
   return slo_.budget_exhausted();
@@ -650,34 +641,29 @@ bool ButterflyService::overloaded(int shard) const {
 void ButterflyService::observe_latency(QueryKind kind, double us, int shard) {
   switch (kind) {
     case QueryKind::kGlobalCount:
-      BFC_HIST_OBSERVE("svc.latency_us.global", us);
+      BFC_HIST_OBSERVE("svc.latency_ns.global", us * 1e3);
       break;
     case QueryKind::kVertexTipV1:
-      BFC_HIST_OBSERVE("svc.latency_us.tip_v1", us);
+      BFC_HIST_OBSERVE("svc.latency_ns.tip_v1", us * 1e3);
       break;
     case QueryKind::kVertexTipV2:
-      BFC_HIST_OBSERVE("svc.latency_us.tip_v2", us);
+      BFC_HIST_OBSERVE("svc.latency_ns.tip_v2", us * 1e3);
       break;
     case QueryKind::kEdgeSupport:
-      BFC_HIST_OBSERVE("svc.latency_us.edge", us);
+      BFC_HIST_OBSERVE("svc.latency_ns.edge", us * 1e3);
       break;
     case QueryKind::kTopPairs:
-      BFC_HIST_OBSERVE("svc.latency_us.top_pairs", us);
+      BFC_HIST_OBSERVE("svc.latency_ns.top_pairs", us * 1e3);
       break;
   }
   slo_.observe(kind, us);
   if (shard >= 0 && shard < static_cast<int>(shard_slo_.size()))
     shard_slo_[static_cast<std::size_t>(shard)]->observe(kind, us);
-  const MutexLock lock(lat_mu_);
-  lat_ring_[lat_next_] = us;
-  lat_next_ = (lat_next_ + 1) % lat_ring_.size();
-  if (lat_count_ < lat_ring_.size()) ++lat_count_;
 }
 
 void ButterflyService::note_degraded(int shard) {
   if (shard < 0 || shard >= static_cast<int>(shard_degraded_.size())) return;
-  obs::Counter* c = shard_degraded_[static_cast<std::size_t>(shard)];
-  if (c != nullptr) c->increment();
+  shard_degraded_[static_cast<std::size_t>(shard)]->increment();
 }
 
 void ButterflyService::note_stale_mask(std::uint64_t mask) {
@@ -685,31 +671,6 @@ void ButterflyService::note_stale_mask(std::uint64_t mask) {
   BFC_COUNT_ADD("svc.stale_answers", 1);
   for (int k = 0; k < shards_ && k < 64; ++k)
     if (((mask >> k) & 1u) != 0) note_degraded(k);
-}
-
-void ButterflyService::publish_shard_gauge(int shard) {
-  if (shard < 0 || shard >= static_cast<int>(shard_hit_gauges_.size()))
-    return;
-  obs::Gauge* g = shard_hit_gauges_[static_cast<std::size_t>(shard)];
-  if (g != nullptr) g->set(cache_.hit_rate(shard));
-}
-
-double ButterflyService::latency_p95_us() const {
-  std::array<double, kLatencyWindow> window{};
-  std::size_t n = 0;
-  {
-    const MutexLock lock(lat_mu_);
-    n = lat_count_;
-    std::copy_n(lat_ring_.begin(), n, window.begin());
-  }
-  if (n == 0) return 0.0;
-  std::size_t idx = (n * 95) / 100;
-  if (idx >= n) idx = n - 1;
-  const auto nth = window.begin() + static_cast<std::ptrdiff_t>(idx);
-  std::nth_element(window.begin(), nth,
-                   window.begin() + static_cast<std::ptrdiff_t>(n));
-  BFC_GAUGE_SET("svc.latency_p95_us", *nth);
-  return *nth;
 }
 
 }  // namespace bfc::svc

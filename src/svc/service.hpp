@@ -54,8 +54,8 @@
 //                         top-pairs or cross pass checks a CancelToken per
 //                         row so it can give up mid-scan;
 //   - degraded answers    every query resolves to QueryResult{value,
-//                         epoch, fidelity}: under overload (queue depth or
-//                         p95 latency past the configured thresholds) a
+//                         epoch, fidelity}: under overload (queue depth
+//                         past its threshold, or an SLO budget burning) a
 //                         queued query (edge support, top pairs above K′)
 //                         walks one ladder — an earlier view generation's
 //                         cached answer (kStale), then for edge support an
@@ -66,22 +66,22 @@
 //                         traffic degrades only the queries routed there.
 //
 // Everything is wired into the obs registry: svc.queries, svc.cache_hits /
-// svc.cache_misses / svc.cache_hit_rate, svc.queue_depth,
+// svc.cache_misses, svc.queue_depth,
 // svc.epochs_published, svc.shed / svc.rejected / svc.deadline_expired,
 // svc.degraded / svc.stale_answers / svc.inline_answers,
 // svc.scatter_queries, svc.top_pair_rebuilds (writer-side buffer rebuilds)
 // and svc.top_pair_passes (query-side passes), svc.cross_passes (full
-// cross passes) and svc.cross_composes (pin-time compositions), one latency
-// histogram per query kind
-// (svc.latency_us.<kind>), and — with more than one shard — the per-shard
-// family svc.shard.<k>.publishes / .cache_hit_rate / .degraded.
+// cross passes) and svc.cross_composes (pin-time compositions), one
+// cumulative latency histogram per query kind in ns (svc.latency_ns.<kind>:
+// every answer but a degrade rung's), and — with more than one shard — the
+// per-shard family svc.shard.<k>.publishes / .degraded.
 //
 // Telemetry (obs/spans.hpp): when span collection is enabled, every query
 // runs under one "svc.query.<kind>" span — rooted fresh, or parented into
 // the Request's TraceContext — with child spans for the queue wait
 // (svc.queue, recorded by the Executor), the top-pairs pass
 // (svc.kernel.top_pairs), the cross pass (svc.scatter / svc.gather; with
-// more than one shard) and per-shard publishes (svc.shard.publish). Tags
+// more than one shard); each shard publish is a root svc.publish span. Tags
 // record the decisions: cache=hit|miss, outcome=exact|stale|shed,
 // rejected/cancelled flags, and the rung the degrade ladder stopped at.
 // SLO accounting (svc/slo.hpp) rides the same latency stream:
@@ -114,7 +114,6 @@
 
 namespace bfc::obs {
 class Counter;
-class Gauge;
 }  // namespace bfc::obs
 
 namespace bfc::svc {
@@ -132,8 +131,6 @@ struct ServiceOptions {
   ShedPolicy shed_policy = ShedPolicy::kRejectNew;
   std::size_t degrade_queue_depth = 0;  // queue depth that trips degraded
                                         // mode; 0 = never trip on depth
-  double degrade_p95_us = 0.0;          // p95 latency (µs) that trips
-                                        // degraded mode; 0 = never
   // ---- SLO knobs ---------------------------------------------------------
   // Per-kind latency targets (µs), indexed by QueryKind; 0 = no objective
   // for that kind. When any target is armed, a windowed error-budget burn
@@ -273,11 +270,9 @@ class ButterflyService {
   [[nodiscard]] int thread_count() const noexcept {
     return pool_.thread_count();
   }
-  /// p95 of the last kLatencyWindow observed query latencies (µs).
-  [[nodiscard]] double latency_p95_us() const;
   /// True when the degradation thresholds are currently crossed — queue
-  /// depth, p95 latency, or an SLO error budget burning faster than its
-  /// objective allows.
+  /// depth, or an SLO error budget burning faster than its objective
+  /// allows.
   [[nodiscard]] bool overloaded() const;
   /// Shard-scoped overload: the global verdict OR shard k's own SLO budget
   /// (tracked per shard when shards > 1, so one hot shard degrades only
@@ -290,8 +285,6 @@ class ButterflyService {
   [[nodiscard]] const SloTracker& shard_slo(int k) const {
     return *shard_slo_.at(static_cast<std::size_t>(k));
   }
-
-  static constexpr std::size_t kLatencyWindow = 256;
 
  private:
   /// The request's pinned view when it has this service's shard count,
@@ -380,9 +373,8 @@ class ButterflyService {
   /// composed-answer tier down to the generations kept.
   void refresh_view_generation();
 
-  /// Feeds the latency histogram, the p95 ring and the SLO tracker(s) with
-  /// one completed request; a non-negative `shard` also feeds that shard's
-  /// tracker.
+  /// Feeds the latency histogram and the SLO tracker(s) with one completed
+  /// request; a non-negative `shard` also feeds that shard's tracker.
   void observe_latency(QueryKind kind, double us, int shard = -1);
 
   /// Bumps svc.shard.<k>.degraded for a routed query's degrade (no-op for
@@ -392,8 +384,6 @@ class ButterflyService {
   /// mask): global degrade counters plus svc.shard.<k>.degraded per set
   /// bit — the circuit breaker's contribution to the degrade telemetry.
   void note_stale_mask(std::uint64_t mask);
-  /// Publishes shard k's generation-scoped hit rate to its gauge.
-  void publish_shard_gauge(int shard);
 
   /// The request's own context when it carries one, else a fresh root when
   /// span collection is on and the head-based sampler picks this request,
@@ -409,7 +399,6 @@ class ButterflyService {
   shard::ShardedSnapshotStore store_;
   ResultCache cache_;
   std::size_t degrade_queue_depth_;
-  double degrade_p95_us_;
   // The last view with a composed cross aggregate: the base of the next
   // composition. Held across a composition, so concurrent pins of one new
   // combination compose it once.
@@ -420,7 +409,6 @@ class ButterflyService {
   std::vector<std::unique_ptr<SloTracker>> shard_slo_;
   // Bound at construction when metrics are on and shards > 1 (names are
   // per-shard, so the literal-only BFC_* macros don't apply).
-  std::vector<obs::Gauge*> shard_hit_gauges_;    // svc.shard.<k>.cache_hit_rate
   std::vector<obs::Counter*> shard_degraded_;    // svc.shard.<k>.degraded
   // The recent view generations as (signature, version), newest first:
   // composed answers cache under each, and the older ones are the stale
@@ -429,10 +417,6 @@ class ButterflyService {
   mutable Mutex view_mu_{"svc.service.view"};
   std::vector<std::pair<std::uint64_t, std::uint64_t>> generations_
       BFC_GUARDED_BY(view_mu_);
-  mutable Mutex lat_mu_{"svc.service.latency"};
-  std::array<double, kLatencyWindow> lat_ring_ BFC_GUARDED_BY(lat_mu_){};
-  std::size_t lat_next_ BFC_GUARDED_BY(lat_mu_) = 0;
-  std::size_t lat_count_ BFC_GUARDED_BY(lat_mu_) = 0;
   SloTracker slo_;
   Executor pool_;  // last: workers stop before the layers they use die
 };

@@ -7,12 +7,12 @@
 // A burn rate of 1.0 means the service is spending its error budget exactly
 // as fast as the objective allows; sustained > 1.0 means the SLO will be
 // violated. ButterflyService::overloaded() consults budget_exhausted() in
-// addition to its queue-depth and p95 thresholds, so degradation engages
-// when the *objective* is at risk, not only when raw latency looks bad.
+// addition to its queue-depth threshold, so degradation engages when the
+// *objective* is at risk, not only when the queue is deep.
 //
-// Accounting is windowed (same spirit as the service's p95 ring): only the
-// most recent `window` observations per kind count toward the burn rate, so
-// the signal recovers once the storm passes. Published instruments (under
+// Accounting is windowed: only the most recent `window` observations per
+// kind count toward the burn rate, so the signal recovers once the storm
+// passes. Published instruments (under
 // BFC_METRICS=ON): svc.slo.violations.<kind> and svc.slo.good.<kind>
 // counters plus a svc.slo.burn_rate.<kind> gauge per configured kind.
 #pragma once

@@ -13,7 +13,6 @@
 #include "graph/io_binary.hpp"
 #include "obs/metrics.hpp"
 #include "obs/spans.hpp"
-#include "obs/trace.hpp"
 #include "sparse/ops.hpp"
 #include "svc/fault.hpp"
 #include "util/crc32.hpp"
@@ -99,15 +98,9 @@ void SnapshotStore::head_store(SnapshotPtr snap) {
 }
 
 PublishResult SnapshotStore::apply_batch(std::span<const EdgeUpdate> batch) {
-  BFC_TRACE_SCOPE("svc.publish");
-  // Shard-owned stores root every publish in its own trace (no head
-  // sampling: publishes are writer-side and rare, and the sharded bench's
-  // concurrency self-check needs to see every one). Standalone stores keep
-  // the span inert — identical behavior to the pre-shard code.
-  obs::TraceContext pub_ctx;
-  if (shard_id_ >= 0 && obs::SpanLog::enabled())
-    pub_ctx = obs::TraceContext::root();
-  obs::Span pub_span(pub_ctx, "svc.shard.publish");
+  // A root span, never head-sampled: publishes are writer-side and rare,
+  // and the sharded bench's concurrency self-check needs to see every one.
+  obs::Span phase("svc.publish");
   const MutexLock lock(writer_mu_);
 
   PublishResult result;
@@ -140,9 +133,9 @@ PublishResult SnapshotStore::apply_batch(std::span<const EdgeUpdate> batch) {
   }
 
   head_store(std::move(snap));
-  if (pub_span.armed()) {
-    pub_span.tag("shard", std::to_string(shard_id_));
-    pub_span.tag("epoch", std::to_string(result.epoch));
+  if (phase.armed()) {
+    if (shard_id_ >= 0) phase.tag("shard", std::to_string(shard_id_));
+    phase.tag("epoch", std::to_string(result.epoch));
   }
   BFC_COUNT_ADD("svc.epochs_published", 1);
   BFC_COUNT_ADD("svc.updates_applied", result.applied);
@@ -154,7 +147,7 @@ SnapshotPtr SnapshotStore::current() const { return head_load(); }
 std::uint64_t SnapshotStore::epoch() const { return head_load()->epoch; }
 
 void SnapshotStore::persist(const std::string& path) const {
-  BFC_TRACE_SCOPE("svc.persist");
+  obs::Span phase("svc.persist");
   // Pin once: everything below reads the immutable snapshot, so the writer
   // keeps publishing and readers keep answering while we serialise.
   const SnapshotPtr snap = head_load();
@@ -208,7 +201,7 @@ void SnapshotStore::persist(const std::string& path) const {
 }
 
 void SnapshotStore::restore(const std::string& path) {
-  BFC_TRACE_SCOPE("svc.restore");
+  obs::Span phase("svc.restore");
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open snapshot: " + path);
 

@@ -41,11 +41,10 @@ class SnapshotStore {
  public:
   /// Starts at epoch 0: the empty graph over fixed vertex sets. A
   /// non-negative `shard_id` marks this store as one shard of a
-  /// shard::ShardedSnapshotStore: every publish then runs under its own
-  /// "svc.shard.publish" root span tagged with the shard id, which is how
-  /// the serving bench proves that disjoint-range shard publishes overlap
-  /// in time instead of serialising. The default -1 keeps the standalone
-  /// single-store behavior bit-identical.
+  /// shard::ShardedSnapshotStore: the "svc.publish" root span of each of
+  /// its publishes is then tagged with the shard id, which is how the
+  /// serving bench proves that disjoint-range shard publishes overlap in
+  /// time instead of serialising.
   explicit SnapshotStore(vidx_t n1, vidx_t n2, int shard_id = -1);
 
   /// Applies the batch through the incremental counter, materialises the

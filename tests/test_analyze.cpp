@@ -313,7 +313,7 @@ TEST(AnalyzeSpanPairing, FiresOnNonLiteralNameAndUnknownNames) {
       analyze_one("src/svc/foo.cpp",
                   "obs::Span span(ctx, \"svc.mystery\");\n"
                   "sp->tag(\"not_a_tag\", \"v\");\n"
-                  "BFC_TRACE_SCOPE(\"svc.unknown_scope\");\n",
+                  "obs::Span phase(\"svc.unknown_scope\");\n",
                   &reg),
       "span-pairing");
   EXPECT_EQ(unknown.size(), 3u);
@@ -324,9 +324,9 @@ TEST(AnalyzeSpanPairing, QuietOnRegisteredNamesDeclsAndNonNamespaced) {
   const std::string code =
       "obs::Span span(root_context(req), \"svc.query.global\");\n"
       "span.tag(\"epoch\", std::to_string(e));\n"
-      "BFC_TRACE_SCOPE(\"svc.publish\");\n"
-      // non-namespaced names are free-form (bench.* / graph.* scopes)
-      "BFC_TRACE_SCOPE(\"graph.read_mtx\");\n"
+      "obs::Span phase(\"svc.publish\");\n"
+      // non-namespaced names are free-form (bench.* / graph.* phases)
+      "obs::Span load(\"graph.read_mtx\");\n"
       // declarations mention parameter types, not span names
       "SpanPtr open_span(const TraceContext& ctx, const char* name);\n"
       "void span_tag(const SpanPtr& span, const char* key, "

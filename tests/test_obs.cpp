@@ -1,7 +1,8 @@
 // Tests for the observability layer (src/obs/): sharded counters under
-// OpenMP, histogram bucketing, the JSON value tree, scoped tracing, and the
-// RunReport — plus an end-to-end check that the kernel counters recorded
-// during a counting run agree with the dense wedge specification.
+// OpenMP, histogram bucketing, the JSON value tree, spans and their Chrome
+// trace export, and the RunReport — plus an end-to-end check that the
+// kernel counters recorded during a counting run agree with the dense wedge
+// specification.
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -12,6 +13,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -24,7 +27,6 @@
 #include "obs/profiler.hpp"
 #include "obs/report.hpp"
 #include "obs/spans.hpp"
-#include "obs/trace.hpp"
 #include "test_helpers.hpp"
 #include "util/parallel.hpp"
 #include "util/timer.hpp"
@@ -111,6 +113,31 @@ TEST(ObsHistogram, HugeValuesClampIntoLastBucket) {
   EXPECT_EQ(h.bucket_count(obs::Histogram::kBuckets - 1), 1);
 }
 
+TEST(ObsHistogram, SnapshotCountIsTheSumOfItsBuckets) {
+  // An OpenMetrics rendering takes its +Inf bucket and _count from the
+  // snapshot's count and its cumulative buckets from the bucket counts, so
+  // a snapshot taken while others observe must keep the two consistent.
+  const std::string name = "test.obs.concurrent_hist";
+  obs::Histogram& h = obs::Registry::instance().histogram(name);
+  std::vector<std::jthread> observers;  // stopped and joined on scope exit
+  for (std::int64_t t = 0; t < 2; ++t)
+    observers.emplace_back([&h, t](const std::stop_token& stop) {
+      for (std::int64_t v = t; !stop.stop_requested(); v += 7)
+        h.observe(v % 5000);
+    });
+  while (h.count() == 0) std::this_thread::yield();
+  int snapshots = 0;
+  int inconsistent = 0;
+  for (; snapshots < 2000; ++snapshots)
+    for (const obs::MetricSnapshot& m : obs::Registry::instance().snapshot()) {
+      if (m.name != name) continue;
+      std::int64_t buckets = 0;
+      for (const auto& bucket : m.hist_buckets) buckets += bucket.second;
+      if (buckets != m.hist_count) ++inconsistent;
+    }
+  EXPECT_EQ(inconsistent, 0) << "of " << snapshots << " snapshots";
+}
+
 // ------------------------------------------------------------------- JSON
 
 TEST(ObsJson, DumpParseRoundTrip) {
@@ -173,32 +200,46 @@ TEST(ObsJson, ParsesUnicodeEscapes) {
 // ------------------------------------------------------------------ Trace
 
 TEST(ObsTrace, RecordsSpansOnlyWhenEnabled) {
-  obs::Tracer::clear();
-  obs::Tracer::set_enabled(false);
-  { BFC_TRACE_SCOPE("test.disabled"); }
-  EXPECT_TRUE(obs::Tracer::events().empty());
+  if constexpr (!obs::kMetricsEnabled) {
+    GTEST_SKIP() << "built with BFC_METRICS=OFF";
+  }
+  obs::SpanLog::clear();
+  obs::SpanLog::set_enabled(false);
+  {
+    obs::Span phase("test.disabled");
+    EXPECT_FALSE(phase.armed());
+  }
+  EXPECT_TRUE(obs::SpanLog::snapshot().empty());
 
-  obs::Tracer::set_enabled(true);
-  { BFC_TRACE_SCOPE("test.enabled"); }
-  obs::Tracer::set_enabled(false);
+  obs::SpanLog::set_enabled(true);
+  { obs::Span phase("test.enabled"); }
+  { obs::Span phase("test.enabled"); }
+  obs::SpanLog::set_enabled(false);
 
-  const auto events = obs::Tracer::events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].name, "test.enabled");
-  EXPECT_GE(events[0].ts_us, 0);
-  EXPECT_GE(events[0].dur_us, 0);
-  obs::Tracer::clear();
+  const std::vector<obs::SpanRecord> spans = obs::SpanLog::snapshot();
+  ASSERT_EQ(spans.size(), 2u);
+  for (const obs::SpanRecord& rec : spans) {
+    EXPECT_EQ(rec.name, "test.enabled");
+    EXPECT_EQ(rec.parent_id, 0u);  // each phase roots a trace of its own
+    EXPECT_GE(rec.ts_us, 0);
+    EXPECT_GE(rec.dur_us, 0);
+  }
+  EXPECT_NE(spans[0].trace_id, spans[1].trace_id);
+  obs::SpanLog::clear();
 }
 
 TEST(ObsTrace, ChromeJsonIsValidTraceEventFormat) {
-  obs::Tracer::clear();
-  obs::Tracer::set_enabled(true);
-  { BFC_TRACE_SCOPE("span.a"); }
-  { BFC_TRACE_SCOPE("span.b"); }
-  obs::Tracer::set_enabled(false);
+  if constexpr (!obs::kMetricsEnabled) {
+    GTEST_SKIP() << "built with BFC_METRICS=OFF";
+  }
+  obs::SpanLog::clear();
+  obs::SpanLog::set_enabled(true);
+  { obs::Span phase("span.a"); }
+  { obs::Span phase("span.b"); }
+  obs::SpanLog::set_enabled(false);
 
   const std::string path = testing::temp_path("bfc_trace_test.json");
-  obs::Tracer::write_chrome_json(path);
+  obs::SpanLog::write_chrome_json(path);
   std::ifstream in(path);
   std::stringstream buf;
   buf << in.rdbuf();
@@ -209,11 +250,13 @@ TEST(ObsTrace, ChromeJsonIsValidTraceEventFormat) {
     const obs::Json& ev = doc.at("traceEvents").at(i);
     EXPECT_EQ(ev.at("ph").as_string(), "X");
     EXPECT_TRUE(ev.at("name").is_string());
+    EXPECT_TRUE(ev.at("pid").is_int());
     EXPECT_TRUE(ev.at("ts").is_number());
     EXPECT_TRUE(ev.at("dur").is_number());
     EXPECT_TRUE(ev.at("tid").is_int());
   }
-  obs::Tracer::clear();
+  EXPECT_EQ(doc.at("otherData").at("dropped").as_int(), 0);
+  obs::SpanLog::clear();
   std::remove(path.c_str());
 }
 
@@ -424,30 +467,32 @@ TEST(ObsSpans, BoundedLogDropsOldestAndCounts) {
   obs::SpanLog::set_capacity(obs::SpanLog::kDefaultCapacity);
 }
 
-TEST(ObsSpans, WriteJsonRoundTrips) {
+TEST(ObsSpans, ChromeTraceCarriesIdsAndTagsInArgs) {
   if constexpr (!obs::kMetricsEnabled) {
     GTEST_SKIP() << "built with BFC_METRICS=OFF";
   }
   obs::SpanLog::clear();
   obs::SpanLog::set_enabled(true);
   {
-    obs::Span span(obs::TraceContext::root(), "io");
-    span.tag("outcome", "exact");
+    obs::Span parent("io");
+    parent.tag("outcome", "exact");
+    obs::Span(parent.context(), "io.child").close();
   }
   obs::SpanLog::set_enabled(false);
-  const std::string path =
-      testing::temp_path("bfc_spans_roundtrip.json");
-  obs::SpanLog::write_json(path);
+  const std::string path = testing::temp_path("bfc_spans_roundtrip.json");
+  obs::SpanLog::write_chrome_json(path);
   std::ifstream in(path);
   std::stringstream buf;
   buf << in.rdbuf();
   const obs::Json doc = obs::Json::parse(buf.str());
-  ASSERT_TRUE(doc.has("spans"));
-  ASSERT_EQ(doc.at("spans").size(), 1u);
-  const obs::Json& span = doc.at("spans").at(0);
-  EXPECT_EQ(span.at("name").as_string(), "io");
-  EXPECT_EQ(span.at("parent").as_int(), 0);
-  EXPECT_EQ(span.at("tags").at("outcome").as_string(), "exact");
+  ASSERT_EQ(doc.at("traceEvents").size(), 2u);  // completion order
+  const obs::Json& child = doc.at("traceEvents").at(0).at("args");
+  const obs::Json& parent = doc.at("traceEvents").at(1);
+  EXPECT_EQ(parent.at("name").as_string(), "io");
+  EXPECT_EQ(parent.at("args").at("parent").as_int(), 0);
+  EXPECT_EQ(parent.at("args").at("outcome").as_string(), "exact");
+  EXPECT_EQ(child.at("trace").as_int(), parent.at("args").at("trace").as_int());
+  EXPECT_EQ(child.at("parent").as_int(), parent.at("args").at("span").as_int());
   std::remove(path.c_str());
   obs::SpanLog::clear();
 }
@@ -455,8 +500,8 @@ TEST(ObsSpans, WriteJsonRoundTrips) {
 // ------------------------------------------------------------ OpenMetrics
 
 TEST(ObsExport, NameManglingFollowsTheCharset) {
-  EXPECT_EQ(obs::openmetrics_name("svc.latency_us.tip_v1"),
-            "svc_latency_us_tip_v1");
+  EXPECT_EQ(obs::openmetrics_name("svc.latency_ns.tip_v1"),
+            "svc_latency_ns_tip_v1");
   EXPECT_EQ(obs::openmetrics_name("chk.failures"), "chk_failures");
   EXPECT_EQ(obs::openmetrics_name("9lives"), "_9lives");  // leading digit
   EXPECT_EQ(obs::openmetrics_name(""), "_");

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -356,7 +357,19 @@ TEST(Service, OneShardTopPairsAnswerFromTheBufferWithoutAPass) {
 TEST(Service, InlineAnswersObserveTheirLatency) {
   ButterflyService service(16, 12, {.threads = 1});
   service.apply_updates(inserts_of(random_graph(16, 12, 0.4, 17)));
-  EXPECT_EQ(service.latency_p95_us(), 0.0);  // nothing observed yet
+  // (observations, of them 0 ns, ns summed) over the four inline kinds.
+  const auto observed = [] {
+    std::array<std::int64_t, 3> totals{};
+    for (const char* kind : {"global", "tip_v1", "tip_v2", "top_pairs"}) {
+      const obs::Histogram& h = obs::Registry::instance().histogram(
+          std::string("svc.latency_ns.") + kind);
+      totals[0] += h.count();
+      totals[1] += h.bucket_count(0);
+      totals[2] += h.sum();
+    }
+    return totals;
+  };
+  const std::array<std::int64_t, 3> before = observed();
   const auto ready = [](const auto& f) {
     return f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
   };
@@ -366,9 +379,14 @@ TEST(Service, InlineAnswersObserveTheirLatency) {
     EXPECT_TRUE(ready(service.vertex_tip_v2(x)));
     EXPECT_TRUE(ready(service.top_pairs(static_cast<std::size_t>(x))));
   }
-  // Every answer was a lookup, timed from the query's entry rather than
-  // recorded as 0 µs.
-  EXPECT_GT(service.latency_p95_us(), 0.0);
+  if constexpr (obs::kMetricsEnabled) {
+    // Every answer was a lookup, timed in ns from the query's entry rather
+    // than recorded as 0.
+    const std::array<std::int64_t, 3> after = observed();
+    EXPECT_EQ(after[0] - before[0], 4 * 12);
+    EXPECT_EQ(after[1] - before[1], 0);
+    EXPECT_GT(after[2] - before[2], 0);
+  }
 }
 
 TEST(ResultCache, LruEvictionAndRecency) {

@@ -23,7 +23,7 @@ namespace bfc::analyze {
 
 /// Bump whenever rule BEHAVIOR changes without a rule name/summary change,
 /// so caches written by older binaries are not replayed.
-inline constexpr int kCacheRevision = 1;
+inline constexpr int kCacheRevision = 2;
 
 struct CacheEntry {
   std::string content_hash;        // hex64 fnv1a of the file's source lines

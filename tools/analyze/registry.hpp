@@ -4,7 +4,7 @@
 //
 //   metric svc.cache.hits
 //   metric svc.slo.violations.<kind>     # <seg> matches exactly one segment
-//   metric svc.latency_us.               # trailing '.' = dynamic prefix
+//   metric svc.latency_ns.               # trailing '.' = dynamic prefix
 //   span   svc.query.<kind>
 //   tag    epoch
 //

@@ -439,7 +439,8 @@ void rule_span_pairing(const SourceFile& f, const RuleContext& ctx,
   };
 
   for (std::size_t i = 0; i < t.size(); ++i) {
-    // `Span sp(ctx, "name")`, `obs::Span(ctx, "name")`, `open_span(...)`.
+    // `Span sp(ctx, "name")`, `obs::Span(ctx, "name")`, the root span
+    // `Span sp("name")`, `open_span(...)`.
     if (t[i].ident("Span") || t[i].ident("open_span")) {
       if (i > 0 && (t[i - 1].ident("class") || t[i - 1].ident("struct") ||
                     t[i - 1].punct("~") || t[i - 1].ident("explicit")))
@@ -489,22 +490,6 @@ void rule_span_pairing(const SourceFile& f, const RuleContext& ctx,
            out);
     }
     i = close;
-  }
-
-  // BFC_TRACE_SCOPE names in the svc./obs./chk. namespaces are queried by
-  // tooling as spans too — keep them in the registry.
-  for (std::size_t i = 0; i + 2 < t.size(); ++i) {
-    if (!t[i].ident("BFC_TRACE_SCOPE") || !t[i + 1].punct("(")) continue;
-    if (t[i + 2].kind != Tok::kString || !is_metric_ns(t[i + 2].text))
-      continue;
-    if (ctx.registry != nullptr &&
-        !ctx.registry->matches("span", t[i + 2].text)) {
-      emit(f, "span-pairing", t[i + 2],
-           "trace scope \"" + t[i + 2].text +
-               "\" is not declared as a span in "
-               "tools/analyze/metrics.registry",
-           out);
-    }
   }
 }
 
