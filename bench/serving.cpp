@@ -81,6 +81,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <string_view>
@@ -204,18 +205,52 @@ std::optional<std::pair<std::string, std::string>> overlapping_publishes(
   return std::nullopt;
 }
 
+constexpr std::size_t kProbeSide = 8;
+
+/// A probe batch for shard range [lo, hi) of `g`: inserts of the edges
+/// absent from `g` between the range's kProbeSide highest-degree V1
+/// vertices and the graph's kProbeSide highest-degree V2 vertices, then
+/// removes of the same edges. Each update walks the butterflies its edge
+/// closes, and the batch leaves the shard's edges as they were.
+std::vector<svc::EdgeUpdate> probe_batch(const graph::BipartiteGraph& g,
+                                         vidx_t lo, vidx_t hi) {
+  const auto highest = [](vidx_t begin, vidx_t end,
+                          const sparse::CsrPattern& rows) {
+    std::vector<vidx_t> ids(static_cast<std::size_t>(end - begin));
+    std::iota(ids.begin(), ids.end(), begin);
+    const auto keep =
+        static_cast<std::ptrdiff_t>(std::min(kProbeSide, ids.size()));
+    std::ranges::partial_sort(ids, ids.begin() + keep, std::ranges::greater{},
+                              [&](vidx_t x) { return rows.row_degree(x); });
+    ids.resize(static_cast<std::size_t>(keep));
+    return ids;
+  };
+  std::vector<svc::EdgeUpdate> batch;
+  for (const vidx_t u : highest(lo, hi, g.csr()))
+    for (const vidx_t v : highest(0, g.n2(), g.csc()))
+      if (!g.has_edge(u, v)) batch.push_back(svc::EdgeUpdate::add(u, v));
+  const std::size_t inserts = batch.size();
+  for (std::size_t i = 0; i < inserts; ++i)
+    batch.push_back(svc::EdgeUpdate::del(batch[i].u, batch[i].v));
+  return batch;
+}
+
 /// Sharded acceptance: the per-shard writers publish through independent
 /// stores, so their root "svc.publish" spans must overlap in time —
 /// serialised publishes would mean the shard layer still funnels every
 /// write through one lock. Whether two short publishes of the scripted
 /// rounds happened to overlap is up to the scheduler, so when none did,
 /// probe rounds follow: one writer per shard, released together by a
-/// spinning barrier, each publishes an empty batch (a new epoch with the
-/// same edges, so the drift checks above stay exact), until two probes
-/// overlap or kProbeRounds are spent. A serialised shard layer stays red
-/// however many rounds run. Only enforced with >= 2 hardware threads; a
-/// single-core box can legitimately never overlap two CPU-bound sections.
-bool check_publish_overlap(svc::ButterflyService& service, int shards) {
+/// spinning barrier, each publishes its probe_batch, until two probes
+/// overlap or kProbeRounds are spent. A probe walks butterflies, so its
+/// publish lasts about as long as a scripted one, and it leaves the edges
+/// (and so the drift checks above) exactly as they were; an empty batch
+/// would publish a copy of the previous snapshot, too short to overlap
+/// reliably. A serialised shard layer stays red however many rounds run.
+/// Only enforced with >= 2 hardware threads; a single-core box can
+/// legitimately never overlap two CPU-bound sections.
+bool check_publish_overlap(svc::ButterflyService& service,
+                           const shard::RangePartition& part, int shards) {
   constexpr int kProbeRounds = 2000;
   constexpr int kRoundsPerCheck = 50;
   std::size_t publishes = 0;
@@ -229,6 +264,12 @@ bool check_publish_overlap(svc::ButterflyService& service, int shards) {
     std::cout << "publish overlap: skipped (single hardware thread)\n";
     return true;
   }
+  const svc::SnapshotPtr now = service.snapshot();
+  std::vector<std::vector<svc::EdgeUpdate>> probes_of(
+      static_cast<std::size_t>(shards));
+  for (int k = 0; k < shards; ++k)
+    probes_of[static_cast<std::size_t>(k)] =
+        probe_batch(now->graph, part.begin(k), part.end(k));
   int probes = 0;
   while (!overlap && probes < kProbeRounds) {
     std::atomic<int> arrived{0};
@@ -240,7 +281,8 @@ bool check_publish_overlap(svc::ButterflyService& service, int shards) {
             arrived.fetch_add(1, std::memory_order_acq_rel);
             while (arrived.load(std::memory_order_acquire) < shards * r)
               std::this_thread::yield();
-            service.apply_updates_shard(k, {});
+            service.apply_updates_shard(
+                k, probes_of[static_cast<std::size_t>(k)]);
           }
         });
     }
@@ -1040,7 +1082,7 @@ int main(int argc, char** argv) {
   if constexpr (obs::kMetricsEnabled) {
     if (!cfg.trace_path.empty()) {
       if (!check_spans(overload)) return 1;
-      if (sharded && !check_publish_overlap(service, shards)) return 1;
+      if (sharded && !check_publish_overlap(service, part, shards)) return 1;
     }
 
     const auto counter = [](const char* name) {

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "sparse/csr.hpp"
 
@@ -73,22 +74,6 @@ bool sorted_erase(std::vector<vidx_t>& v, vidx_t x) {
   return true;
 }
 
-/// CSR pattern whose rows are the given sorted adjacency vectors.
-sparse::CsrPattern concat_rows(const std::vector<std::vector<vidx_t>>& rows,
-                               vidx_t cols, offset_t nnz) {
-  std::vector<offset_t> row_ptr;
-  row_ptr.reserve(rows.size() + 1);
-  row_ptr.push_back(0);
-  std::vector<vidx_t> col_idx;
-  col_idx.reserve(static_cast<std::size_t>(nnz));
-  for (const std::vector<vidx_t>& row : rows) {
-    col_idx.insert(col_idx.end(), row.begin(), row.end());
-    row_ptr.push_back(static_cast<offset_t>(col_idx.size()));
-  }
-  return sparse::CsrPattern(static_cast<vidx_t>(rows.size()), cols,
-                            std::move(row_ptr), std::move(col_idx));
-}
-
 }  // namespace
 
 DynamicButterflyCounter::DynamicButterflyCounter(vidx_t n1, vidx_t n2)
@@ -100,6 +85,8 @@ DynamicButterflyCounter::DynamicButterflyCounter(vidx_t n1, vidx_t n2)
   tips_v2_.assign(static_cast<std::size_t>(n2), 0);
   top_.floor = VertexPair{};  // no edges, so no connected pair is left out
   top_degree_.assign(static_cast<std::size_t>(n1), 0);
+  dirty_v1_.assign(static_cast<std::size_t>(n1), 0);
+  dirty_v2_.assign(static_cast<std::size_t>(n2), 0);
 }
 
 TopPairBuffer DynamicButterflyCounter::top_pairs() const {
@@ -182,10 +169,80 @@ std::span<const vidx_t> DynamicButterflyCounter::neighbors_v2(vidx_t v) const {
 }
 
 graph::BipartiteGraph DynamicButterflyCounter::to_graph() const {
+  return materialise(nullptr);
+}
+
+graph::BipartiteGraph DynamicButterflyCounter::to_graph(
+    const graph::BipartiteGraph& last) const {
+  require(last.n1() == n1_ && last.n2() == n2_,
+          "DynamicButterflyCounter::to_graph: last graph has another shape");
+  return materialise(&last);
+}
+
+graph::BipartiteGraph DynamicButterflyCounter::materialise(
+    const graph::BipartiteGraph* last) const {
   // adj_v2_ holds the rows of Aᵀ, sorted like those of A in adj_v1_, so the
-  // CSC is a second concatenation rather than a transpose.
-  return graph::BipartiteGraph(concat_rows(adj_v1_, n2_, edges_),
-                               concat_rows(adj_v2_, n1_, edges_));
+  // CSC is a second copy of rows rather than a transpose.
+  return graph::BipartiteGraph(
+      materialise_rows(adj_v1_, dirty_v1_,
+                       last != nullptr ? &last->csr() : nullptr, n2_, edges_),
+      materialise_rows(adj_v2_, dirty_v2_,
+                       last != nullptr ? &last->csc() : nullptr, n1_, edges_));
+}
+
+sparse::CsrPattern DynamicButterflyCounter::materialise_rows(
+    const std::vector<std::vector<vidx_t>>& rows,
+    const std::vector<std::uint8_t>& dirty, const sparse::CsrPattern* last,
+    vidx_t cols, offset_t nnz) {
+  const std::size_t n = rows.size();
+  std::vector<offset_t> row_ptr(n + 1, 0);
+  std::vector<vidx_t> col_idx;
+  col_idx.reserve(static_cast<std::size_t>(nnz));
+  for (std::size_t r = 0; r < n; ++r) {
+    if (last != nullptr && dirty[r] == 0) {
+      // The clean run [r, end): one copy of last's entries, and its row_ptr
+      // slice shifted to where they land. `last` is an immutable, checked
+      // pattern of this shape, so its rows need no second check.
+      const auto* next = static_cast<const std::uint8_t*>(
+          std::memchr(dirty.data() + r, 1, n - r));
+      const std::size_t end =
+          next != nullptr ? static_cast<std::size_t>(next - dirty.data()) : n;
+      const std::vector<offset_t>& ptr = last->row_ptr();
+      const offset_t shift = static_cast<offset_t>(col_idx.size()) - ptr[r];
+      col_idx.insert(col_idx.end(), last->col_idx().begin() + ptr[r],
+                     last->col_idx().begin() + ptr[end]);
+      for (std::size_t i = r; i < end; ++i) row_ptr[i + 1] = ptr[i + 1] + shift;
+      r = end - 1;
+      continue;
+    }
+    vidx_t prev = -1;
+    for (const vidx_t c : rows[r]) {
+      require(prev < c && c < cols,
+              "DynamicButterflyCounter: adjacency out of range or unsorted");
+      prev = c;
+    }
+    col_idx.insert(col_idx.end(), rows[r].begin(), rows[r].end());
+    row_ptr[r + 1] = static_cast<offset_t>(col_idx.size());
+  }
+  // A stale `last` with an extra or missing entry in a clean row shows here.
+  require(static_cast<offset_t>(col_idx.size()) == nnz,
+          "DynamicButterflyCounter::to_graph: rows do not add up to "
+          "edge_count()");
+  return sparse::CsrPattern::trusted(static_cast<vidx_t>(n), cols,
+                                     std::move(row_ptr), std::move(col_idx));
+}
+
+void DynamicButterflyCounter::mark_dirty(vidx_t u, vidx_t v) noexcept {
+  std::uint8_t& row_u = dirty_v1_[static_cast<std::size_t>(u)];
+  std::uint8_t& row_v = dirty_v2_[static_cast<std::size_t>(v)];
+  dirty_rows_ += (row_u == 0 ? 1 : 0) + (row_v == 0 ? 1 : 0);
+  row_u = row_v = 1;
+}
+
+void DynamicButterflyCounter::clear_dirty() noexcept {
+  std::ranges::fill(dirty_v1_, 0);
+  std::ranges::fill(dirty_v2_, 0);
+  dirty_rows_ = 0;
 }
 
 count_t DynamicButterflyCounter::support_of(vidx_t u, vidx_t v, bool insert) {
@@ -222,6 +279,7 @@ count_t DynamicButterflyCounter::insert(vidx_t u, vidx_t v) {
   if (has_edge(u, v)) return 0;
   sorted_insert(adj_v1_[static_cast<std::size_t>(u)], v);
   sorted_insert(adj_v2_[static_cast<std::size_t>(v)], u);
+  mark_dirty(u, v);
   ++edges_;
   const count_t created = support_of(u, v, /*insert=*/true);
   butterflies_ = chk::checked_add(butterflies_, created);
@@ -233,6 +291,7 @@ count_t DynamicButterflyCounter::remove(vidx_t u, vidx_t v) {
   const count_t destroyed = support_of(u, v, /*insert=*/false);
   sorted_erase(adj_v1_[static_cast<std::size_t>(u)], v);
   sorted_erase(adj_v2_[static_cast<std::size_t>(v)], u);
+  mark_dirty(u, v);
   --edges_;
   butterflies_ = chk::checked_sub(butterflies_, destroyed);
   return destroyed;

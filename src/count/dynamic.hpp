@@ -82,11 +82,47 @@ class DynamicButterflyCounter {
 
   /// Materialises the current graph as an immutable BipartiteGraph (CSR +
   /// CSC). O(|V| + |E|): the sorted V1 and V2 adjacency vectors are the rows
-  /// of A and Aᵀ already, so each orientation is one concatenation — the
-  /// snapshot-publish path of the serving layer (src/svc/).
+  /// of A and Aᵀ already, so each orientation is a copy of rows rather than
+  /// a transpose, and each row is checked (in range, strictly ascending) as
+  /// it is copied.
   [[nodiscard]] graph::BipartiteGraph to_graph() const;
 
+  /// The same graph patched from `last`, which must be this counter's graph
+  /// as of the last clear_dirty(): only the rows insert()/remove() changed
+  /// since then are copied from the adjacency vectors and checked, and each
+  /// run of unchanged rows is one copy of `last`'s arrays — the
+  /// snapshot-publish path of the serving layer (src/svc/), a copy of the
+  /// unchanged arrays plus O(changed rows). Throws std::invalid_argument
+  /// when `last` has another shape or its rows do not add up to
+  /// edge_count().
+  [[nodiscard]] graph::BipartiteGraph to_graph(
+      const graph::BipartiteGraph& last) const;
+
+  /// Rows insert()/remove() changed since the last clear_dirty(), both
+  /// sides: the rows to_graph(last) copies from the adjacency vectors.
+  [[nodiscard]] offset_t dirty_rows() const noexcept { return dirty_rows_; }
+
+  /// Marks every row unchanged, once the caller holds the graph as of now:
+  /// it is the next to_graph(last)'s `last`.
+  void clear_dirty() noexcept;
+
  private:
+  /// Both orientations, every row from the adjacency vectors when `last` is
+  /// null and only the dirty ones otherwise.
+  [[nodiscard]] graph::BipartiteGraph materialise(
+      const graph::BipartiteGraph* last) const;
+
+  /// One orientation: row r is rows[r], checked, when `last` is null or
+  /// dirty[r] is set, and row r of *last otherwise. The total must equal
+  /// nnz.
+  static sparse::CsrPattern materialise_rows(
+      const std::vector<std::vector<vidx_t>>& rows,
+      const std::vector<std::uint8_t>& dirty, const sparse::CsrPattern* last,
+      vidx_t cols, offset_t nnz);
+
+  /// Flags V1 row u and V2 row v as changed.
+  void mark_dirty(vidx_t u, vidx_t v) noexcept;
+
   /// Walks every butterfly through the present edge (u, v), given both
   /// adjacency lists current: for each w ∈ N(v)\{u}, every x ∈ N(u)∩N(w)
   /// other than v closes (u, w, v, x). Credits each one to the tips of its
@@ -122,6 +158,11 @@ class DynamicButterflyCounter {
   // O(min · log(max/min)) instead of the std::set version's pointer chasing.
   std::vector<std::vector<vidx_t>> adj_v1_;  // u -> { v }, ascending
   std::vector<std::vector<vidx_t>> adj_v2_;  // v -> { u }, ascending
+  // Row x changed since the last clear_dirty() when flag x is 1;
+  // dirty_rows_ counts the set flags of both sides.
+  std::vector<std::uint8_t> dirty_v1_;
+  std::vector<std::uint8_t> dirty_v2_;
+  offset_t dirty_rows_ = 0;
 };
 
 }  // namespace bfc::count

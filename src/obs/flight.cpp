@@ -9,7 +9,6 @@
 #include <cstring>
 
 #include "obs/spans.hpp"
-#include "util/parallel.hpp"
 #include "util/sync.hpp"
 
 namespace bfc::obs {
@@ -95,7 +94,7 @@ void FlightRecorder::record(const char* kind, const char* detail,
   slot.ev.trace_id = trace_id;
   slot.ev.a = a;
   slot.ev.b = b;
-  slot.ev.tid = bfc::thread_id();
+  slot.ev.tid = thread_track();
   copy_truncated(slot.ev.kind, sizeof(slot.ev.kind), kind);
   copy_truncated(slot.ev.detail, sizeof(slot.ev.detail), detail);
   slot.seq.store(2 * idx + 2, std::memory_order_release);

@@ -9,7 +9,6 @@
 #include <stdexcept>
 
 #include "obs/json.hpp"
-#include "util/parallel.hpp"
 #include "util/sync.hpp"
 
 namespace bfc::obs {
@@ -62,6 +61,12 @@ std::int64_t now_us() {
   return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
                                                                epoch)
       .count();
+}
+
+int thread_track() noexcept {
+  static std::atomic<int> next{0};
+  thread_local const int track = next.fetch_add(1, std::memory_order_relaxed);
+  return track;
 }
 
 void SpanRecord::add_tag(const char* key, std::string_view value) noexcept {
@@ -252,7 +257,7 @@ void Span::close() {
   if (!armed_) return;
   armed_ = false;
   rec_.dur_us = now_us() - rec_.ts_us;
-  rec_.tid = thread_id();
+  rec_.tid = thread_track();
   SpanLog::record(std::move(rec_));
 }
 

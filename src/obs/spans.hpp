@@ -34,6 +34,13 @@ namespace bfc::obs {
 /// clock of every span, queue-wait task and flight-recorder event.
 [[nodiscard]] std::int64_t now_us();
 
+/// Sticky index of the calling OS thread, taken from a process-wide counter
+/// at its first call: the tid of every span and flight-recorder event the
+/// thread records, so each thread has a track of its own in an exported
+/// trace (OpenMP thread numbers restart at 0 in every team and read 0
+/// outside one).
+[[nodiscard]] int thread_track() noexcept;
+
 /// The identity a request carries through the service: which trace it
 /// belongs to and which span is the current parent. Copied by value into
 /// queue tasks and kernel lambdas; 16 bytes, trivially copyable.
@@ -71,7 +78,7 @@ struct SpanRecord {
   std::string_view name;        // literal; must outlive the log
   std::int64_t ts_us = 0;   // start, microseconds on the now_us() clock
   std::int64_t dur_us = 0;  // duration in microseconds
-  int tid = 0;              // OpenMP thread id where the span closed
+  int tid = 0;              // thread_track() of the thread that closed it
   std::uint64_t seq = 0;    // process-wide completion order, set by record()
   std::array<SpanTag, kMaxTags> tags{};
   std::uint8_t tag_count = 0;

@@ -20,6 +20,17 @@ CsrPattern::CsrPattern(vidx_t rows, vidx_t cols,
   chk::validate_csr_arrays(rows_, cols_, row_ptr_, col_idx_);
 }
 
+CsrPattern CsrPattern::trusted(vidx_t rows, vidx_t cols,
+                               std::vector<offset_t> row_ptr,
+                               std::vector<vidx_t> col_idx) {
+  CsrPattern p;
+  p.rows_ = rows;
+  p.cols_ = cols;
+  p.row_ptr_ = std::move(row_ptr);
+  p.col_idx_ = std::move(col_idx);
+  return p;
+}
+
 CsrPattern CsrPattern::empty(vidx_t rows, vidx_t cols) {
   return CsrPattern(rows, cols,
                     std::vector<offset_t>(static_cast<std::size_t>(rows) + 1, 0),

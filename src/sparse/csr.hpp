@@ -14,6 +14,10 @@ namespace bfc::dense {
 class DenseMatrix;
 }
 
+namespace bfc::count {
+class DynamicButterflyCounter;
+}
+
 namespace bfc::sparse {
 
 class CsrPattern {
@@ -69,6 +73,16 @@ class CsrPattern {
   bool operator==(const CsrPattern& other) const = default;
 
  private:
+  // The counter's snapshots check every row as the counter writes it and
+  // copy the rest from an earlier, already checked pattern.
+  friend class count::DynamicButterflyCounter;
+
+  /// Takes ownership of arrays the caller has already checked; no
+  /// validation.
+  static CsrPattern trusted(vidx_t rows, vidx_t cols,
+                            std::vector<offset_t> row_ptr,
+                            std::vector<vidx_t> col_idx);
+
   vidx_t rows_ = 0;
   vidx_t cols_ = 0;
   std::vector<offset_t> row_ptr_{0};

@@ -6,7 +6,6 @@
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "svc/fault.hpp"
-#include "util/parallel.hpp"
 
 namespace bfc::svc {
 
@@ -19,7 +18,7 @@ void Executor::close_queue_span(const Task& task, const char* outcome) {
   rec.name = "svc.queue";
   rec.ts_us = task.enqueue_ts_us;
   rec.dur_us = obs::now_us() - task.enqueue_ts_us;
-  rec.tid = thread_id();
+  rec.tid = obs::thread_track();
   rec.add_tag("outcome", outcome);
   obs::SpanLog::record(std::move(rec));
 }

@@ -116,23 +116,34 @@ PublishResult SnapshotStore::apply_batch(std::span<const EdgeUpdate> batch) {
     }
   }
 
-  auto snap = snapshot_of(counter_, counter_.to_graph(), next_epoch_++);
+  // The head's graph is the counter's graph as of the last clear_dirty()
+  // (construction, the previous publish, restore()), so the new graph is a
+  // copy of its arrays patched with the rows the batch changed.
+  const SnapshotPtr head = head_load();
+  auto snap =
+      snapshot_of(counter_, counter_.to_graph(head->graph), next_epoch_++);
   snap->lineage = lineage_;
   result.epoch = snap->epoch;
 
   // Checked build: the batch just mutated the counter, so re-verify its
-  // internal structure, the snapshot it materialised (including a recount
-  // of the incremental butterfly total, tips and top-pair buffer), and the
-  // epoch transition before any reader can pin the new head. The snapshot
-  // is the counter's graph, count, tips and buffer, so its check is the one
-  // recount the counter needs.
+  // internal structure, the patched graph against a full materialisation,
+  // the snapshot (including a recount of the incremental butterfly total,
+  // tips and top-pair buffer), and the epoch transition before any reader
+  // can pin the new head. The snapshot is the counter's graph, count, tips
+  // and buffer, so its check is the one recount the counter needs.
   if constexpr (chk::kCheckedEnabled) {
     chk::validate_structure(counter_);
+    const graph::BipartiteGraph full = counter_.to_graph();
+    chk::enforce(snap->graph.csr() == full.csr() &&
+                     snap->graph.csc() == full.csc(),
+                 "snapshot: patched graph != full to_graph()");
     chk::validate(*snap);
-    chk::validate_epoch_transition(*head_load(), *snap);
+    chk::validate_epoch_transition(*head, *snap);
   }
 
   head_store(std::move(snap));
+  BFC_COUNT_ADD("svc.publish_rows", counter_.dirty_rows());
+  counter_.clear_dirty();
   if (phase.armed()) {
     if (shard_id_ >= 0) phase.tag("shard", std::to_string(shard_id_));
     phase.tag("epoch", std::to_string(result.epoch));
@@ -241,6 +252,7 @@ void SnapshotStore::restore(const std::string& path) {
         std::to_string(meta.butterflies) + ", recount gives " +
         std::to_string(counter.butterflies()) + ")");
 
+  counter.clear_dirty();  // the snapshot below holds its graph
   auto snap = snapshot_of(counter, std::move(g), meta.epoch);
   if constexpr (chk::kCheckedEnabled) {
     chk::validate_structure(counter);  // validate(*snap) recounts its edges

@@ -48,7 +48,8 @@ class SnapshotStore {
   explicit SnapshotStore(vidx_t n1, vidx_t n2, int shard_id = -1);
 
   /// Applies the batch through the incremental counter, materialises the
-  /// resulting graph, and publishes it as epoch current+1. Updates are
+  /// resulting graph by patching the head snapshot's graph with the rows
+  /// the batch changed, and publishes it as epoch current+1. Updates are
   /// applied in order; duplicate inserts and absent removes are counted in
   /// PublishResult::ignored. Serialised internally, so concurrent callers
   /// are safe — but the design intent is a single writer thread.

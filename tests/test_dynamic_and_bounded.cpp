@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <set>
 #include <span>
 #include <vector>
 
@@ -323,6 +324,182 @@ TEST_P(DynamicToGraphRandomized, BothOrientationsMatchTransposeBuilt) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DynamicToGraphRandomized,
                          ::testing::Values(11u, 12u, 13u, 14u));
+
+/// One publish as SnapshotStore does it: the graph patched from `last` (the
+/// graph of the last clear_dirty()) must equal the full to_graph() and the
+/// transpose-built graph in both orientations. Returns the patched graph,
+/// the next publish's `last`.
+graph::BipartiteGraph publish(DynamicButterflyCounter& c,
+                              const graph::BipartiteGraph& last) {
+  graph::BipartiteGraph patched = c.to_graph(last);
+  const graph::BipartiteGraph full = c.to_graph();
+  EXPECT_EQ(patched.csr(), full.csr());
+  EXPECT_EQ(patched.csc(), full.csc());
+  const graph::BipartiteGraph ref(patched.csr());
+  EXPECT_EQ(patched.csc(), ref.csc());
+  expect_matches_transpose_built(c);
+  c.clear_dirty();
+  EXPECT_EQ(c.dirty_rows(), 0);
+  return patched;
+}
+
+TEST(DynamicToGraphPatched, EmptyBatchAndIgnoredUpdatesChangeNoRow) {
+  DynamicButterflyCounter c(5, 6);
+  graph::BipartiteGraph last = c.to_graph();
+  for (const auto& [u, v] : {std::pair{0, 1}, {1, 1}, {1, 2}, {4, 5}})
+    c.insert(u, v);
+  last = publish(c, last);
+
+  // An empty batch: nothing is dirty and the patch is a copy of `last`.
+  EXPECT_EQ(c.dirty_rows(), 0);
+  graph::BipartiteGraph next = publish(c, last);
+  EXPECT_EQ(next.csr(), last.csr());
+  EXPECT_EQ(next.csc(), last.csc());
+
+  // Ignored updates: an insert of a present edge and a remove of an absent
+  // one change no row, so none is flagged.
+  EXPECT_EQ(c.insert(1, 2), 0);
+  EXPECT_EQ(c.remove(3, 3), 0);
+  EXPECT_EQ(c.dirty_rows(), 0);
+  next = publish(c, last);
+  EXPECT_EQ(next.csr(), last.csr());
+  EXPECT_EQ(next.csc(), last.csc());
+}
+
+TEST(DynamicToGraphPatched, BulkLoadDirtiesEveryRow) {
+  const graph::BipartiteGraph g = complete_bipartite(6, 4);
+  DynamicButterflyCounter c(6, 4);
+  const graph::BipartiteGraph last = c.to_graph();
+  for (const auto& [u, v] : sparse::edges(g.csr())) c.insert(u, v);
+  EXPECT_EQ(c.dirty_rows(), 6 + 4);
+  const graph::BipartiteGraph loaded = publish(c, last);
+  EXPECT_EQ(loaded.csr(), g.csr());
+  EXPECT_EQ(loaded.csc(), g.csc());
+}
+
+TEST(DynamicToGraphPatched, FirstAndLastRowsAndIsolatedVertices) {
+  // Rows 1..n-2 of both sides stay isolated except for V1 row 3 and V2 row
+  // 2, so clean runs of empty rows sit between the dirty ones.
+  const vidx_t n1 = 9, n2 = 7;
+  DynamicButterflyCounter c(n1, n2);
+  graph::BipartiteGraph last = c.to_graph();
+  c.insert(0, 0);
+  c.insert(n1 - 1, n2 - 1);
+  c.insert(0, n2 - 1);
+  c.insert(n1 - 1, 0);
+  c.insert(3, 2);
+  EXPECT_EQ(c.dirty_rows(), 3 + 3);
+  last = publish(c, last);
+  c.insert(0, 2);  // the first V1 row again; V1 row n1 - 1 stays clean
+  EXPECT_EQ(c.dirty_rows(), 2);
+  last = publish(c, last);
+  c.remove(n1 - 1, n2 - 1);  // the last row of each side
+  last = publish(c, last);
+  c.remove(0, 0);  // the first row of each side
+  c.insert(n1 - 1, n2 - 1);
+  last = publish(c, last);
+  EXPECT_EQ(last.edge_count(), 5);
+}
+
+TEST(DynamicToGraphPatched, RowEmptiedAndRefilled) {
+  DynamicButterflyCounter c(4, 5);
+  graph::BipartiteGraph last = c.to_graph();
+  for (vidx_t u = 0; u < 4; ++u)
+    for (vidx_t v = 0; v < 5; ++v)
+      if ((u + v) % 3 != 0) c.insert(u, v);
+  last = publish(c, last);
+
+  // V1 row 2 emptied in one batch and refilled in the next.
+  const std::vector<vidx_t> row(c.neighbors_v1(2).begin(),
+                                c.neighbors_v1(2).end());
+  for (const vidx_t v : row) c.remove(2, v);
+  EXPECT_TRUE(c.neighbors_v1(2).empty());
+  last = publish(c, last);
+  for (const vidx_t v : row) c.insert(2, v);
+  last = publish(c, last);
+
+  // Emptied and refilled within one batch, with one more edge: the row is
+  // dirty, and its new content must land.
+  for (const vidx_t v : row) c.remove(2, v);
+  for (const vidx_t v : row) c.insert(2, v);
+  c.insert(2, 0);
+  last = publish(c, last);
+  EXPECT_TRUE(last.has_edge(2, 0));
+}
+
+TEST(DynamicToGraphPatched, EdgeInsertedAndRemovedInOneBatch) {
+  DynamicButterflyCounter c(3, 3);
+  graph::BipartiteGraph last = c.to_graph();
+  c.insert(0, 0);
+  c.insert(1, 1);
+  last = publish(c, last);
+  c.insert(2, 0);
+  c.remove(2, 0);  // rows 2 and 0 are dirty, yet hold what `last` holds
+  EXPECT_EQ(c.dirty_rows(), 2);
+  const graph::BipartiteGraph next = publish(c, last);
+  EXPECT_EQ(next.csr(), last.csr());
+  EXPECT_EQ(next.csc(), last.csc());
+}
+
+TEST(DynamicToGraphPatched, StaleLastThrowsInEveryBuild) {
+  DynamicButterflyCounter c(4, 4);
+  c.insert(0, 0);
+  c.insert(1, 1);
+  const graph::BipartiteGraph last = c.to_graph();
+  c.clear_dirty();
+  c.insert(0, 1);  // dirties V1 row 0 and V2 row 1
+
+  // Another shape.
+  EXPECT_THROW((void)c.to_graph(DynamicButterflyCounter(5, 4).to_graph()),
+               std::invalid_argument);
+  EXPECT_THROW((void)c.to_graph(DynamicButterflyCounter(4, 3).to_graph()),
+               std::invalid_argument);
+  // An extra edge (3, 3) in rows the batch left clean.
+  const graph::BipartiteGraph extra =
+      graph::BipartiteGraph::from_edges(4, 4, {{0, 0}, {1, 1}, {3, 3}});
+  EXPECT_THROW((void)c.to_graph(extra), std::invalid_argument);
+  // The right `last` still patches.
+  EXPECT_EQ(c.to_graph(last).csr(), c.to_graph().csr());
+}
+
+class DynamicToGraphPatchedRandomized
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(DynamicToGraphPatchedRandomized, EveryPublishEqualsFullAndTranspose) {
+  Rng rng(GetParam());
+  // Batches of 0–12 updates on a graph whose last rows of both sides stay
+  // isolated; some updates repeat an edge of the same batch, so ignored
+  // updates and insert-then-remove pairs both occur.
+  const vidx_t n1 = 19, n2 = 14;
+  DynamicButterflyCounter c(n1, n2);
+  graph::BipartiteGraph last = c.to_graph();
+  for (int batch = 0; batch < 60; ++batch) {
+    const auto size = static_cast<int>(rng.bounded(13));
+    std::vector<std::pair<vidx_t, vidx_t>> touched;
+    std::set<vidx_t> v1, v2;
+    for (int i = 0; i < size; ++i) {
+      std::pair<vidx_t, vidx_t> e{static_cast<vidx_t>(rng.bounded(n1 - 2)),
+                                  static_cast<vidx_t>(rng.bounded(n2 - 1))};
+      if (!touched.empty() && rng.bernoulli(0.2))
+        e = touched[rng.bounded(touched.size())];
+      touched.push_back(e);
+      v1.insert(e.first);
+      v2.insert(e.second);
+      if (rng.bernoulli(0.6)) {
+        c.insert(e.first, e.second);
+      } else {
+        c.remove(e.first, e.second);
+      }
+    }
+    ASSERT_LE(c.dirty_rows(), static_cast<offset_t>(v1.size() + v2.size()))
+        << "batch " << batch;
+    last = publish(c, last);
+    ASSERT_FALSE(::testing::Test::HasFailure()) << "batch " << batch;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DynamicToGraphPatchedRandomized,
+                         ::testing::Values(21u, 22u, 23u, 24u, 25u));
 
 TEST(BoundedMemory, MatchesExactAcrossBudgets) {
   const auto g = random_graph(25, 20, 0.3, 7);

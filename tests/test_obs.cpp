@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -443,6 +445,48 @@ TEST(ObsSpans, RecordsParentageTagsAndIdempotentClose) {
   EXPECT_EQ(child.parent_id, parent.span_id);
   EXPECT_TRUE(child.tag("late").empty());
   obs::SpanLog::clear();
+}
+
+/// Spans and flight events carry the recording OS thread's track, not its
+/// OpenMP thread number: two std::threads (OpenMP thread 0 each) and the
+/// two threads of an OpenMP team each get a tid of their own, and a
+/// thread's span and flight event share it.
+TEST(ObsSpans, EveryThreadRecordsOnItsOwnTrack) {
+  if constexpr (!obs::kMetricsEnabled) {
+    GTEST_SKIP() << "built with BFC_METRICS=OFF";
+  }
+  obs::SpanLog::clear();
+  obs::FlightRecorder::clear();
+  obs::SpanLog::set_enabled(true);
+  const auto record = [](const char* who) {
+    obs::Span span("track");
+    span.tag("who", who);
+    obs::FlightRecorder::record("track", who);
+  };
+  {
+    std::thread a(record, "a");
+    std::thread b(record, "b");
+    a.join();
+    b.join();
+  }
+  ThreadCountGuard guard(2);
+#pragma omp parallel num_threads(2)
+  record(thread_id() == 0 ? "omp0" : "omp1");
+  obs::SpanLog::set_enabled(false);
+
+  std::map<std::string, int> span_tid;
+  for (const obs::SpanRecord& s : obs::SpanLog::snapshot())
+    span_tid[std::string(s.tag("who"))] = s.tid;
+  std::map<std::string, int> flight_tid;
+  for (const obs::FlightEvent& e : obs::FlightRecorder::snapshot())
+    flight_tid[e.detail] = e.tid;
+  ASSERT_EQ(span_tid.size(), 4u);
+  EXPECT_EQ(flight_tid, span_tid);
+  std::set<int> tids;
+  for (const auto& [who, tid] : span_tid) tids.insert(tid);
+  EXPECT_EQ(tids.size(), 4u) << "two threads share a track";
+  obs::SpanLog::clear();
+  obs::FlightRecorder::clear();
 }
 
 TEST(ObsSpans, BoundedLogDropsOldestAndCounts) {

@@ -104,6 +104,77 @@ TEST(SnapshotStore, PublishRebuildsAnUncertifiedTopPairBufferOnce) {
   if (obs::kMetricsEnabled) EXPECT_EQ(rebuilds(), rebuilds0 + 1);
 }
 
+TEST(SnapshotStore, PublishTakesOnlyTheChangedRowsFromTheCounter) {
+  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
+  const auto rows = [] { return counter_value("svc.publish_rows"); };
+  // 200 + 150 rows; the batches below change at most 9 of them, so a
+  // publish that rebuilt every row would add 350.
+  SnapshotStore store(200, 150);
+  (void)store.apply_batch(inserts_of(random_graph(200, 150, 0.05, 3)));
+
+  std::int64_t before = rows();
+  (void)store.apply_batch(std::span<const EdgeUpdate>{});
+  EXPECT_EQ(rows() - before, 0);
+
+  // r = 4 distinct V1 endpoints {0, 7, 8, 199}, s = 5 distinct V2
+  // endpoints {0, 3, 4, 9, 149}; the first two updates share u = 7.
+  const SnapshotPtr head = store.current();
+  const std::vector<EdgeUpdate> batch = {
+      {7, 3, !head->graph.has_edge(7, 3)},
+      {7, 4, !head->graph.has_edge(7, 4)},
+      {0, 0, !head->graph.has_edge(0, 0)},
+      {199, 149, !head->graph.has_edge(199, 149)},
+      {8, 9, head->graph.has_edge(8, 9)},  // ignored: changes no row
+  };
+  before = rows();
+  (void)store.apply_batch(batch);
+  const std::int64_t added = rows() - before;
+  EXPECT_LE(added, 4 + 5);
+  EXPECT_EQ(added, 3 + 4);  // the ignored update's rows stay clean
+}
+
+TEST(SnapshotStore, PublishesAfterRestoreEqualAFreshStore) {
+  const std::string file = testing::temp_path("bfc_store_patch.snap");
+  SnapshotStore writer(30, 20);
+  (void)writer.apply_batch(inserts_of(random_graph(30, 20, 0.2, 5)));
+  writer.persist(file);
+  const SnapshotPtr persisted = writer.current();
+
+  Rng rng(9);
+  std::vector<std::vector<EdgeUpdate>> batches(4);
+  for (auto& batch : batches)
+    for (int i = 0; i < 25; ++i)
+      batch.push_back({static_cast<vidx_t>(rng.bounded(30)),
+                       static_cast<vidx_t>(rng.bounded(20)),
+                       rng.bernoulli(0.6)});
+
+  // The same dimensions as the file, and two others; each store has a
+  // history of its own before the restore replaces it.
+  for (const auto& [n1, n2] : {std::pair{30, 20}, {50, 40}, {3, 2}}) {
+    SnapshotStore restored(n1, n2);
+    (void)restored.apply_batch(
+        inserts_of(random_graph(n1, n2, 0.3, 11)));
+    restored.restore(file);
+
+    SnapshotStore fresh(30, 20);
+    (void)fresh.apply_batch(inserts_of(persisted->graph));
+    for (std::size_t b = 0; b < batches.size(); ++b) {
+      (void)restored.apply_batch(batches[b]);
+      (void)fresh.apply_batch(batches[b]);
+      const SnapshotPtr got = restored.current();
+      const SnapshotPtr want = fresh.current();
+      ASSERT_EQ(got->graph.csr(), want->graph.csr())
+          << n1 << "x" << n2 << " batch " << b;
+      ASSERT_EQ(got->graph.csc(), want->graph.csc())
+          << n1 << "x" << n2 << " batch " << b;
+      EXPECT_EQ(got->butterflies, want->butterflies);
+      EXPECT_EQ(got->tips_v1, want->tips_v1);
+      EXPECT_EQ(got->tips_v2, want->tips_v2);
+    }
+  }
+  std::remove(file.c_str());
+}
+
 TEST(SnapshotStore, EpochIsolation) {
   // A reader pinned to epoch k must see no edges from epoch k+1.
   ButterflyService service(6, 6, {.threads = 2});
