@@ -2,7 +2,8 @@
 //
 //   report_lint --report      out.json  check a RunReport (--json output)
 //   report_lint --trace       out.json  check a Chrome trace-event file
-//                                       (--trace output)
+//                                       (--trace output); events on one
+//                                       track must nest
 //   report_lint --openmetrics out.txt   check an OpenMetrics text dump
 //                                       (--metrics-file / /metrics output)
 //   ... --families tools/analyze/metrics.registry
@@ -24,6 +25,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -104,6 +106,42 @@ void lint_report(const Json& doc) {
             << doc.at("metrics").size() << " metrics\n";
 }
 
+/// Complete events on one track (pid, tid) must nest, as the spans of one
+/// thread open and close in stack order: an event that starts inside an
+/// earlier one on its track and ends after it renders as a broken stack in
+/// chrome://tracing and Perfetto. Returns the number of tracks.
+std::size_t check_nesting(const Json& events) {
+  struct Event {
+    double ts, end;
+    std::size_t index;
+  };
+  std::map<std::pair<std::int64_t, std::int64_t>, std::vector<Event>> tracks;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const Json& ev = events.at(i);
+    const double ts = ev.at("ts").as_double();
+    tracks[{ev.at("pid").as_int(), ev.at("tid").as_int()}].push_back(
+        {ts, ts + ev.at("dur").as_double(), i});
+  }
+  for (auto& [track, list] : tracks) {
+    // By start, the longer of two events that start together first: it is
+    // the enclosing one.
+    std::sort(list.begin(), list.end(), [](const Event& a, const Event& b) {
+      return a.ts != b.ts ? a.ts < b.ts : a.end > b.end;
+    });
+    std::vector<Event> open;  // the enclosing events, innermost last
+    for (const Event& e : list) {
+      while (!open.empty() && open.back().end <= e.ts) open.pop_back();
+      check(open.empty() || e.end <= open.back().end,
+            "event " + std::to_string(e.index) + " starts inside event " +
+                std::to_string(open.empty() ? 0 : open.back().index) +
+                " on tid " + std::to_string(track.second) +
+                " and ends after it");
+      open.push_back(e);
+    }
+  }
+  return tracks.size();
+}
+
 void lint_trace(const Json& doc) {
   check(doc.has("traceEvents"), "missing top-level key \"traceEvents\"");
   const Json& events = doc.at("traceEvents");
@@ -126,8 +164,10 @@ void lint_trace(const Json& doc) {
   }
   check(doc.has("otherData") && doc.at("otherData").has("dropped"),
         "missing the span log's drop count (otherData.dropped)");
-  std::cout << "trace ok: " << events.size() << " events, "
-            << doc.at("otherData").at("dropped").as_int() << " dropped\n";
+  const std::size_t tracks = check_nesting(events);
+  std::cout << "trace ok: " << events.size() << " events on " << tracks
+            << " tracks, " << doc.at("otherData").at("dropped").as_int()
+            << " dropped\n";
 }
 
 // ---- OpenMetrics text format ---------------------------------------------

@@ -3,8 +3,9 @@
 # drift vs. a from-scratch recount; every tip answer at the final epoch equal
 # to a recount; nonzero cache hits in normal mode, which the top-pairs reads
 # above K' = 64 supply (--top-k 65: a pass whose answer caches); nonzero
-# shed/rejected/expired work in overload mode), then validates the RunReport
-# artifact with report_lint.
+# shed/rejected/expired work in overload mode; latency histograms that count
+# every query but the shed ones), then validates the RunReport artifact with
+# report_lint.
 # Expects -DBENCH=<path> -DLINT=<path> -DOUT=<dir>; optional -DMODE= and
 # -DREGISTRY=<metrics.registry> (adds --families to the OpenMetrics lint so
 # dump families must map back to the bfc-analyze registry)
@@ -12,18 +13,15 @@
 #   light     reduced load for the sanitizer lanes, where slowdown makes the
 #             full config's wall-clock latency numbers flaky
 #   overload  undersized pool + bounded queue: proves admission control
-#             sheds, answers degrade, and the count still reconciles. With
-#             one shard a tip, global or top-64 query is a lookup that never
-#             queues, so the overload loads lean on edge queries and on
-#             top-pairs queries above K' = 64 (--top-k 65), and run long
-#             enough that every generation sees queued misses: the
-#             stale-cache rung then answers some, eviction sheds others
+#             sheds and the count still reconciles. Only a top-pairs read
+#             above K' = 64 (--top-k 65) queues: every other read answers on
+#             the reader's thread
 #   telemetry overload load with the whole telemetry plane armed: the
 #             OpenMetrics dump must lint clean (svc.slo.* included), the
-#             span tree must show degraded and shed requests (the bench
-#             self-checks that), its Chrome trace must lint clean and hold
-#             tagged request spans, and the folded profile must attribute
-#             samples to a la/ kernel
+#             span tree must show shed requests (the bench self-checks
+#             that), its Chrome trace must lint clean (events nest on each
+#             track) and hold tagged request spans, and the folded profile
+#             must attribute samples to a la/ kernel
 #   shard     4 range-partitioned stores with one concurrent writer per
 #             shard, under overload + Zipf key skew. The bench self-checks
 #             zero count drift against a sequential --shards 1 replay and
@@ -58,33 +56,23 @@ if(MODE STREQUAL "light")
   set(load --scale 0.02 --readers 2 --epochs 2 --batch 40 --queries 40
            --pool 2 --top-k 65)
 elseif(MODE STREQUAL "overload")
-  # --degrade-depth above the queue bound: with the depth-1 default the
-  # service degrades preemptively instead of submitting, so queue overflow
-  # (the shed evidence this mode exists to witness) only happens when reader
-  # submissions race — which a single-core runner misses ~1 run in 7. A
-  # deep degrade threshold keeps the exact rung submitting, making eviction
-  # structural; degraded answers still appear via eviction fallbacks.
+  # A queued read's answer caches per view, so with the default 5 ms
+  # deadline the reads queue only in the burst after each publish, until
+  # the first pass lands; on a busy runner the readers fell out of step and
+  # nothing shed in 1 of 4 full ctest runs. A 10 us deadline is shorter than
+  # any pass: every pass is abandoned at dequeue or cancelled, nothing
+  # caches, every top-pairs read queues, and the bounded queue overflows.
   set(load --overload --scale 0.02 --readers 6 --epochs 3 --batch 60
            --queries 1000 --mix tip:3,global:1,edge:3,top:3 --top-k 65
-           --pool 1 --max-queue 2 --degrade-depth 64)
+           --pool 1 --max-queue 2 --deadline-ms 0.01)
 elseif(MODE STREQUAL "shard")
-  # --degrade-depth above the queue bound keeps the exact rung submitting
-  # instead of degrading preemptively, so queue overflow (and therefore the
-  # shed evidence the span check demands) is structural rather than a race —
-  # on a single-core runner the depth-1 default sheds only when reader
-  # submissions happen to interleave, which misses ~1 run in 8.
-  # The mix, the query count and --top-k as for MODE=overload: every view
-  # carries its cross aggregate, so tip, global and top-64 queries answer
-  # inline. A degraded answer is then a queued read that finds an earlier
-  # view generation's answer, and with the default 5 ms deadline those came
-  # only from the burst of queued reads after the first pin: 21 of 30 idle
-  # runs saw none. A 10 us deadline abandons many queued reads at dequeue
-  # in every generation; an abandoned edge-support read answers inline and
-  # caches, so the next round's abandoned reads of the same hot keys find
-  # it, and abandoned top-pairs reads above K' shed.
+  # The mix, the query count, --top-k and the deadline as for
+  # MODE=overload: every view carries its cross aggregate, so tip, global
+  # and top-64 queries answer inline, and edge support is a row scan on the
+  # reader's thread.
   set(load --shards 4 --zipf 0.9 --overload --scale 0.02 --readers 6
            --epochs 3 --batch 60 --queries 400 --mix tip:3,global:1,edge:3,top:3
-           --top-k 65 --pool 1 --max-queue 2 --degrade-depth 64
+           --top-k 65 --pool 1 --max-queue 2
            --deadline-ms 0.01
            --metrics-file "${OUT}/metrics.txt"
            --trace "${OUT}/trace.json")
@@ -98,15 +86,10 @@ elseif(MODE STREQUAL "chaos")
            --readers 4 --epochs 6 --batch 60 --queries 200 --pool 2 --top-k 65
            --metrics-file "${OUT}/metrics.txt")
 elseif(MODE STREQUAL "telemetry")
-  # --degrade-depth 64, the mix and the query count for the same reasons
-  # as MODE=overload. A degraded answer is a queued top-pairs read that
-  # finds the previous generation's list; each generation caches its list
-  # after the first such read completes, so the window for one opens once
-  # per publish. With 3 epochs the span check saw no degraded answer in
-  # 3 to 9 of 30 runs on an idle 4-vCPU VM; with 10, in none of 100.
+  # The mix, the query count and the deadline as for MODE=overload.
   set(load --overload --scale 0.05 --readers 6 --epochs 10 --batch 60
            --queries 1000 --mix tip:3,global:1,edge:3,top:3 --top-k 65
-           --pool 1 --max-queue 2 --degrade-depth 64 --slo-ms 5
+           --pool 1 --max-queue 2 --deadline-ms 0.01 --slo-ms 5
            --metrics-file "${OUT}/metrics.txt"
            --trace "${OUT}/trace.json"
            --profile-hz 250 --profile-out "${OUT}/profile.folded"

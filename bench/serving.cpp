@@ -4,7 +4,7 @@
 // publishes epochs underneath them. Emits a throughput / p50 / p95 / p99
 // latency table per query kind, the usual RunReport (--json) with every
 // latency sample plus the svc.* counters (cache hits, epochs published,
-// degraded answers, ...), and with --trace every span of the run.
+// shed reads, ...), and with --trace every span of the run.
 //
 //   ./serving [--readers 4] [--epochs 8] [--batch 200] [--queries 500]
 //             [--pool 4] [--mix tip:6,global:2,edge:1,top:1] [--top-k 8]
@@ -12,16 +12,17 @@
 //
 // A top-pairs read asks for --top-k pairs. Up to K′ = 64 the shards'
 // top-pair buffers answer it as a lookup; above K′ it queues for a pass and
-// caches its answer, the load the cache and overload checks need.
+// caches its answer: the only read that queues, so the load the overload
+// checks need. Every other read answers on the reader's thread.
 //
-// Overload mode exercises the fault-tolerance path: a small bounded queue,
-// per-query deadlines and the degradation ladder. The run then also fails
-// unless the admission layer actually shed work — the whole point of the
-// exercise — while the drift check still must pass (shedding queries must
-// never corrupt the maintained count).
+// Overload mode exercises the fault-tolerance path: a small bounded queue
+// and per-query deadlines. The run then also fails unless the admission
+// layer actually shed work — the whole point of the exercise — while the
+// drift check still must pass (shedding queries must never corrupt the
+// maintained count).
 //
 //   ./serving --overload [--max-queue 8] [--policy drop-oldest|reject|deadline]
-//             [--deadline-ms 5] [--degrade-depth 4]
+//             [--deadline-ms 5]
 //
 // Sharded mode partitions the V1 range across N independent stores and
 // exercises the scatter-gather query plane: one writer per shard publishes
@@ -54,8 +55,8 @@
 //                      published epoch and at the end of the run
 //   --trace F          (the common flag) collect spans and write them as
 //                      Chrome trace events; also arms span self-checks
-//                      (every query produced a span; overload runs show
-//                      degraded and shed outcomes with intact parent links)
+//                      (intact parent links; overload runs show shed
+//                      outcomes)
 //   --trace-sample N   head-based sampling: root (and therefore trace) only
 //                      1 in N requests (default 1 = every request)
 //   --profile-hz N     sample call stacks at N Hz for the whole run
@@ -63,8 +64,8 @@
 //   --flight-out F     arm the flight recorder's fault dump at F and write
 //                      the final ring there on success too
 //   --slo-ms X         arm an X-millisecond latency objective on every
-//                      query kind (svc.slo.* instruments, SLO-driven
-//                      degradation); --slo-objective sets the fraction
+//                      query kind (the svc.slo.* instruments);
+//                      --slo-objective sets the fraction
 //
 // The run fails (exit 1) if the incrementally maintained count or any tip
 // answer at the final epoch drifts from a from-scratch recount, or — when
@@ -324,8 +325,7 @@ constexpr const char* kLatencyHistograms[] = {
 /// Span-plane self-checks over the spans --trace writes. The log must be
 /// non-empty with intact parent links (unless the bounded log dropped
 /// spans, which can orphan survivors legitimately); an overload run must
-/// additionally show at least one degraded answer and one shed/cancelled
-/// request in the tree.
+/// additionally show at least one shed/cancelled request in the tree.
 bool check_spans(bool overload) {
   const std::vector<obs::SpanRecord> spans = obs::SpanLog::snapshot();
   if (spans.empty()) {
@@ -335,12 +335,10 @@ bool check_spans(bool overload) {
   std::set<std::uint64_t> ids;
   for (const obs::SpanRecord& s : spans) ids.insert(s.span_id);
   std::size_t broken = 0;
-  std::int64_t degraded = 0;
   std::int64_t shed = 0;
   for (const obs::SpanRecord& s : spans) {
     if (s.parent_id != 0 && ids.count(s.parent_id) == 0) ++broken;
     const std::string_view outcome = s.tag("outcome");
-    if (outcome == "stale") ++degraded;
     if (outcome == "shed" || outcome == "cancelled" ||
         s.tag("rejected") == "true")
       ++shed;
@@ -349,14 +347,14 @@ bool check_spans(bool overload) {
     std::cerr << "FATAL: " << broken << " span(s) have dangling parent ids\n";
     return false;
   }
-  if (overload && (degraded == 0 || shed == 0)) {
-    std::cerr << "FATAL: overload span tree shows degraded=" << degraded
-              << " shed=" << shed << "; expected both > 0\n";
+  if (overload && shed == 0) {
+    std::cerr << "FATAL: overload span tree shows no shed or cancelled "
+                 "request\n";
     return false;
   }
   std::cout << "spans: " << spans.size() << " recorded ("
-            << obs::SpanLog::dropped() << " dropped), " << degraded
-            << " degraded, " << shed << " shed/cancelled\n";
+            << obs::SpanLog::dropped() << " dropped), " << shed
+            << " shed/cancelled\n";
   return true;
 }
 
@@ -397,7 +395,7 @@ int main(int argc, char** argv) {
       argc, argv,
       {"readers", "epochs", "batch", "queries", "pool", "mix", "shards",
        "zipf", "kill-shard", "host-bin", "overload", "max-queue", "policy",
-       "deadline-ms", "degrade-depth", "metrics-port", "metrics-file",
+       "deadline-ms", "metrics-port", "metrics-file",
        "trace-sample", "profile-hz", "profile-out", "flight-out", "slo-ms",
        "slo-objective", "top-k"});
   const Cli cli(argc, argv);
@@ -446,7 +444,7 @@ int main(int argc, char** argv) {
   }
 
   // Overload mode: bounded queue sized to saturate under the reader load,
-  // tight deadlines, degraded-mode threshold at half the bound.
+  // tight deadlines.
   const bool overload = cli.get_bool("overload", false);
   const auto max_queue = static_cast<std::size_t>(cli.get_int_at_least(
       "max-queue", overload ? 2 * static_cast<std::int64_t>(pool) : 0, 0));
@@ -454,12 +452,6 @@ int main(int argc, char** argv) {
       parse_policy(cli.get("policy", overload ? "drop-oldest" : "reject"));
   const double deadline_ms =
       cli.get_double("deadline-ms", overload ? 5.0 : 0.0);
-  const auto degrade_depth = static_cast<std::size_t>(cli.get_int_at_least(
-      "degrade-depth",
-      overload ? std::max<std::int64_t>(
-                     1, static_cast<std::int64_t>(max_queue) / 2)
-               : 0,
-      0));
   require(!overload || max_queue > 0, "--overload needs --max-queue >= 1");
   require(!overload || !chaos,
           "--kill-shard and --overload are separate acceptance runs: chaos "
@@ -500,8 +492,7 @@ int main(int argc, char** argv) {
   svc::ServiceOptions service_options{.threads = pool,
                                       .shards = shards,
                                       .max_queue = max_queue,
-                                      .shed_policy = policy,
-                                      .degrade_queue_depth = degrade_depth};
+                                      .shed_policy = policy};
   if (slo_ms > 0.0) {
     service_options.slo_target_us.fill(slo_ms * 1e3);
     service_options.slo_objective = slo_objective;
@@ -575,8 +566,7 @@ int main(int argc, char** argv) {
   if (overload)
     std::cout << "overload: max-queue=" << max_queue << " policy="
               << svc::shed_policy_name(policy) << " deadline="
-              << Table::fixed(deadline_ms, 1) << " ms degrade-depth="
-              << degrade_depth << "\n";
+              << Table::fixed(deadline_ms, 1) << " ms\n";
   if (sharded) {
     std::cout << "sharded: " << shards << " range-partitioned stores, "
               << shards << " concurrent writers (V1 ranges";
@@ -1097,7 +1087,6 @@ int main(int argc, char** argv) {
     std::cout << "shed: " << shed << "  rejected: " << rejected
               << "  deadline expired: " << expired
               << "  stale answers: " << counter("svc.stale_answers")
-              << "  inline answers: " << counter("svc.inline_answers")
               << '\n';
     // Reading the counters registers them, so the report shows their 0s.
     std::cout << "top-pair buffer rebuilds: "
@@ -1116,24 +1105,18 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    // Every answer but a degrade rung's observes its latency, so the
-    // histograms count every query when none was shed or answered by a
-    // rung (the stale rung, or edge support's inline rung), and at most
-    // every query otherwise.
+    // Every answer observes its latency, and every query either answers
+    // or fails with OverloadError on its reader.
     std::int64_t observed = 0;
     for (const char* name : kLatencyHistograms)
       observed += obs::Registry::instance().histogram(name).count();
     const std::int64_t queries = counter("svc.queries");
-    const bool every_query_observed =
-        overload_errors.load(std::memory_order_relaxed) == 0 &&
-        counter("svc.stale_answers") == 0 &&
-        counter("svc.inline_answers") == 0;
-    if (observed > queries || (every_query_observed && observed != queries)) {
+    const std::int64_t failed = overload_errors.load(std::memory_order_relaxed);
+    if (observed + failed != queries) {
       std::cerr << "FATAL: latency histograms hold " << observed
-                << " observations against svc.queries " << queries
-                << (every_query_observed
-                        ? " with no query shed or answered by a degrade rung\n"
-                        : "\n");
+                << " observations and " << failed
+                << " queries failed with OverloadError, against svc.queries "
+                << queries << "\n";
       return 1;
     }
     std::cout << "latency histograms: " << observed << " observations of "

@@ -27,7 +27,7 @@ struct FlightEvent {
   std::uint64_t trace_id = 0;    // owning request's trace, 0 = none
   std::int64_t a = 0, b = 0;     // kind-specific payload (epoch, depth, ...)
   int tid = 0;                   // thread_track() of the recording thread
-  char kind[16] = {0};           // "shed", "degrade", "publish", ...
+  char kind[16] = {0};           // "shed", "reject", "publish", ...
   char detail[48] = {0};         // free-form qualifier ("stale_memo", ...)
 };
 

@@ -246,6 +246,7 @@ void Span::arm(const TraceContext& parent, std::string_view name) {
   rec_.span_id = SpanLog::next_id();
   rec_.name = name;
   rec_.ts_us = now_us();
+  rec_.tid = thread_track();
 }
 
 void Span::tag(const char* key, std::string_view value) {
@@ -257,7 +258,6 @@ void Span::close() {
   if (!armed_) return;
   armed_ = false;
   rec_.dur_us = now_us() - rec_.ts_us;
-  rec_.tid = thread_track();
   SpanLog::record(std::move(rec_));
 }
 

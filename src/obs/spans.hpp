@@ -1,11 +1,12 @@
 // The one tracing system. Every span is a node of a causal tree — a trace
 // id shared by everything one svc::Request touched, its own span id, the
 // span id of its parent, and string tags for the decisions made inside it
-// (cache hit/miss, degrade rung, shed/cancelled outcome, fidelity of the
-// answer) — and one complete event on a chrome://tracing / Perfetto
-// timeline, on the track of the OpenMP thread that closed it. A query's
-// life — admission, queue wait, kernel pass, degradation — reconstructs as
-// one tree no matter how many threads it crossed; a phase no request
+// (cache hit/miss, shed/cancelled outcome, fidelity of the answer) — and
+// one complete event on a chrome://tracing / Perfetto timeline, on the
+// track of the OS thread that opened it, so a span closed on another
+// thread (a query a pool worker answers) still nests on its opener's
+// track. A query's life — admission, queue wait, kernel pass — reconstructs
+// as one tree no matter how many threads it crossed; a phase no request
 // reaches (a loader, a bench cell, one thread's share of a parallel region,
 // a store publish) opens the root span of a trace of its own.
 //
@@ -78,7 +79,7 @@ struct SpanRecord {
   std::string_view name;        // literal; must outlive the log
   std::int64_t ts_us = 0;   // start, microseconds on the now_us() clock
   std::int64_t dur_us = 0;  // duration in microseconds
-  int tid = 0;              // thread_track() of the thread that closed it
+  int tid = 0;              // thread_track() of the thread that opened it
   std::uint64_t seq = 0;    // process-wide completion order, set by record()
   std::array<SpanTag, kMaxTags> tags{};
   std::uint8_t tag_count = 0;
@@ -148,8 +149,9 @@ class SpanLog {
 
 /// RAII span. Inert (zero allocation, no record) unless the log is enabled
 /// AND the parent context is active — a request that was never rooted stays
-/// invisible no matter how deep its call tree goes. close() stamps the
-/// duration and records early; the destructor closes if nobody did.
+/// invisible no matter how deep its call tree goes. The span takes its
+/// track when it opens; close() stamps the duration and records early, on
+/// any thread; the destructor closes if nobody did.
 class Span {
  public:
   /// A child of `parent`. `name` must be a string literal (or otherwise

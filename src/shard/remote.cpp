@@ -251,59 +251,6 @@ CircuitState RemoteShard::circuit() const noexcept {
   return state_;
 }
 
-count_t RemoteShard::query_global() const {
-  const std::string reply = rpc(wire::Msg::kGlobal, "", /*idempotent=*/true,
-                                opts_.call_timeout_ms);
-  wire::Cursor c(reply);
-  (void)c.u64();  // epoch
-  return c.i64();
-}
-
-count_t RemoteShard::query_tip_v1(vidx_t u) const {
-  wire::Payload p;
-  p.u64(static_cast<std::uint64_t>(u));
-  const std::string reply = rpc(wire::Msg::kTipV1, p.view(),
-                                /*idempotent=*/true,
-                                opts_.transfer_timeout_ms);
-  wire::Cursor c(reply);
-  (void)c.u64();
-  return c.i64();
-}
-
-count_t RemoteShard::query_tip_v2(vidx_t v) const {
-  wire::Payload p;
-  p.u64(static_cast<std::uint64_t>(v));
-  const std::string reply = rpc(wire::Msg::kTipV2, p.view(),
-                                /*idempotent=*/true,
-                                opts_.transfer_timeout_ms);
-  wire::Cursor c(reply);
-  (void)c.u64();
-  return c.i64();
-}
-
-count_t RemoteShard::query_edge_support(vidx_t u, vidx_t v) const {
-  wire::Payload p;
-  p.u64(static_cast<std::uint64_t>(u));
-  p.u64(static_cast<std::uint64_t>(v));
-  const std::string reply = rpc(wire::Msg::kEdgeSupport, p.view(),
-                                /*idempotent=*/true,
-                                opts_.transfer_timeout_ms);
-  wire::Cursor c(reply);
-  (void)c.u64();
-  return c.i64();
-}
-
-std::vector<count::VertexPair> RemoteShard::query_top_pairs(
-    std::size_t k) const {
-  wire::Payload p;
-  p.u64(k);
-  const std::string reply = rpc(wire::Msg::kTopPairs, p.view(),
-                                /*idempotent=*/true,
-                                opts_.transfer_timeout_ms);
-  std::uint64_t epoch = 0;
-  return wire::decode_pairs(reply, epoch);
-}
-
 bool RemoteShard::probe() const noexcept {
   try {
     const std::string reply =

@@ -6,7 +6,7 @@
 //
 //   - every leg carries a per-call timeout (call_timeout_ms for control
 //     messages, transfer_timeout_ms for graph transfers);
-//   - idempotent reads (ping/epoch/pin/query kinds) retry with jittered
+//   - idempotent reads (ping/epoch/pin) retry with jittered
 //     exponential backoff; apply/persist/restore never retry — a publish
 //     must not be replayed by the transport when the outcome is unknown;
 //   - a per-shard circuit breaker opens after `failure_threshold`
@@ -70,16 +70,6 @@ class RemoteShard final : public ShardHandle {
   [[nodiscard]] bool healthy() const noexcept override;
 
   [[nodiscard]] CircuitState circuit() const noexcept;
-
-  /// Shard-local answers computed host-side (protocol coverage for the
-  /// five query kinds; the service composes cross-shard answers from
-  /// pinned snapshots instead). All are retried idempotent reads.
-  [[nodiscard]] count_t query_global() const;
-  [[nodiscard]] count_t query_tip_v1(vidx_t u) const;
-  [[nodiscard]] count_t query_tip_v2(vidx_t v) const;
-  [[nodiscard]] count_t query_edge_support(vidx_t u, vidx_t v) const;
-  [[nodiscard]] std::vector<count::VertexPair> query_top_pairs(
-      std::size_t k) const;
 
   /// One non-retried ping; true when the host answered with the expected
   /// identity. Used by the supervisor's health loop (which must see

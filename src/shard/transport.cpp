@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "count/local_counts.hpp"
+#include "count/top_pairs.hpp"
 #include "graph/io_binary.hpp"
 #include "shard/shard.hpp"
 #include "svc/fault.hpp"
@@ -237,37 +238,6 @@ svc::PublishResult decode_publish(std::string_view payload) {
   return r;
 }
 
-std::string encode_pairs(std::uint64_t epoch,
-                         std::span<const count::VertexPair> pairs) {
-  Payload p;
-  p.u64(epoch);
-  p.u64(pairs.size());
-  for (const count::VertexPair& vp : pairs) {
-    p.u64(static_cast<std::uint64_t>(vp.a));
-    p.u64(static_cast<std::uint64_t>(vp.b));
-    p.i64(vp.wedges);
-  }
-  return std::move(p).take();
-}
-
-std::vector<count::VertexPair> decode_pairs(std::string_view payload,
-                                            std::uint64_t& epoch_out) {
-  Cursor c(payload);
-  epoch_out = c.u64();
-  const std::uint64_t n = c.u64();
-  if (n > payload.size()) unavailable("bad pair count");
-  std::vector<count::VertexPair> pairs;
-  pairs.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    count::VertexPair vp;
-    vp.a = static_cast<vidx_t>(c.u64());
-    vp.b = static_cast<vidx_t>(c.u64());
-    vp.wedges = c.i64();
-    pairs.push_back(vp);
-  }
-  return pairs;
-}
-
 }  // namespace wire
 
 int listen_unix(const std::string& path) {
@@ -373,11 +343,9 @@ std::string call_host(const std::string& socket_path, wire::Msg msg,
 
 namespace {
 
-// Shard-local answers for the five query kinds on the host's pinned
-// snapshot: counts and tips are the snapshot's maintained ones, support and
-// pairs come from the ordinary single-store kernels (non-owned V1 rows are
-// empty, so the local tip/support/pair numbers are exactly the shard's
-// contribution to the scatter-gather identities).
+// Answers one request against the host's shard: its identity, its epoch,
+// a pinned snapshot, a publish or a checkpoint. Queries are answered
+// client-side, from pinned snapshots.
 wire::Frame handle_request(const wire::Frame& req, ShardHandle& shard) {
   using wire::Msg;
   wire::Payload out;
@@ -413,44 +381,6 @@ wire::Frame handle_request(const wire::Frame& req, ShardHandle& shard) {
       shard.restore(c.str());
       out.u64(shard.epoch());
       break;
-    }
-    case Msg::kGlobal: {
-      const svc::SnapshotPtr snap = shard.pin();
-      out.u64(snap->epoch);
-      out.i64(snap->butterflies);
-      break;
-    }
-    case Msg::kTipV1:
-    case Msg::kTipV2: {
-      wire::Cursor c(req.payload);
-      const auto x = static_cast<std::size_t>(c.u64());
-      const svc::SnapshotPtr snap = shard.pin();
-      const std::vector<count_t>& tips =
-          req.msg == Msg::kTipV1 ? snap->tips_v1 : snap->tips_v2;
-      require(x < tips.size(), "tip vertex out of range");
-      out.u64(snap->epoch);
-      out.i64(tips[x]);
-      break;
-    }
-    case Msg::kEdgeSupport: {
-      wire::Cursor c(req.payload);
-      const auto u = static_cast<vidx_t>(c.u64());
-      const auto v = static_cast<vidx_t>(c.u64());
-      const svc::SnapshotPtr snap = shard.pin();
-      require(u >= 0 && u < snap->graph.n1() && v >= 0 &&
-                  v < snap->graph.n2(),
-              "edge_support vertex out of range");
-      out.u64(snap->epoch);
-      out.i64(count::support_of_edge(snap->graph, u, v));
-      break;
-    }
-    case Msg::kTopPairs: {
-      wire::Cursor c(req.payload);
-      const auto k = static_cast<std::size_t>(c.u64());
-      const svc::SnapshotPtr snap = shard.pin();
-      const std::vector<count::VertexPair> pairs =
-          count::top_wedge_pairs_v1(snap->graph, k);
-      return {Msg::kReply, wire::encode_pairs(snap->epoch, pairs)};
     }
     default:
       return {Msg::kError, "unknown request kind"};

@@ -31,7 +31,6 @@
 #include <utility>
 #include <vector>
 
-#include "count/top_pairs.hpp"
 #include "svc/snapshot.hpp"
 #include "svc/snapshot_store.hpp"
 #include "util/common.hpp"
@@ -64,11 +63,6 @@ enum class Msg : std::uint8_t {
   kApply,         // batch -> PublishResult
   kPersist,       // path -> ack
   kRestore,       // path -> epoch
-  kGlobal,        // -> epoch, shard-local butterfly count
-  kTipV1,         // u -> epoch, shard-local tip
-  kTipV2,         // v -> epoch, shard-local tip
-  kEdgeSupport,   // u, v -> epoch, shard-local support
-  kTopPairs,      // k -> epoch, shard-local top wedge pairs
   kReply = 200,   // success reply
   kError = 201,   // failure reply, payload = message string
 };
@@ -137,10 +131,6 @@ void send_frame(int fd, Msg msg, std::string_view payload);
     std::string_view payload);
 [[nodiscard]] std::string encode_publish(const svc::PublishResult& r);
 [[nodiscard]] svc::PublishResult decode_publish(std::string_view payload);
-[[nodiscard]] std::string encode_pairs(
-    std::uint64_t epoch, std::span<const count::VertexPair> pairs);
-[[nodiscard]] std::vector<count::VertexPair> decode_pairs(
-    std::string_view payload, std::uint64_t& epoch_out);
 
 }  // namespace wire
 

@@ -18,7 +18,7 @@ void Executor::close_queue_span(const Task& task, const char* outcome) {
   rec.name = "svc.queue";
   rec.ts_us = task.enqueue_ts_us;
   rec.dur_us = obs::now_us() - task.enqueue_ts_us;
-  rec.tid = obs::thread_track();
+  rec.tid = task.enqueue_tid;
   rec.add_tag("outcome", outcome);
   obs::SpanLog::record(std::move(rec));
 }

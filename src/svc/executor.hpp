@@ -18,17 +18,17 @@
 //
 // A task whose deadline passes while queued is abandoned at dequeue time
 // instead of run. Evicted/abandoned tasks resolve through their optional
-// degrade callback (the service supplies a stale-epoch or sampled answer)
+// fallback (the service's closes the query span and supplies no value)
 // or, failing that, with OverloadError. Queue depth is exported as a gauge
 // (svc.queue_depth); shedding increments svc.shed / svc.rejected /
 // svc.deadline_expired.
 //
 // Telemetry: a task admitted under an active obs::TraceContext gets one
-// "svc.queue" span covering its time in the queue, closed on the thread
-// that resolved it and tagged with how it left — outcome=run (a worker
-// picked it up), shed (evicted by a policy or at shutdown), or deadline
-// (expired while queued). Sheds and expiries also land in the flight
-// recorder.
+// "svc.queue" span covering its time in the queue, on the enqueuing
+// thread's track (closed on the thread that resolved it) and tagged with
+// how it left — outcome=run (a worker picked it up), shed (evicted by a
+// policy or at shutdown), or deadline (expired while queued). Sheds and
+// expiries also land in the flight recorder.
 #pragma once
 
 #include <cstddef>
@@ -97,7 +97,7 @@ class Executor {
   /// Enqueues fn and returns a future for its result, or nullopt when
   /// admission refused it outright (kRejectNew on a full queue, or a
   /// deadline-aware comparison that picked the newcomer as the victim) —
-  /// the caller then degrades synchronously. fn runs on one pool worker;
+  /// the caller then handles the refusal itself. fn runs on one pool worker;
   /// exceptions propagate through the future.
   template <typename Fn>
   [[nodiscard]] auto try_submit(Fn&& fn, Deadline deadline = {},
@@ -112,6 +112,7 @@ class Executor {
     if (obs::SpanLog::enabled() && trace.active()) {
       task.trace = trace;
       task.enqueue_ts_us = obs::now_us();
+      task.enqueue_tid = obs::thread_track();
     }
     // std::function requires copyable callables, so the packaged state
     // lives behind the shared promise pointer.
@@ -171,6 +172,7 @@ class Executor {
     Deadline deadline;
     obs::TraceContext trace;         // active -> queue-wait span on resolve
     std::int64_t enqueue_ts_us = 0;  // obs::now_us() at admission
+    int enqueue_tid = 0;             // obs::thread_track() of the submitter
   };
 
   /// Closes the task's queue-wait span (no-op for untraced tasks).

@@ -3,9 +3,9 @@
 // statistics) — the global count, per-vertex tip numbers, per-edge wing
 // support, and top-k wedge pairs — plus the fault-tolerance vocabulary
 // every query carries: a per-request Deadline, the Request envelope
-// (pinned view + deadline), the QueryResult fidelity tag that makes
-// degraded-mode answers explicit, and OverloadError, the one exception a
-// caller sees when the admission queue sheds its work outright.
+// (pinned view + deadline), the QueryResult fidelity tag that makes an
+// answer read from a dark shard explicit, and OverloadError, the one
+// exception a caller sees when the query pool sheds its read.
 #pragma once
 
 #include <chrono>
@@ -115,11 +115,12 @@ struct Request {
   }
 };
 
-/// How trustworthy a query answer is. Anything other than kExact means the
-/// service degraded under pressure rather than shedding the request.
+/// How trustworthy a query answer is. kStale means a shard the answer
+/// reads was unreachable, so its part came from that shard's last known
+/// snapshot.
 enum class Fidelity : std::uint8_t {
   kExact = 0,  // exact value at the result's epoch
-  kStale,      // exact at an older epoch, or partly from an older view
+  kStale,      // partly from a dark shard's last known snapshot
 };
 
 [[nodiscard]] inline const char* fidelity_name(Fidelity f) noexcept {
@@ -131,9 +132,8 @@ enum class Fidelity : std::uint8_t {
 }
 
 /// Every service query resolves to one of these: the value, the epoch it
-/// actually reflects (the pinned view's version — Σ of its shard epochs,
-/// with one shard that shard's epoch — unless fidelity is kStale), and the
-/// explicit degradation tag.
+/// reflects (the pinned view's version — Σ of its shard epochs, with one
+/// shard that shard's epoch), and the explicit fidelity tag.
 template <typename T>
 struct QueryResult {
   T value{};
@@ -151,10 +151,10 @@ struct QueryResult {
   }
 };
 
-/// Raised through a query future when the request was shed and no degraded
-/// answer could be produced: refused at admission (kRejected), evicted
-/// from the queue by a shedding policy (kShed), or abandoned because its
-/// deadline passed before a worker picked it up (kDeadline).
+/// Raised through a query future when a queued read was shed: refused at
+/// admission (kRejected), evicted from the queue by a shedding policy
+/// (kShed), or given up because its deadline passed, before a worker picked
+/// it up or during its pass (kDeadline).
 class OverloadError : public std::runtime_error {
  public:
   enum class Reason : std::uint8_t { kRejected = 0, kShed, kDeadline };
@@ -170,7 +170,7 @@ class OverloadError : public std::runtime_error {
     switch (r) {
       case Reason::kRejected: return "rejected at admission";
       case Reason::kShed: return "evicted from the queue";
-      case Reason::kDeadline: return "deadline expired before start";
+      case Reason::kDeadline: return "deadline expired";
     }
     return "unknown";
   }

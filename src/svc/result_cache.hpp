@@ -1,10 +1,8 @@
 // Bounded LRU cache over query results, keyed by (epoch, kind, argument,
 // tier, lineage). Because the key includes the epoch (or a view signature)
 // and snapshots are immutable, a cached entry can never serve a *wrong* answer
-// — entries for old epochs are merely old. The service exploits that for
-// graceful degradation: a publish keeps the just-retired generation's
-// entries as the stale-answer tier of the degradation ladder while dropping
-// everything older.
+// — entries for old epochs are merely old, and a publish drops the ones no
+// new pin can reach.
 //
 // Tiers are independent invalidation domains sharing one LRU budget. The
 // service gives each shard its own tier (keyed by that shard's epoch) plus

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <optional>
 #include <thread>
 
 #include "chk/checked_math.hpp"
@@ -12,7 +13,6 @@
 #include "obs/metrics.hpp"
 #include "obs/spans.hpp"
 #include "shard/router.hpp"
-#include "shard/transport.hpp"
 #include "svc/fault.hpp"
 #include "util/timer.hpp"
 
@@ -33,10 +33,10 @@ std::future<T> overload_future(OverloadError::Reason reason) {
   return p.get_future();
 }
 
-// Request spans outlive the submitting frame (the exact lambda runs on a
-// pool worker, the fallback possibly on a third thread), so they live
-// behind a shared_ptr — allocated only when collection is actually on, so
-// the disabled path stays allocation-free. Exactly one of the capturing
+// Request spans outlive the submitting frame (a queued pass runs on a pool
+// worker, its fallback possibly on a third thread), so they live behind a
+// shared_ptr — allocated only when collection is actually on, so the
+// disabled path stays allocation-free. Exactly one of the capturing
 // closures runs; Span::close() is idempotent and tags on a closed span are
 // dropped, so the helpers need no coordination.
 using SpanPtr = std::shared_ptr<obs::Span>;
@@ -56,6 +56,14 @@ obs::TraceContext span_ctx(const SpanPtr& span) {
 
 void span_close(const SpanPtr& span) {
   if (span) span->close();
+}
+
+/// The answer cached under `key`, tagging the span cache=hit|miss.
+std::optional<CacheValue> probe(ResultCache& cache, const CacheKey& key,
+                                const SpanPtr& span) {
+  std::optional<CacheValue> hit = cache.get(key);
+  span_tag(span, "cache", hit ? "hit" : "miss");
+  return hit;
 }
 
 /// Counts one query and tags its span with the pinned view's version. (A
@@ -111,24 +119,17 @@ ButterflyService::ButterflyService(vidx_t n1, vidx_t n2,
       store_(n1, n2, options.shards),
       // One tier per shard plus the composed-answer tier (view_tier()).
       cache_(options.cache_capacity, options.shards + 1),
-      degrade_queue_depth_(options.degrade_queue_depth),
       slo_(slo_policies(options)),
       pool_(ExecutorOptions{options.threads, options.max_queue,
                             options.shed_policy}) {
-  if (shards_ > 1) {
-    shard_slo_.reserve(static_cast<std::size_t>(shards_));
-    for (int k = 0; k < shards_; ++k)
-      shard_slo_.push_back(std::make_unique<SloTracker>(
-          slo_policies(options), SloTracker::kDefaultWindow,
-          /*bind_metrics=*/false));
-    if constexpr (obs::kMetricsEnabled) {
+  if constexpr (obs::kMetricsEnabled) {
+    if (shards_ > 1) {
       auto& reg = obs::Registry::instance();
       for (int k = 0; k < shards_; ++k)
         shard_degraded_.push_back(
             &reg.counter("svc.shard." + std::to_string(k) + ".degraded"));
     }
   }
-  forget_views();
 }
 
 PublishResult ButterflyService::apply_updates(
@@ -180,36 +181,18 @@ PublishResult ButterflyService::apply_updates_shard(
   // of running one cache tier per shard.
   cache_.invalidate_tier_older_than(k,
                                     result.epoch == 0 ? 0 : result.epoch - 1);
-  refresh_view_generation();
+  // Composed answers are keyed by view signature: only the latest view's
+  // stay reachable for new pins. Under concurrent writers this may drop a
+  // newer view's entries too; a signature-keyed entry is never wrong, only
+  // unreachable or missing.
+  const std::uint64_t latest = store_.view()->signature;
+  cache_.invalidate_tier_keep(view_tier(), {&latest, 1});
   return result;
 }
 
-void ButterflyService::refresh_view_generation() {
-  const shard::ShardViewPtr v = store_.view();  // pin BEFORE locking
-  std::vector<std::uint64_t> keep;
-  {
-    const MutexLock lock(view_mu_);
-    // A concurrent writer may have rolled the generations past this
-    // publish's signature already; they only ever need to be "recent
-    // signatures" (signature-keyed entries can never be wrong, only
-    // unreachable), so skipping is harmless.
-    if (v->signature == generations_.front().first) return;
-    generations_.insert(generations_.begin(), {v->signature, v->version});
-    if (generations_.size() > static_cast<std::size_t>(shards_) + 1)
-      generations_.pop_back();
-    for (const auto& [sig, version] : generations_) keep.push_back(sig);
-  }
-  cache_.invalidate_tier_keep(view_tier(), keep);
-}
-
-void ButterflyService::forget_views() {
-  {
-    const MutexLock lock(cross_mu_);
-    composed_.reset();
-  }
-  const shard::ShardViewPtr v = store_.view();
-  const MutexLock lock(view_mu_);
-  generations_.assign(1, {v->signature, v->version});
+void ButterflyService::forget_composed() {
+  const MutexLock lock(cross_mu_);
+  composed_.reset();
 }
 
 void ButterflyService::persist(const std::string& path) const {
@@ -236,10 +219,9 @@ void ButterflyService::restore(const std::string& path) {
   // lineage as well as epoch, so no entry can answer for the new state (a
   // view pinned before the restore keeps its own answers); the flush only
   // drops entries the latest view can no longer reach. The next pin takes
-  // a full cross pass, and the stale-view rung stays empty until the first
-  // post-restore publish.
+  // a full cross pass.
   cache_.invalidate_all();
-  forget_views();
+  forget_composed();
 }
 
 void ButterflyService::swap_shard(int k, shard::ShardHandlePtr handle) {
@@ -248,7 +230,7 @@ void ButterflyService::swap_shard(int k, shard::ShardHandlePtr handle) {
   // host starts at its own epoch), so every epoch/signature-keyed tier is
   // meaningless — same flush discipline as restore().
   cache_.invalidate_all();
-  forget_views();
+  forget_composed();
 }
 
 SnapshotPtr ButterflyService::snapshot() const {
@@ -289,119 +271,23 @@ SnapshotPtr ButterflyService::snapshot() const {
 // ---- the serving path -------------------------------------------------------
 
 template <typename T>
-std::optional<QueryResult<T>> ButterflyService::previous_generation(
-    const shard::ShardView& view, QueryKind kind, std::int64_t a,
-    std::int64_t b) {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> older;
-  {
-    const MutexLock lock(view_mu_);
-    older.assign(generations_.begin() + 1, generations_.end());
-  }
-  // Newest first; a generation no older than the pinned view is not stale.
-  for (const auto& [sig, version] : older) {
-    if (version >= view.version) continue;
-    if (const auto hit = cache_.get(CacheKey{sig, kind, a, b, view_tier()}))
-      return QueryResult<T>{std::get<T>(*hit), version, Fidelity::kStale};
-  }
-  return std::nullopt;
+QueryResult<T> ButterflyService::answer(QueryKind kind, int owner,
+                                        const shard::ShardView& view,
+                                        const Timer& since,
+                                        const SpanPtr& span, T value) {
+  const std::uint64_t mask = answer_mask(view, owner);
+  observe_latency(kind, elapsed_us(since));
+  if (mask) note_stale_mask(mask);
+  const Fidelity fidelity = mask ? Fidelity::kStale : Fidelity::kExact;
+  span_tag(span, "outcome", fidelity_name(fidelity));
+  return QueryResult<T>{std::move(value), view.version, fidelity, mask};
 }
 
 template <typename T>
 std::future<QueryResult<T>> ButterflyService::answer_inline(
     QueryKind kind, int owner, const shard::ShardView& view,
     const Timer& since, const SpanPtr& span, T value) {
-  const std::uint64_t mask = answer_mask(view, owner);
-  observe_latency(kind, elapsed_us(since), owner);
-  if (mask) note_stale_mask(mask);
-  const Fidelity fidelity = mask ? Fidelity::kStale : Fidelity::kExact;
-  span_tag(span, "outcome", fidelity_name(fidelity));
-  return ready_future(
-      QueryResult<T>{std::move(value), view.version, fidelity, mask});
-}
-
-template <typename T, typename Exact, typename Lower>
-std::future<QueryResult<T>> ButterflyService::serve(
-    QueryKind kind, std::int64_t a, std::int64_t b, int owner,
-    const shard::ShardViewPtr& view, const Deadline& deadline,
-    const Timer& since, const SpanPtr& span, Exact exact, Lower lower) {
-  const std::uint64_t mask = answer_mask(*view, owner);
-  const Fidelity fidelity = mask ? Fidelity::kStale : Fidelity::kExact;
-  const CacheKey key{view->signature, kind, a, b, view_tier()};
-  if (const auto hit = cache_.get(key)) {
-    observe_latency(kind, elapsed_us(since), owner);
-    if (mask) note_stale_mask(mask);
-    span_tag(span, "cache", "hit");
-    span_tag(span, "outcome", fidelity_name(fidelity));
-    return ready_future(
-        QueryResult<T>{std::get<T>(*hit), view->version, fidelity, mask});
-  }
-  span_tag(span, "cache", "miss");
-  // The ladder: the previous view generation's answer, then the kind's own
-  // rungs. `why` tags the span with the rung's trigger when it answers.
-  auto degraded = [this, kind, a, b, owner, view, span,
-                   lower](const char* why) -> std::optional<QueryResult<T>> {
-    std::optional<QueryResult<T>> d =
-        previous_generation<T>(*view, kind, a, b);
-    if (d) {
-      BFC_COUNT_ADD("svc.degraded", 1);
-      BFC_COUNT_ADD("svc.stale_answers", 1);
-      note_degraded(owner);
-      obs::FlightRecorder::record("degrade", "stale_view",
-                                  static_cast<std::int64_t>(d->epoch), a);
-    } else {
-      d = lower();
-    }
-    if (d) {
-      if (why != nullptr) span_tag(span, "degrade", why);
-      span_tag(span, "outcome", fidelity_name(d->fidelity));
-      span_close(span);
-    }
-    return d;
-  };
-  // Rung 0: already drowning — answer degraded right now instead of
-  // queueing exact work nobody can afford.
-  if (overloaded(owner)) {
-    if (auto d = degraded("admission")) return ready_future(std::move(*d));
-  }
-  auto fallback = [degraded, span] {
-    auto d = degraded("abandoned");
-    if (!d) {
-      span_tag(span, "outcome", "shed");
-      span_close(span);
-    }
-    return d;
-  };
-  auto run = [this, key, kind, owner, view, mask, fidelity, degraded, exact,
-              deadline, since, span, trace = span_ctx(span)] {
-    try {
-      T value = exact(deadline, trace);
-      cache_.put(key, CacheValue{value});
-      observe_latency(kind, elapsed_us(since), owner);
-      if (mask) note_stale_mask(mask);
-      span_tag(span, "outcome", fidelity_name(fidelity));
-      span_close(span);
-      return QueryResult<T>{std::move(value), view->version, fidelity, mask};
-    } catch (const CancelledError&) {
-      // The deadline fired mid-pass; the kernel gave up cooperatively.
-    } catch (const shard::ShardUnavailableError&) {
-      // A cross-process leg died mid-compute: the range isolation contract
-      // forbids failing the query, so it takes the same ladder.
-    }
-    BFC_COUNT_ADD("svc.kernels_cancelled", 1);
-    span_tag(span, "cancelled", "true");
-    if (auto d = degraded(nullptr)) return std::move(*d);
-    span_tag(span, "outcome", "shed");
-    span_close(span);
-    throw OverloadError(OverloadError::Reason::kDeadline);
-  };
-  if (auto fut = pool_.try_submit(std::move(run), deadline,
-                                  std::move(fallback), span_ctx(span)))
-    return std::move(*fut);
-  // Refused at admission: degrade on the caller's thread.
-  span_tag(span, "rejected", "true");
-  if (auto d = degraded(nullptr)) return ready_future(std::move(*d));
-  span_tag(span, "outcome", "shed");
-  return overload_future<QueryResult<T>>(OverloadError::Reason::kRejected);
+  return ready_future(answer(kind, owner, view, since, span, std::move(value)));
 }
 
 shard::ShardViewPtr ButterflyService::with_cross(
@@ -482,29 +368,19 @@ std::future<QueryResult<count_t>> ButterflyService::edge_support(vidx_t u,
   const int owner = owner_of(*view, u);
   const SpanPtr span = open_span(root_context(req), "svc.query.edge");
   count_query(span, *view, QueryKind::kEdgeSupport);
-  // Below the stale rung, the exact answer inline: support is one row scan
-  // per shard, cheap enough to run on the shedding thread rather than give
-  // up fidelity.
-  auto inline_answer = [this, view, owner, u, v,
-                        span]() -> std::optional<QueryResult<count_t>> {
-    const std::uint64_t mask = answer_mask(*view, owner);
-    const count_t value = support(*view, owner, u, v);
-    cache_.put(CacheKey{view->signature, QueryKind::kEdgeSupport, u, v,
-                        view_tier()},
-               value);
-    BFC_COUNT_ADD("svc.inline_answers", 1);
-    if (mask) note_stale_mask(mask);
-    span_tag(span, "inline", "true");
-    return QueryResult<count_t>{
-        value, view->version, mask ? Fidelity::kStale : Fidelity::kExact,
-        mask};
-  };
-  return serve<count_t>(
-      QueryKind::kEdgeSupport, u, v, owner, view, req.deadline, since, span,
-      [this, view, owner, u, v](const Deadline&, const obs::TraceContext&) {
-        return support(*view, owner, u, v);
-      },
-      inline_answer);
+  // One row intersection per shard: cheap enough to answer on the caller's
+  // thread, and the cache still saves the hot edges' repeats.
+  const CacheKey key{view->signature, QueryKind::kEdgeSupport, u, v,
+                     view_tier()};
+  count_t value = 0;
+  if (const auto hit = probe(cache_, key, span)) {
+    value = std::get<count_t>(*hit);
+  } else {
+    value = support(*view, owner, u, v);
+    cache_.put(key, value);
+  }
+  return answer_inline(QueryKind::kEdgeSupport, owner, *view, since, span,
+                       value);
 }
 
 std::future<QueryResult<TopPairsPtr>> ButterflyService::top_pairs(
@@ -523,19 +399,47 @@ std::future<QueryResult<TopPairsPtr>> ButterflyService::top_pairs(
   if (buffered)
     return answer_inline(QueryKind::kTopPairs, -1, *view, since, span,
                          top_list(*view, k, *cross, {}, {}));
-  return serve<TopPairsPtr>(
-      QueryKind::kTopPairs, static_cast<std::int64_t>(k), 0, -1, view,
-      req.deadline, since, span,
-      [this, view, k](const Deadline& deadline,
-                      const obs::TraceContext& trace) {
-        // Above K′: a full pass that keeps the best k cross pairs.
-        const shard::CrossAggregate full = shard::ScatterGather::compute(
-            *view, deadline.token(), trace, k);
-        return top_list(*view, k, full.pairs, deadline.token(), trace);
-      },
-      // No rung below the stale one: there is no cheap sampled substitute
-      // for an exact top-k list, so with no stale list the query is shed.
-      [] { return std::optional<QueryResult<TopPairsPtr>>{}; });
+  const CacheKey key{view->signature, QueryKind::kTopPairs,
+                     static_cast<std::int64_t>(k), 0, view_tier()};
+  if (const auto hit = probe(cache_, key, span))
+    return answer_inline(QueryKind::kTopPairs, -1, *view, since, span,
+                         std::get<TopPairsPtr>(*hit));
+  // Above K′: a full pass that keeps the best k cross pairs, on the pool.
+  auto run = [this, key, view, k, deadline = req.deadline, since, span,
+              trace = span_ctx(span)] {
+    try {
+      const shard::CrossAggregate full = shard::ScatterGather::compute(
+          *view, deadline.token(), trace, k);
+      TopPairsPtr list =
+          top_list(*view, k, full.pairs, deadline.token(), trace);
+      cache_.put(key, CacheValue{list});
+      QueryResult<TopPairsPtr> r = answer(QueryKind::kTopPairs, -1, *view,
+                                          since, span, std::move(list));
+      span_close(span);
+      return r;
+    } catch (const CancelledError&) {
+      // The deadline fired mid-pass; the kernel gave up cooperatively.
+      BFC_COUNT_ADD("svc.kernels_cancelled", 1);
+      span_tag(span, "cancelled", "true");
+      span_tag(span, "outcome", "shed");
+      span_close(span);
+      throw OverloadError(OverloadError::Reason::kDeadline);
+    }
+  };
+  // Shed, or expired in the queue: the Executor fails the future with its
+  // reason once this has closed the span.
+  auto fallback = [span]() -> std::optional<QueryResult<TopPairsPtr>> {
+    span_tag(span, "outcome", "shed");
+    span_close(span);
+    return std::nullopt;
+  };
+  if (auto fut = pool_.try_submit(std::move(run), req.deadline,
+                                  std::move(fallback), span_ctx(span)))
+    return std::move(*fut);
+  span_tag(span, "rejected", "true");
+  span_tag(span, "outcome", "shed");
+  return overload_future<QueryResult<TopPairsPtr>>(
+      OverloadError::Reason::kRejected);
 }
 
 count_t ButterflyService::support(const shard::ShardView& view, int owner,
@@ -624,21 +528,7 @@ std::span<const count::VertexPair> ButterflyService::shard_top_list(
 
 // ---- shared plumbing -------------------------------------------------------
 
-bool ButterflyService::overloaded() const {
-  if (degrade_queue_depth_ != 0 && pool_.queue_depth() >= degrade_queue_depth_)
-    return true;
-  // SLO-driven degradation: burning error budget faster than the objective
-  // allows means exact answers now cost answers later — degrade first.
-  return slo_.budget_exhausted();
-}
-
-bool ButterflyService::overloaded(int shard) const {
-  if (overloaded()) return true;
-  if (shard < 0 || shard >= static_cast<int>(shard_slo_.size())) return false;
-  return shard_slo_[static_cast<std::size_t>(shard)]->budget_exhausted();
-}
-
-void ButterflyService::observe_latency(QueryKind kind, double us, int shard) {
+void ButterflyService::observe_latency(QueryKind kind, double us) {
   switch (kind) {
     case QueryKind::kGlobalCount:
       BFC_HIST_OBSERVE("svc.latency_ns.global", us * 1e3);
@@ -657,20 +547,13 @@ void ButterflyService::observe_latency(QueryKind kind, double us, int shard) {
       break;
   }
   slo_.observe(kind, us);
-  if (shard >= 0 && shard < static_cast<int>(shard_slo_.size()))
-    shard_slo_[static_cast<std::size_t>(shard)]->observe(kind, us);
-}
-
-void ButterflyService::note_degraded(int shard) {
-  if (shard < 0 || shard >= static_cast<int>(shard_degraded_.size())) return;
-  shard_degraded_[static_cast<std::size_t>(shard)]->increment();
 }
 
 void ButterflyService::note_stale_mask(std::uint64_t mask) {
   BFC_COUNT_ADD("svc.degraded", 1);
   BFC_COUNT_ADD("svc.stale_answers", 1);
-  for (int k = 0; k < shards_ && k < 64; ++k)
-    if (((mask >> k) & 1u) != 0) note_degraded(k);
+  for (std::size_t k = 0; k < shard_degraded_.size() && k < 64; ++k)
+    if (((mask >> k) & 1u) != 0) shard_degraded_[k]->increment();
 }
 
 }  // namespace bfc::svc

@@ -23,58 +23,53 @@
 //                   global_count, tip_v2 and top_pairs scatter across all
 //                   shards, and each adds the cross-shard correction from
 //                   the view's aggregate (empty, and free, with one shard);
-//   - caching       queued answers cache by view signature in the last
-//                   ResultCache tier; a publish keeps the current and the
-//                   previous `shards` view generations. With more than one
-//                   shard, owner-shard support also caches in tier k under
-//                   shard k's epoch, so a publish on shard j leaves it
-//                   warm; with one shard the component is the answer and
-//                   caches only as such. Inline answers are lookups and do
-//                   not cache.
+//   - caching       edge support and the top-pairs pass cache their answer
+//                   by view signature in the last ResultCache tier; a
+//                   publish prunes that tier to the latest view. With more
+//                   than one shard, owner-shard support also caches in tier
+//                   k under shard k's epoch, so a publish on shard j leaves
+//                   it warm; with one shard the component is the answer and
+//                   caches only as such. Lookups do not cache.
 //
-// global_count and the tip queries always answer inline: the writers
-// maintain every shard's count and tip vectors
-// (count::DynamicButterflyCounter), so the answer is Σ of the pinned
-// shards' numbers plus the aggregate's term. The writers also keep each
-// shard's best K′ = 64 pairs with a floor key that certifies them
+// Every query but top_pairs(k > K′) answers on the caller's thread. The
+// writers maintain every shard's count and tip vectors
+// (count::DynamicButterflyCounter), so global_count and the tips are Σ of
+// the pinned shards' numbers plus the aggregate's term. The writers also
+// keep each shard's best K′ = 64 pairs with a floor key that certifies them
 // (count::TopPairBuffer), and the aggregate keeps the best K′ cross pairs
-// the same way, so top_pairs(k) answers inline too when every buffer
-// certifies k. Every snapshot and aggregate certifies each k ≤ K′; a
-// top-pairs pass (per shard, plus a full cross pass) runs only for k > K′.
-// Inline answers are timed from the query's entry like every other answer.
+// the same way, so top_pairs(k) is a merge of lookups when every buffer
+// certifies k: every snapshot and aggregate certifies each k ≤ K′. Edge
+// support is one row intersection per shard (count::support_of_edge plus
+// the cross term) behind the cache. Inline answers are timed from the
+// query's entry like every other answer.
 //
-// Fault tolerance (the robustness layer on top):
+// Fault tolerance (the robustness layer on top) guards the one query that
+// queues, a top-pairs pass above K′ (per shard, plus a full cross pass):
 //
 //   - admission control   the query pool's queue is bounded
 //                         (ServiceOptions::max_queue) with a pluggable shed
-//                         policy; a request refused at admission degrades
-//                         on the caller's thread instead of queueing;
+//                         policy;
 //   - deadlines           Request carries an optional Deadline; expired
 //                         tasks are abandoned at dequeue, and an in-flight
 //                         top-pairs or cross pass checks a CancelToken per
 //                         row so it can give up mid-scan;
-//   - degraded answers    every query resolves to QueryResult{value,
-//                         epoch, fidelity}: under overload (queue depth
-//                         past its threshold, or an SLO budget burning) a
-//                         queued query (edge support, top pairs above K′)
-//                         walks one ladder — an earlier view generation's
-//                         cached answer (kStale), then for edge support an
-//                         exact inline answer — and only throws
-//                         OverloadError when no rung produces a value.
-//                         With more than one shard the service keeps one
-//                         SloTracker per shard, so overload on one shard's
-//                         traffic degrades only the queries routed there.
+//   - explicit outcomes   a queued read that is refused, shed, expired or
+//                         cancelled fails with OverloadError and its reason.
+//                         Every answer resolves to QueryResult{value, epoch,
+//                         fidelity}: kStale only when a shard the answer
+//                         reads is dark (its RemoteShard's circuit is open)
+//                         and it was served from the last pinned snapshot.
 //
 // Everything is wired into the obs registry: svc.queries, svc.cache_hits /
 // svc.cache_misses, svc.queue_depth,
 // svc.epochs_published, svc.shed / svc.rejected / svc.deadline_expired,
-// svc.degraded / svc.stale_answers / svc.inline_answers,
+// svc.degraded / svc.stale_answers (answers with dark shards),
 // svc.scatter_queries, svc.top_pair_rebuilds (writer-side buffer rebuilds)
 // and svc.top_pair_passes (query-side passes), svc.cross_passes (full
 // cross passes) and svc.cross_composes (pin-time compositions), one
 // cumulative latency histogram per query kind in ns (svc.latency_ns.<kind>:
-// every answer but a degrade rung's), and — with more than one shard — the
-// per-shard family svc.shard.<k>.publishes / .degraded.
+// every answer), and — with more than one shard — the per-shard family
+// svc.shard.<k>.publishes / .degraded.
 //
 // Telemetry (obs/spans.hpp): when span collection is enabled, every query
 // runs under one "svc.query.<kind>" span — rooted fresh, or parented into
@@ -82,18 +77,16 @@
 // (svc.queue, recorded by the Executor), the top-pairs pass
 // (svc.kernel.top_pairs), the cross pass (svc.scatter / svc.gather; with
 // more than one shard); each shard publish is a root svc.publish span. Tags
-// record the decisions: cache=hit|miss, outcome=exact|stale|shed,
-// rejected/cancelled flags, and the rung the degrade ladder stopped at.
-// SLO accounting (svc/slo.hpp) rides the same latency stream:
-// ServiceOptions::slo_target_us arms per-kind objectives whose
-// error-budget burn feeds overloaded().
+// record the decisions: cache=hit|miss, outcome=exact|stale|shed, and the
+// rejected/cancelled flags. SLO accounting (svc/slo.hpp) rides the same
+// latency stream: ServiceOptions::slo_target_us arms per-kind objectives
+// whose windowed error-budget burn the svc.slo.* instruments export.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <future>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -129,13 +122,10 @@ struct ServiceOptions {
   // ---- robustness knobs --------------------------------------------------
   std::size_t max_queue = 0;  // bound on the admission queue; 0 = unbounded
   ShedPolicy shed_policy = ShedPolicy::kRejectNew;
-  std::size_t degrade_queue_depth = 0;  // queue depth that trips degraded
-                                        // mode; 0 = never trip on depth
   // ---- SLO knobs ---------------------------------------------------------
   // Per-kind latency targets (µs), indexed by QueryKind; 0 = no objective
-  // for that kind. When any target is armed, a windowed error-budget burn
-  // rate > 1 also trips overloaded(), so degradation engages while the
-  // objective can still be saved.
+  // for that kind. An armed kind exports its windowed error-budget burn
+  // (svc.slo.*).
   std::array<double, kQueryKinds> slo_target_us{};
   double slo_objective = 0.99;  // fraction of requests that must hit target
 };
@@ -162,8 +152,8 @@ class ButterflyService {
   /// that shard's range — the shard enforces it). THE concurrent-writer
   /// entry point: writers on disjoint shards call this in parallel and
   /// their publishes overlap in time; each invalidates only its own cache
-  /// tier and rolls the view generation (the earlier ones stay as the
-  /// stale tier). The returned epoch is shard k's new epoch.
+  /// tier and prunes the composed tier to the latest view's answers. The
+  /// returned epoch is shard k's new epoch.
   PublishResult apply_updates_shard(int k, std::span<const EdgeUpdate> batch);
   PublishResult apply_updates_shard(int k,
                                     std::initializer_list<EdgeUpdate> batch) {
@@ -188,10 +178,9 @@ class ButterflyService {
   /// Replaces shard k's handle (same id and owned range — the store
   /// enforces it); THE entry point for moving a range out of process: swap
   /// in a shard::RemoteShard and every query path serves across the socket
-  /// unchanged. Flushes the cache, drops the last composed aggregate and
-  /// resets the view generation, exactly like restore(): the new handle's
-  /// epoch sequence need not extend the old one. Not safe concurrently with
-  /// writers on shard k.
+  /// unchanged. Flushes the cache and drops the last composed aggregate,
+  /// exactly like restore(): the new handle's epoch sequence need not
+  /// extend the old one. Not safe concurrently with writers on shard k.
   void swap_shard(int k, shard::ShardHandlePtr handle);
 
   // ---- reader side -------------------------------------------------------
@@ -212,8 +201,7 @@ class ButterflyService {
   }
 
   /// Ξ_G of the pinned view: Σ shard-local counts, maintained by the
-  /// writers, plus the view's cross aggregate. Always inline: never queued,
-  /// never degraded.
+  /// writers, plus the view's cross aggregate. Always inline: never queued.
   [[nodiscard]] std::future<QueryResult<count_t>> global_count(
       Request req = {});
 
@@ -226,23 +214,23 @@ class ButterflyService {
   [[nodiscard]] std::future<QueryResult<count_t>> vertex_tip_v2(
       vidx_t v, Request req = {});
 
-  /// Butterflies containing edge (u, v); 0 when the edge is absent at the
-  /// pinned view: owner-shard support (count::support_of_edge) plus the
-  /// cross-shard term.
-  /// O(Σ_{w∈N(v)} min(deg u, deg w)), no global pass — cheap enough that
-  /// shedding answers it inline (exact) rather than degrading.
+  /// Butterflies containing edge (u, v), Eq. (25); 0 when the edge is
+  /// absent at the pinned view: owner-shard support
+  /// (count::support_of_edge) plus the cross-shard term.
+  /// O(Σ_{w∈N(v)} min(deg u, deg w)), no global pass — always inline, like
+  /// global_count, through the composed-answer cache.
   [[nodiscard]] std::future<QueryResult<count_t>> edge_support(
       vidx_t u, vidx_t v, Request req = {});
 
   /// The k V1-pairs with the most wedges at the pinned view: the exact
   /// merge of per-shard top-k lists and the cross-shard pairs. Inline
-  /// (never queued, never degraded) when every pinned shard's buffer and
-  /// the view's cross buffer certify k: whenever k ≤ K′. Otherwise a queued
-  /// query: a full cross pass that keeps the best k cross pairs, and a
-  /// top-pairs pass on each shard whose buffer does not certify k; it
-  /// honours the request's deadline and degrades to an earlier view
-  /// generation's cached list; with no stale list the future carries
-  /// OverloadError.
+  /// (never queued) when every pinned shard's buffer and the view's cross
+  /// buffer certify k: whenever k ≤ K′. Otherwise the answer cached under
+  /// the view signature, or a queued query: a full cross pass that keeps
+  /// the best k cross pairs, and a top-pairs pass on each shard whose
+  /// buffer does not certify k. It honours the request's deadline; refused
+  /// at admission, shed, expired in the queue or cancelled mid-pass, the
+  /// future carries OverloadError with its reason.
   [[nodiscard]] std::future<QueryResult<TopPairsPtr>> top_pairs(
       std::size_t k, Request req = {});
 
@@ -270,21 +258,8 @@ class ButterflyService {
   [[nodiscard]] int thread_count() const noexcept {
     return pool_.thread_count();
   }
-  /// True when the degradation thresholds are currently crossed — queue
-  /// depth, or an SLO error budget burning faster than its objective
-  /// allows.
-  [[nodiscard]] bool overloaded() const;
-  /// Shard-scoped overload: the global verdict OR shard k's own SLO budget
-  /// (tracked per shard when shards > 1, so one hot shard degrades only
-  /// the queries routed to it).
-  [[nodiscard]] bool overloaded(int shard) const;
   /// SLO accounting over the observed latency stream (store-wide).
   [[nodiscard]] const SloTracker& slo() const noexcept { return slo_; }
-  /// Per-shard SLO accounting; valid for 0 <= k < shard_count() when
-  /// shards > 1 (with one shard the store-wide tracker is the only one).
-  [[nodiscard]] const SloTracker& shard_slo(int k) const {
-    return *shard_slo_.at(static_cast<std::size_t>(k));
-  }
 
  private:
   /// The request's pinned view when it has this service's shard count,
@@ -300,9 +275,8 @@ class ButterflyService {
   /// pinned snapshot is the same object as its, else one composed from it
   /// (a full pass when there is none). The result becomes the last.
   [[nodiscard]] shard::ShardViewPtr with_cross(shard::ShardViewPtr view) const;
-  /// Forgets the last composed aggregate and every view generation but the
-  /// latest: construction, restore() and swap_shard().
-  void forget_views();
+  /// Forgets the last composed aggregate: restore() and swap_shard().
+  void forget_composed();
   /// The shard owning V1 vertex u in `view`. A one-shard view's owner is 0
   /// whatever the partition says: a one-shard restore may resize the
   /// partition under a view pinned before it.
@@ -312,36 +286,18 @@ class ButterflyService {
   /// Index of the composed-answer cache tier (per-shard tiers are 0..S-1).
   [[nodiscard]] std::int32_t view_tier() const noexcept { return shards_; }
 
-  /// The one serving path. Probes the composed answer cached under the
-  /// view signature; on a miss, queues `exact(deadline, trace)` and caches
-  /// its value. Under overload, on rejection, on abandonment in the queue
-  /// and on cancellation it walks the ladder instead: the previous view
-  /// generation's answer, then `lower()`, the kind's own rungs. `owner` is
-  /// the routed shard, or -1 for a scattered query; `since` started at the
-  /// query's entry and times the answer.
-  template <typename T, typename Exact, typename Lower>
-  std::future<QueryResult<T>> serve(QueryKind kind, std::int64_t a,
-                                    std::int64_t b, int owner,
-                                    const shard::ShardViewPtr& view,
-                                    const Deadline& deadline,
-                                    const Timer& since,
-                                    const std::shared_ptr<obs::Span>& span,
-                                    Exact exact, Lower lower);
-
-  /// An answer computed on the caller's thread: observes its latency since
-  /// the query's entry and tags its fidelity (stale only when the owner
-  /// range, or any range for owner -1, is dark).
+  /// Observes the answer's latency since `since`, the query's entry, and
+  /// tags its fidelity: stale only when the owner range, or any range for
+  /// owner -1, is dark.
+  template <typename T>
+  QueryResult<T> answer(QueryKind kind, int owner, const shard::ShardView& view,
+                        const Timer& since,
+                        const std::shared_ptr<obs::Span>& span, T value);
+  /// answer() as a ready future: an answer computed on the caller's thread.
   template <typename T>
   std::future<QueryResult<T>> answer_inline(
       QueryKind kind, int owner, const shard::ShardView& view,
       const Timer& since, const std::shared_ptr<obs::Span>& span, T value);
-
-  /// Rung 1 of every ladder: the newest cached answer of an earlier view
-  /// generation older than the pinned view.
-  template <typename T>
-  std::optional<QueryResult<T>> previous_generation(
-      const shard::ShardView& view, QueryKind kind, std::int64_t a,
-      std::int64_t b);
 
   /// vertex_tip_v1/v2.
   std::future<QueryResult<count_t>> tip(vidx_t vertex, bool v1_side,
@@ -369,20 +325,12 @@ class ButterflyService {
       const CancelToken& cancel, const obs::TraceContext& trace,
       std::vector<std::vector<count::VertexPair>>& passes);
 
-  /// After a shard publish: push the latest view's generation and prune the
-  /// composed-answer tier down to the generations kept.
-  void refresh_view_generation();
+  /// Feeds the latency histogram and the SLO tracker with one answer.
+  void observe_latency(QueryKind kind, double us);
 
-  /// Feeds the latency histogram and the SLO tracker(s) with one completed
-  /// request; a non-negative `shard` also feeds that shard's tracker.
-  void observe_latency(QueryKind kind, double us, int shard = -1);
-
-  /// Bumps svc.shard.<k>.degraded for a routed query's degrade (no-op for
-  /// scattered queries and with metrics off).
-  void note_degraded(int shard);
   /// Accounts one answer served with unreachable shards (stale_shards
-  /// mask): global degrade counters plus svc.shard.<k>.degraded per set
-  /// bit — the circuit breaker's contribution to the degrade telemetry.
+  /// mask): svc.degraded and svc.stale_answers, plus svc.shard.<k>.degraded
+  /// per set bit.
   void note_stale_mask(std::uint64_t mask);
 
   /// The request's own context when it carries one, else a fresh root when
@@ -398,25 +346,14 @@ class ButterflyService {
   int shards_;
   shard::ShardedSnapshotStore store_;
   ResultCache cache_;
-  std::size_t degrade_queue_depth_;
   // The last view with a composed cross aggregate: the base of the next
   // composition. Held across a composition, so concurrent pins of one new
   // combination compose it once.
   mutable Mutex cross_mu_{"svc.service.cross"};
   mutable shard::ShardViewPtr composed_ BFC_GUARDED_BY(cross_mu_);
-  // Per-shard SLO trackers (empty with one shard); they never bind the
-  // global svc.slo.* instruments — slo_ owns those.
-  std::vector<std::unique_ptr<SloTracker>> shard_slo_;
   // Bound at construction when metrics are on and shards > 1 (names are
   // per-shard, so the literal-only BFC_* macros don't apply).
   std::vector<obs::Counter*> shard_degraded_;    // svc.shard.<k>.degraded
-  // The recent view generations as (signature, version), newest first:
-  // composed answers cache under each, and the older ones are the stale
-  // rung. A publish keeps shards + 1 of them, so a round of one publish per
-  // shard (concurrent writers) keeps the generation its readers saw.
-  mutable Mutex view_mu_{"svc.service.view"};
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> generations_
-      BFC_GUARDED_BY(view_mu_);
   SloTracker slo_;
   Executor pool_;  // last: workers stop before the layers they use die
 };

@@ -7,7 +7,7 @@
 namespace bfc::svc {
 
 SloTracker::SloTracker(std::array<SloPolicy, kQueryKinds> policies,
-                       std::size_t window, bool bind_metrics)
+                       std::size_t window)
     : policies_(policies), window_(window == 0 ? 1 : window) {
   for (std::size_t k = 0; k < kQueryKinds; ++k) {
     if (policies_[k].target_us <= 0.0) continue;
@@ -17,13 +17,11 @@ SloTracker::SloTracker(std::array<SloPolicy, kQueryKinds> policies,
       windows_[k].bad.assign(window_, false);
     }
     if constexpr (obs::kMetricsEnabled) {
-      if (bind_metrics) {
-        const std::string suffix = kind_name(static_cast<QueryKind>(k));
-        auto& reg = obs::Registry::instance();
-        violation_counters_[k] = &reg.counter("svc.slo.violations." + suffix);
-        good_counters_[k] = &reg.counter("svc.slo.good." + suffix);
-        burn_gauges_[k] = &reg.gauge("svc.slo.burn_rate." + suffix);
-      }
+      const std::string suffix = kind_name(static_cast<QueryKind>(k));
+      auto& reg = obs::Registry::instance();
+      violation_counters_[k] = &reg.counter("svc.slo.violations." + suffix);
+      good_counters_[k] = &reg.counter("svc.slo.good." + suffix);
+      burn_gauges_[k] = &reg.gauge("svc.slo.burn_rate." + suffix);
     }
   }
 }
@@ -44,12 +42,6 @@ void SloTracker::observe(QueryKind kind, double us) {
     if (w.count < window_) ++w.count;
     if (over) ++w.violations_total;
     burn = burn_rate_locked(k);
-  }
-  const auto bit = std::uint32_t{1} << k;
-  if (burn > 1.0) {
-    over_mask_.fetch_or(bit, std::memory_order_relaxed);
-  } else {
-    over_mask_.fetch_and(~bit, std::memory_order_relaxed);
   }
   if (over) {
     if (violation_counters_[k] != nullptr) violation_counters_[k]->increment();
@@ -76,11 +68,6 @@ double SloTracker::burn_rate(QueryKind kind) const {
   if (policies_[k].target_us <= 0.0) return 0.0;
   const MutexLock lock(windows_[k].mu);
   return burn_rate_locked(k);
-}
-
-bool SloTracker::budget_exhausted() const {
-  if (!enabled_) return false;
-  return over_mask_.load(std::memory_order_relaxed) != 0;
 }
 
 std::int64_t SloTracker::violations(QueryKind kind) const {

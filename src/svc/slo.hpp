@@ -6,9 +6,8 @@
 //
 // A burn rate of 1.0 means the service is spending its error budget exactly
 // as fast as the objective allows; sustained > 1.0 means the SLO will be
-// violated. ButterflyService::overloaded() consults budget_exhausted() in
-// addition to its queue-depth threshold, so degradation engages when the
-// *objective* is at risk, not only when the queue is deep.
+// violated. The tracker only reports: the service feeds it every answer's
+// latency, and nothing sheds or degrades on its verdict.
 //
 // Accounting is windowed: only the most recent `window` observations per
 // kind count toward the burn rate, so the signal recovers once the storm
@@ -18,7 +17,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -42,13 +40,9 @@ class SloTracker {
  public:
   static constexpr std::size_t kDefaultWindow = 256;
 
-  /// `bind_metrics` = false skips binding the svc.slo.* instruments — the
-  /// sharded service runs one tracker per shard, and only the store-wide
-  /// tracker may own the global gauges (per-shard trackers would fight
-  /// over them, each publish overwriting the others' burn rates).
+  /// Binds the svc.slo.* instruments of every kind with a target.
   explicit SloTracker(std::array<SloPolicy, kQueryKinds> policies,
-                      std::size_t window = kDefaultWindow,
-                      bool bind_metrics = true);
+                      std::size_t window = kDefaultWindow);
 
   /// True when at least one kind carries a real objective.
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
@@ -59,10 +53,6 @@ class SloTracker {
 
   /// Windowed burn rate for one kind (0 when untracked or no data yet).
   [[nodiscard]] double burn_rate(QueryKind kind) const;
-
-  /// True when any tracked kind's windowed burn rate exceeds 1.0 — the
-  /// error budget is being spent faster than the objective permits.
-  [[nodiscard]] bool budget_exhausted() const;
 
   /// Total over-target observations for one kind since construction.
   [[nodiscard]] std::int64_t violations(QueryKind kind) const;
@@ -75,9 +65,7 @@ class SloTracker {
   // One mutex per kind: observe() is on the per-query hot path, and the
   // kinds never nest, so sharding the lock removes cross-kind contention.
   // The over-target tally is maintained incrementally (O(1) per observe;
-  // the full ring is never rescanned), and the exhaustion verdict is
-  // mirrored into a lock-free bitmask so overloaded() — called at every
-  // admission — never touches a mutex.
+  // the full ring is never rescanned).
   struct KindWindow {
     mutable Mutex mu{"svc.slo"};
     std::vector<bool> bad BFC_GUARDED_BY(mu);  // ring of over-target flags
@@ -94,8 +82,6 @@ class SloTracker {
   std::size_t window_;
   bool enabled_ = false;
   std::array<KindWindow, kQueryKinds> windows_;
-  // Bit k set while kind k's windowed burn rate exceeds 1.0.
-  std::atomic<std::uint32_t> over_mask_{0};
   // Bound once at construction (names are per-kind, so the literal-only
   // BFC_* macros don't apply); null when metrics are compiled out or the
   // kind is untracked.

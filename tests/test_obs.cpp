@@ -489,6 +489,28 @@ TEST(ObsSpans, EveryThreadRecordsOnItsOwnTrack) {
   obs::FlightRecorder::clear();
 }
 
+/// A span takes its track when it opens: one a pool worker closes for its
+/// submitter still nests on the submitter's track.
+TEST(ObsSpans, SpanClosedOnAnotherThreadKeepsItsOpenersTrack) {
+  if constexpr (!obs::kMetricsEnabled) {
+    GTEST_SKIP() << "built with BFC_METRICS=OFF";
+  }
+  obs::SpanLog::clear();
+  obs::SpanLog::set_enabled(true);
+  obs::Span span(obs::TraceContext::root(), "handoff");
+  int closer = -1;
+  std::thread([&] {
+    closer = obs::thread_track();
+    span.close();
+  }).join();
+  obs::SpanLog::set_enabled(false);
+  const std::vector<obs::SpanRecord> spans = obs::SpanLog::snapshot();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].tid, obs::thread_track());
+  EXPECT_NE(spans[0].tid, closer);
+  obs::SpanLog::clear();
+}
+
 TEST(ObsSpans, BoundedLogDropsOldestAndCounts) {
   if constexpr (!obs::kMetricsEnabled) {
     GTEST_SKIP() << "built with BFC_METRICS=OFF";

@@ -1,6 +1,7 @@
 // Fault-tolerance suite: checksummed binary I/O corruption handling, load
-// shedding and deadlines in the query executor, the service's degradation
-// ladder, and crash-safe snapshot persist/restore. Tests that need a fault
+// shedding and deadlines in the query executor, the service's shed
+// contract for the one read that queues, and crash-safe snapshot
+// persist/restore. Tests that need a fault
 // injected into an otherwise-healthy code path (forced queue saturation,
 // slow kernels, torn snapshot writes) only run in checked builds, where
 // svc::fault compiles to real hooks; everything else runs everywhere.
@@ -268,7 +269,8 @@ class WorkerGate {
   bool released_ = false;
 };
 
-svc::OverloadError::Reason shed_reason(std::future<int>& f) {
+template <typename T>
+svc::OverloadError::Reason shed_reason(std::future<T>& f) {
   try {
     (void)f.get();
   } catch (const svc::OverloadError& e) {
@@ -586,26 +588,6 @@ class FaultGated : public ::testing::Test {
   static constexpr std::uint64_t kForever = 1u << 20;
 };
 
-TEST_F(FaultGated, SaturationDegradesToStaleCache) {
-  svc::ButterflyService service(3, 3, svc::ServiceOptions{.threads = 1});
-  (void)service.apply_updates(k33());  // epoch 1 = K_{3,3}
-
-  // Edge support queues; a tip query would answer inline.
-  const svc::QueryResult<count_t> exact = service.edge_support(0, 0).get();
-  ASSERT_EQ(exact.value, 4);  // (3−1)·(3−1) butterflies per K_{3,3} edge
-  ASSERT_FALSE(exact.degraded());
-
-  (void)service.apply_updates({svc::EdgeUpdate::del(2, 2)});  // epoch 2
-  const svc::fault::Scoped saturated(
-      svc::fault::Point::kQueueSaturation, 0, kForever);
-  // Admission refuses; the ladder's first rung is epoch 1's cached answer
-  // (epoch 2's own support of (0, 0) is 3).
-  const svc::QueryResult<count_t> stale = service.edge_support(0, 0).get();
-  EXPECT_EQ(stale.value, 4);
-  EXPECT_EQ(stale.epoch, 1u);
-  EXPECT_EQ(stale.fidelity, svc::Fidelity::kStale);
-}
-
 TEST_F(FaultGated, SaturatedOneShardTipAnswersInlineAndExact) {
   svc::ButterflyService service(4, 4, svc::ServiceOptions{.threads = 1});
   (void)service.apply_updates(k33());                         // epoch 1
@@ -688,37 +670,39 @@ TEST_F(FaultGated, SaturationAnswersEdgeSupportInlineAndExact) {
   EXPECT_EQ(support.fidelity, svc::Fidelity::kExact);  // inline, not degraded
 }
 
-TEST_F(FaultGated, SaturationServesStaleTopPairsOrSheds) {
+TEST_F(FaultGated, SaturationShedsTopPairsAboveTheBuffers) {
   svc::ButterflyService service(3, 3, svc::ServiceOptions{.threads = 1});
   (void)service.apply_updates(k33());  // epoch 1
   // Above K′ a top-pairs query needs the pass, so it queues.
   constexpr std::size_t kPass = count::TopPairBuffer::kCapacity + 1;
-  const svc::QueryResult<svc::TopPairsPtr> exact =
-      service.top_pairs(kPass).get();
-  ASSERT_EQ(exact.value->size(), 3u);  // every pair of K_{3,3}
+  ASSERT_EQ(service.top_pairs(kPass).get().value->size(), 3u);  // K_{3,3}
 
   (void)service.apply_updates({svc::EdgeUpdate::del(0, 0)});  // epoch 2
-  const svc::fault::Scoped saturated(
-      svc::fault::Point::kQueueSaturation, 0, kForever);
-  // Same k: the retired epoch's list is the only rung — explicitly stale.
-  const svc::QueryResult<svc::TopPairsPtr> stale =
+  {
+    const svc::fault::Scoped saturated(
+        svc::fault::Point::kQueueSaturation, 0, kForever);
+    // The queue refuses the pass: the read fails with its reason, and
+    // epoch 1's cached list does not answer for epoch 2.
+    std::future<svc::QueryResult<svc::TopPairsPtr>> shed =
+        service.top_pairs(kPass);
+    EXPECT_EQ(shed_reason(shed), svc::OverloadError::Reason::kRejected);
+    // At k ≤ K′ the buffer answers exact at epoch 2, saturation or not.
+    const svc::QueryResult<svc::TopPairsPtr> buffered =
+        service.top_pairs(2).get();
+    EXPECT_EQ(buffered.fidelity, svc::Fidelity::kExact);
+    EXPECT_EQ(buffered.epoch, 2u);
+    EXPECT_EQ(buffered.value->size(), 2u);
+  }
+  // Saturation over: the next read runs the pass, exact at epoch 2.
+  const svc::QueryResult<svc::TopPairsPtr> next =
       service.top_pairs(kPass).get();
-  EXPECT_EQ(stale.epoch, 1u);
-  EXPECT_EQ(stale.fidelity, svc::Fidelity::kStale);
-  EXPECT_EQ(stale.value.get(), exact.value.get());  // shared, not recomputed
-  // Different k: no stale list exists, so the query is shed outright.
-  std::future<svc::QueryResult<svc::TopPairsPtr>> shed =
-      service.top_pairs(kPass + 1);
-  EXPECT_THROW((void)shed.get(), svc::OverloadError);
-  // At k ≤ K′ the buffer answers exact at epoch 2, saturation or not.
-  const svc::QueryResult<svc::TopPairsPtr> buffered =
-      service.top_pairs(2).get();
-  EXPECT_EQ(buffered.fidelity, svc::Fidelity::kExact);
-  EXPECT_EQ(buffered.epoch, 2u);
-  EXPECT_EQ(buffered.value->size(), 2u);
+  EXPECT_EQ(next.fidelity, svc::Fidelity::kExact);
+  EXPECT_EQ(next.epoch, 2u);
+  EXPECT_EQ(*next.value,
+            count::top_wedge_pairs_v1(service.snapshot()->graph, kPass));
 }
 
-TEST_F(FaultGated, SlowKernelTripsDeadlineIntoDegradedAnswer) {
+TEST_F(FaultGated, SlowKernelTripsDeadlineIntoShed) {
   using namespace std::chrono_literals;
   svc::ButterflyService service(40, 40, svc::ServiceOptions{.threads = 1});
   std::vector<svc::EdgeUpdate> batch;
@@ -727,32 +711,28 @@ TEST_F(FaultGated, SlowKernelTripsDeadlineIntoDegradedAnswer) {
     for (const vidx_t v : g.csr().row(u))
       batch.push_back(svc::EdgeUpdate::add(u, v));
   (void)service.apply_updates(batch);                          // epoch 1
-  // Above K′ a top-pairs query needs the pass, which the fault stalls.
-  constexpr std::size_t kPass = count::TopPairBuffer::kCapacity + 4;
-  const svc::QueryResult<svc::TopPairsPtr> first =
-      service.top_pairs(kPass).get();
-  ASSERT_FALSE(first.degraded());
   (void)service.apply_updates({svc::EdgeUpdate::del(0, 0),
                                svc::EdgeUpdate::add(0, 0)});  // epoch 2
+  // Above K′ a top-pairs query needs the pass, which the fault stalls.
+  constexpr std::size_t kPass = count::TopPairBuffer::kCapacity + 4;
 
   // The injected 80 ms stall outlives the 5 ms budget, so the top-pairs
-  // pass is cancelled mid-flight (or abandoned at dequeue) — either way the
-  // caller gets epoch 1's list instead of a late exact one.
+  // pass is cancelled mid-flight (or abandoned at dequeue): the read fails
+  // with the deadline as its reason, never with a late exact answer.
   {
     const svc::fault::Scoped slow(svc::fault::Point::kSlowKernel, 0, 1, 80);
     const svc::Request req(service.snapshot(), svc::Deadline::after(5ms));
-    const svc::QueryResult<svc::TopPairsPtr> result =
-        service.top_pairs(kPass, req).get();
-    EXPECT_TRUE(result.degraded());
-    EXPECT_EQ(result.fidelity, svc::Fidelity::kStale);
-    EXPECT_EQ(result.epoch, 1u);
-    EXPECT_EQ(result.value.get(), first.value.get());
+    std::future<svc::QueryResult<svc::TopPairsPtr>> late =
+        service.top_pairs(kPass, req);
+    EXPECT_EQ(shed_reason(late), svc::OverloadError::Reason::kDeadline);
   }
   // The next query runs the pass and answers exact at epoch 2.
   const svc::QueryResult<svc::TopPairsPtr> next =
       service.top_pairs(kPass).get();
   EXPECT_FALSE(next.degraded());
   EXPECT_EQ(next.epoch, 2u);
+  EXPECT_EQ(*next.value,
+            count::top_wedge_pairs_v1(service.snapshot()->graph, kPass));
 }
 
 TEST_F(FaultGated, TornPersistIsRejectedAtRestore) {

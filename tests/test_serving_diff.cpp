@@ -12,9 +12,9 @@
 // every shard snapshot's maintained tips and certified top-pair lists are
 // checked against oracles on that shard's edges, and every pinned view's
 // cross aggregate against a full pass over its snapshots. Checked builds also
-// saturate the query queue at random steps: kExact answers must still be
-// exact, one-shard lookups must not degrade, and one-shard kStale answers
-// must equal the oracle at the epoch they report.
+// saturate the query queue at random steps: only a top-pairs read above K′,
+// the one read that queues, may then shed, and no answer ever degrades (no
+// shard here is ever dark).
 //
 // A failing program names its seed; BFC_SERVING_DIFF_SEED=<seed> replays
 // just that program:
@@ -101,11 +101,10 @@ struct Query {
   vidx_t b = 0;
 };
 
-/// How many answers of each outcome a run checked, so a log shows which
-/// rungs the programs reached.
+/// How many answers of each outcome a run checked, so a log shows whether
+/// the programs reached the shedding path.
 struct Tally {
   std::int64_t exact = 0;
-  std::int64_t stale = 0;
   std::int64_t shed = 0;
 };
 
@@ -147,16 +146,12 @@ Answer ask(ButterflyService& s, const Query& q, const Request& req) {
   return {};
 }
 
-/// Whether a one-shard service answers q inline from the pinned snapshot:
-/// global counts, tips, and top pairs the buffer certifies. Such answers
-/// never queue, so they neither shed nor degrade.
-bool one_shard_lookup(const Query& q) {
-  switch (q.kind) {
-    case QueryKind::kEdgeSupport: return false;
-    case QueryKind::kTopPairs:
-      return static_cast<std::size_t>(q.a) <= count::TopPairBuffer::kCapacity;
-    default: return true;
-  }
+/// Whether q queues at any shard count: only top pairs above K′ do, since
+/// every pinned snapshot and cross aggregate certifies each k ≤ K′. Every
+/// other read answers on the caller's thread and never sheds.
+bool queues(const Query& q) {
+  return q.kind == QueryKind::kTopPairs &&
+         static_cast<std::size_t>(q.a) > count::TopPairBuffer::kCapacity;
 }
 
 std::string describe(const Query& q) {
@@ -182,7 +177,6 @@ class Program {
     opt.shards = kShards;
     three_ = std::make_unique<ButterflyService>(n1_, n2_, opt);
     cur_ = std::make_shared<const State>();
-    history_[0] = cur_;
   }
 
   /// Runs the program; returns the first mismatch, empty when every answer
@@ -273,7 +267,6 @@ class Program {
     const count_t before = cur_->answers(n1_, n2_).global;
     cur_ = next;
     ++epoch_;
-    history_[epoch_] = cur_;
     const count_t after = cur_->answers(n1_, n2_).global;
     std::ostringstream at;
     at << (k < 0 ? "apply_updates"
@@ -368,10 +361,8 @@ class Program {
     three_->restore(path3_);
     cur_ = persisted_->state;
     epoch_ = persisted_->epoch;
-    // Epochs restart from the checkpoint, so older epochs (and the pins
-    // taken before the restore) name states that no longer exist.
-    history_.clear();
-    history_[epoch_] = cur_;
+    // Epochs restart from the checkpoint, so the pins taken before the
+    // restore name states that no longer exist.
     pins_.clear();
   }
 
@@ -487,14 +478,8 @@ class Program {
     const Answer one = ask(*one_, q, req1);
     const Answer three = ask(*three_, q, pin ? Request(pin->three) : Request());
     const Answer want = oracle(q, *state);
-    for (const Answer* a : {&one, &three}) {
-      if (a->shed)
-        ++tally_.shed;
-      else if (a->fidelity == Fidelity::kExact)
-        ++tally_.exact;
-      else
-        ++tally_.stale;
-    }
+    for (const Answer* a : {&one, &three})
+      ++(a->shed ? tally_.shed : tally_.exact);
     const std::string at = describe(q) +
                            (pin ? " pinned at epoch " : " at epoch ") +
                            std::to_string(epoch) +
@@ -502,38 +487,24 @@ class Program {
                            show(one) + ", three " + show(three) + ", oracle " +
                            show_value(want);
 
-    // One shard: exact answers are exact at the pinned epoch; stale ones are
-    // exact at an older epoch they name. Lookups never go below exact, edge
-    // support never sheds, and nothing degrades unless the queue is
-    // saturated.
-    const bool lookup = one_shard_lookup(q);
+    // A read sheds only when it queues into a saturated queue; every
+    // answer is exact at the pinned epoch, and the two services agree.
+    const bool may_shed = saturated && queues(q);
     if (one.shed) {
-      if (!saturated || lookup || q.kind == QueryKind::kEdgeSupport)
-        return fail(at + ": one-shard query shed");
-    } else if (one.fidelity == Fidelity::kExact) {
-      if (!same(one, want) || one.epoch != epoch)
-        return fail(at + ": one-shard exact answer wrong");
-    } else if (!saturated || lookup) {
+      if (!may_shed) return fail(at + ": one-shard query shed");
+    } else if (one.fidelity != Fidelity::kExact) {
       return fail(at + ": one-shard answer degraded");
-    } else {
-      const auto h = history_.find(one.epoch);
-      if (h == history_.end() || one.epoch > epoch)
-        return fail(at + ": one-shard stale answer names an unknown epoch");
-      if (!same(one, oracle(q, *h->second)))
-        return fail(at + ": one-shard stale answer wrong at its epoch");
+    } else if (!same(one, want) || one.epoch != epoch) {
+      return fail(at + ": one-shard exact answer wrong");
     }
-
-    // Three shards: exact answers equal the oracle and the one-shard answer.
     if (three.shed) {
-      if (!saturated || q.kind == QueryKind::kEdgeSupport)
-        return fail(at + ": three-shard query shed");
-    } else if (three.fidelity == Fidelity::kExact) {
-      if (!same(three, want))
-        return fail(at + ": three-shard exact answer wrong");
-      if (!one.shed && one.fidelity == Fidelity::kExact && !same(one, three))
-        return fail(at + ": shards=3 disagrees with shards=1");
-    } else if (!saturated) {
+      if (!may_shed) return fail(at + ": three-shard query shed");
+    } else if (three.fidelity != Fidelity::kExact) {
       return fail(at + ": three-shard answer degraded");
+    } else if (!same(three, want)) {
+      return fail(at + ": three-shard exact answer wrong");
+    } else if (!one.shed && !same(one, three)) {
+      return fail(at + ": shards=3 disagrees with shards=1");
     }
   }
 
@@ -548,7 +519,6 @@ class Program {
   std::unique_ptr<ButterflyService> three_;
   StatePtr cur_;
   std::uint64_t epoch_ = 0;
-  std::map<std::uint64_t, StatePtr> history_;  // one-shard epoch -> state
   std::vector<Pin> pins_;
   std::optional<Pin> persisted_;
   std::string error_;
@@ -591,11 +561,10 @@ TEST_P(ServingDiff, RandomProgramsMatchOracles) {
     }
   }
   remove_checkpoints(path);
-  std::printf("seeds %llu..%llu: %lld exact, %lld stale, %lld shed\n",
+  std::printf("seeds %llu..%llu: %lld exact, %lld shed\n",
               static_cast<unsigned long long>(first),
               static_cast<unsigned long long>(first + programs - 1),
               static_cast<long long>(tally.exact),
-              static_cast<long long>(tally.stale),
               static_cast<long long>(tally.shed));
 }
 

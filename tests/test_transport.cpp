@@ -2,7 +2,8 @@
 // remote.hpp, supervisor.hpp): wire codec roundtrips, protocol parity of a
 // RemoteShard against the LocalShard it proxies (served in-process by
 // serve_connection on a real Unix socket), the retry/circuit-breaker state
-// machine under injected transport faults, the pin-serves-last-known
+// machine under injected transport faults (driven through epoch() and
+// pin(), which never throw), the pin-serves-last-known
 // contract when the host dies, a sharded service composing its cross
 // aggregate across a host that moved on its own, and — when
 // BFC_SHARD_HOST_BIN points at the
@@ -27,6 +28,7 @@
 #include "count/baselines.hpp"
 #include "count/local_counts.hpp"
 #include "count/top_pairs.hpp"
+#include "obs/metrics.hpp"
 #include "shard/remote.hpp"
 #include "shard/scatter_gather.hpp"
 #include "shard/shard.hpp"
@@ -94,6 +96,10 @@ std::vector<svc::EdgeUpdate> butterfly_square() {
           svc::EdgeUpdate::add(1, 0), svc::EdgeUpdate::add(1, 1)};
 }
 
+std::int64_t counter_value(const char* name) {
+  return obs::Registry::instance().counter(name).value();
+}
+
 /// Fast-failing client options so breaker tests run in milliseconds.
 RemoteOptions fast_opts() {
   RemoteOptions o;
@@ -130,7 +136,7 @@ TEST(WireCodec, ShortPayloadThrowsNotReadsGarbage) {
   EXPECT_THROW((void)c.u64(), ShardUnavailableError);
 }
 
-TEST(WireCodec, BatchPublishPairsRoundTrip) {
+TEST(WireCodec, BatchAndPublishRoundTrip) {
   const std::vector<svc::EdgeUpdate> batch = {
       svc::EdgeUpdate::add(3, 1), svc::EdgeUpdate::del(7, 0),
       svc::EdgeUpdate::add(0, 5)};
@@ -155,16 +161,6 @@ TEST(WireCodec, BatchPublishPairsRoundTrip) {
   EXPECT_EQ(r2.ignored, 3);
   EXPECT_EQ(r2.created, 5);
   EXPECT_EQ(r2.destroyed, 2);
-
-  const std::vector<count::VertexPair> pairs = {{0, 4, 3}, {1, 6, 2}};
-  std::uint64_t epoch = 0;
-  const std::vector<count::VertexPair> pairs2 =
-      wire::decode_pairs(wire::encode_pairs(17, pairs), epoch);
-  EXPECT_EQ(epoch, 17u);
-  ASSERT_EQ(pairs2.size(), 2u);
-  EXPECT_EQ(pairs2[0].a, 0);
-  EXPECT_EQ(pairs2[0].b, 4);
-  EXPECT_EQ(pairs2[0].wedges, 3);
 }
 
 TEST(WireCodec, SnapshotRoundTripCarriesGraphAndCounts) {
@@ -216,24 +212,6 @@ TEST(RemoteShardProto, ParityWithTheLocalShardItProxies) {
                                  *ref->top_pairs.certified(3)));
   EXPECT_EQ(remote.epoch(), 1u);
   EXPECT_TRUE(remote.healthy());
-
-  // Host-side query kinds match the kernels on the reference snapshot.
-  EXPECT_EQ(remote.query_global(), ref->butterflies);
-  const std::vector<count_t> tips1 = count::butterflies_per_v1(ref->graph);
-  const std::vector<count_t> tips2 = count::butterflies_per_v2(ref->graph);
-  for (vidx_t u = 0; u < 8; ++u)
-    EXPECT_EQ(remote.query_tip_v1(u), tips1[static_cast<std::size_t>(u)]);
-  for (vidx_t v = 0; v < 6; ++v)
-    EXPECT_EQ(remote.query_tip_v2(v), tips2[static_cast<std::size_t>(v)]);
-  const std::vector<count_t> support = count::support_per_edge(ref->graph);
-  EXPECT_EQ(remote.query_edge_support(0, 0), support[0]);
-  EXPECT_EQ(remote.query_edge_support(7, 5), 0);  // absent edge
-  const std::vector<count::VertexPair> top =
-      count::top_wedge_pairs_v1(ref->graph, 3);
-  const std::vector<count::VertexPair> rtop = remote.query_top_pairs(3);
-  ASSERT_EQ(rtop.size(), top.size());
-  for (std::size_t i = 0; i < top.size(); ++i)
-    EXPECT_EQ(rtop[i].wedges, top[i].wedges);
 
   // Semantic errors (host replied kError) cross as std::runtime_error and
   // leave the breaker alone: the host is alive, it just said no.
@@ -345,9 +323,14 @@ TEST_F(TransportFaultGated, RetriesAbsorbATransientDrop) {
   LocalShard host(0, 4, 4, 0, 4);
   InProcHost server(sock, host);
   RemoteShard remote(0, 4, 4, 0, 4, sock, fast_opts());
+  (void)remote.apply(butterfly_square());  // epoch 1
+  const std::int64_t retries0 = counter_value("svc.remote.retries");
   // Exactly one dropped leg: the first attempt fails, the retry answers.
   const svc::fault::Scoped drop(svc::fault::Point::kTransportDrop, 0, 1);
-  EXPECT_EQ(remote.query_global(), 0);
+  EXPECT_EQ(remote.epoch(), 1u);
+  EXPECT_EQ(svc::fault::fired_count(svc::fault::Point::kTransportDrop), 1u);
+  if (obs::kMetricsEnabled)
+    EXPECT_EQ(counter_value("svc.remote.retries"), retries0 + 1);
   EXPECT_TRUE(remote.healthy());
   EXPECT_EQ(remote.circuit(), CircuitState::kClosed);
 }
@@ -358,26 +341,37 @@ TEST_F(TransportFaultGated, DropsOpenTheCircuitAndCooldownRecloses) {
   LocalShard host(0, 4, 4, 0, 4);
   InProcHost server(sock, host);
   RemoteShard remote(0, 4, 4, 0, 4, sock, opts);
-  ASSERT_EQ(remote.query_global(), 0);  // healthy baseline
+  (void)remote.apply(butterfly_square());  // epoch 1
+  ASSERT_EQ(remote.pin()->epoch, 1u);      // healthy baseline
 
   {
     const svc::fault::Scoped drop(svc::fault::Point::kTransportDrop, 0,
                                   kForever);
-    // Every leg drops: each rpc exhausts its attempts and records one
-    // failure; failure_threshold of them open the breaker.
-    for (int i = 0; i < opts.failure_threshold; ++i)
-      EXPECT_THROW((void)remote.query_global(), ShardUnavailableError);
+    // Every leg drops: each probe exhausts its attempts, records one
+    // failure and serves the last known epoch; failure_threshold of them
+    // open the breaker.
+    for (int i = 0; i < opts.failure_threshold; ++i) {
+      EXPECT_EQ(remote.circuit(), CircuitState::kClosed) << "probe " << i;
+      EXPECT_EQ(remote.epoch(), 1u);
+    }
     EXPECT_EQ(remote.circuit(), CircuitState::kOpen);
     EXPECT_FALSE(remote.healthy());
-    // While open and inside the cooldown: fail fast, no socket touched.
-    EXPECT_THROW((void)remote.query_global(), ShardUnavailableError);
+    // While open and inside the cooldown: fail fast, no socket touched and
+    // so no retry, and the last pinned snapshot still serves.
+    const std::int64_t retries0 = counter_value("svc.remote.retries");
+    const std::uint64_t fired0 =
+        svc::fault::fired_count(svc::fault::Point::kTransportDrop);
+    EXPECT_EQ(remote.pin()->epoch, 1u);
+    EXPECT_EQ(svc::fault::fired_count(svc::fault::Point::kTransportDrop),
+              fired0);
+    EXPECT_EQ(counter_value("svc.remote.retries"), retries0);
   }
 
   // Fault disarmed: after the cooldown one probe passes half-open and its
   // success recloses the breaker.
   std::this_thread::sleep_for(
       std::chrono::milliseconds(opts.open_cooldown_ms + 10));
-  EXPECT_EQ(remote.query_global(), 0);
+  EXPECT_EQ(remote.epoch(), 1u);
   EXPECT_EQ(remote.circuit(), CircuitState::kClosed);
   EXPECT_TRUE(remote.healthy());
 }
@@ -387,14 +381,22 @@ TEST_F(TransportFaultGated, DelayTripsThePerLegTimeout) {
   RemoteOptions opts = fast_opts();
   opts.call_timeout_ms = 30;
   opts.max_attempts = 1;
+  opts.failure_threshold = 1;
   LocalShard host(0, 4, 4, 0, 4);
   InProcHost server(sock, host);
   RemoteShard remote(0, 4, 4, 0, 4, sock, opts);
-  // Stall 10× the leg budget before the receive: the call must time out
-  // (ShardTimeoutError is-a ShardUnavailableError, counted separately).
+  const std::int64_t timeouts0 = counter_value("svc.remote.timeouts");
+  // Stall 10× the leg budget before the receive: the probe times out
+  // (counted as a timeout, not only as a failure), which opens the
+  // one-failure breaker, and serves the last known epoch.
   const svc::fault::Scoped delay(svc::fault::Point::kTransportDelay, 0, 1,
                                  /*ms=*/300);
-  EXPECT_THROW((void)remote.query_global(), ShardTimeoutError);
+  EXPECT_EQ(remote.epoch(), 0u);
+  EXPECT_EQ(svc::fault::fired_count(svc::fault::Point::kTransportDelay), 1u);
+  if (obs::kMetricsEnabled)
+    EXPECT_EQ(counter_value("svc.remote.timeouts"), timeouts0 + 1);
+  EXPECT_EQ(remote.circuit(), CircuitState::kOpen);
+  EXPECT_FALSE(remote.healthy());
 }
 
 TEST_F(TransportFaultGated, OpenCircuitDegradesShardedAnswersNotQueries) {

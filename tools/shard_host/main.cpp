@@ -1,7 +1,7 @@
 // bfc-shard-host: one LocalShard behind a Unix-domain socket — the failure
 // domain unit of the sharded serving plane. The process owns the V1 range
 // [--lo, --hi) of an (--n1 × --n2) graph, serves the transport.hpp protocol
-// (publish, pin, persist/restore, the five query kinds) and nothing else;
+// (ping, epoch, publish, pin, persist/restore) and nothing else;
 // killing it loses exactly one range, which the ShardSupervisor restarts
 // and restores from the last checkpoint.
 //
